@@ -8,14 +8,14 @@
 //   lib scalar   — today's BloomFilter::contains in a loop;
 //   batch        — contains_batch (tiled, prefetched, split-digest layout);
 //   blocked      — contains_batch over the cache-line-blocked layout.
-// And three IBLT builds: seed-replica scalar insert (per-probe seed mix and
-// hardware `%`), insert_batch, and pooled insert_all, plus subtract and
-// decode of a realistic difference.
+// And two IBLT builds: seed-replica scalar insert (per-probe seed mix and
+// hardware `%`) and the pipelined insert_all, plus subtract and decode of a
+// realistic difference.
 //
 // Round 2 adds two sections:
-//   kernels — each SIMD kernel (bloom probe/set, IBLT cell add/sub, xor,
-//             all_zero, bytes_equal) timed portable-vs-best-ISA over large
-//             buffers via kernels_for(), reported as bytes/s + speedup;
+//   kernels — each SIMD kernel (IBLT cell subtract, xor, all_zero) timed
+//             portable-vs-best-ISA over large buffers via kernels_for(),
+//             reported as bytes/s + speedup;
 //   wire    — copy (encode_frame) vs zero-copy (begin_frame + serialize_into
 //             + end_frame) framing of a realistic GrapheneBlockMsg, with a
 //             byte-identity cross-check.
@@ -30,7 +30,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -184,8 +183,8 @@ struct ScaleResult {
   std::uint64_t m = 0, n = 0;
   double filter_seed_ms = 0, filter_lib_ms = 0, filter_batch_ms = 0;
   double filter_blocked_ms = 0, filter_pool_ms = 0;
-  double iblt_seed_ms = 0, iblt_batch_ms = 0, iblt_pool_ms = 0;
-  double subtract_ms = 0, subtract_pool_ms = 0, decode_ms = 0;
+  double iblt_seed_ms = 0, iblt_batch_ms = 0;
+  double subtract_ms = 0, decode_ms = 0;
 };
 
 ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
@@ -278,15 +277,8 @@ ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
   iblt::Iblt batch_table(iblt::IbltParams{4, cell_count}, salt);
   res.iblt_batch_ms = best_ms(reps, &sink, [&] {
     iblt::Iblt t(iblt::IbltParams{4, cell_count}, salt);
-    t.insert_batch(sids_a.data(), sids_a.size());
+    t.insert_all(sids_a);
     batch_table = t;
-    return static_cast<std::uint64_t>(t.cells_for_test()[0].key_sum);
-  });
-  iblt::Iblt pool_table(iblt::IbltParams{4, cell_count}, salt);
-  res.iblt_pool_ms = best_ms(reps, &sink, [&] {
-    iblt::Iblt t(iblt::IbltParams{4, cell_count}, salt);
-    t.insert_all(std::span<const std::uint64_t>(sids_a), &pool);
-    pool_table = t;
     return static_cast<std::uint64_t>(t.cells_for_test()[0].key_sum);
   });
   {
@@ -299,22 +291,15 @@ ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
              lib_cells[i].key_sum == seed_table.cells[i].key_sum &&
              lib_cells[i].check_sum == seed_table.cells[i].check_sum;
     }
-    check(same, "insert_batch cells diverged from seed replica");
-    check(batch_table.serialize() == pool_table.serialize(),
-          "insert_all cells diverged from insert_batch");
+    check(same, "insert_all cells diverged from seed replica");
   }
 
   iblt::Iblt other(iblt::IbltParams{4, cell_count}, salt);
-  other.insert_batch(sids_b.data(), sids_b.size());
+  other.insert_all(sids_b);
   iblt::Iblt diff(iblt::IbltParams{4, cell_count}, salt);
   res.subtract_ms = best_ms(reps, &sink, [&] {
     diff = batch_table.subtract(other);
     return static_cast<std::uint64_t>(diff.cells_for_test()[0].key_sum);
-  });
-  res.subtract_pool_ms = best_ms(reps, &sink, [&] {
-    iblt::Iblt pooled = batch_table.subtract(other, &pool);
-    check(pooled.serialize() == diff.serialize(), "pooled subtract diverged");
-    return static_cast<std::uint64_t>(pooled.cells_for_test()[0].key_sum);
   });
   res.decode_ms = best_ms(reps, &sink, [&] {
     const iblt::DecodeResult dec = diff.decode();
@@ -330,7 +315,7 @@ ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
 namespace simd = util::simd;
 
 struct KernelResult {
-  std::string kernel;   ///< e.g. "cells_add"
+  std::string kernel;   ///< e.g. "cells_sub"
   std::string variant;  ///< "portable" or the dispatched ISA name
   double ms = 0;
   double bytes_per_sec = 0;
@@ -363,39 +348,6 @@ std::vector<KernelResult> run_kernel_benches(int reps) {
   std::vector<KernelResult> out;
   util::Rng rng(0x51d4be7c);
 
-  // Blocked-Bloom block probe/set: 64k independent 512-bit blocks, k = 8.
-  {
-    const std::size_t blocks = 1 << 16;
-    std::vector<std::uint64_t> table(blocks * 8);
-    for (auto& w : table) w = rng.next();
-    std::vector<std::uint32_t> xs(blocks), ys(blocks);
-    for (std::size_t i = 0; i < blocks; ++i) {
-      xs[i] = static_cast<std::uint32_t>(rng.below(512));
-      ys[i] = static_cast<std::uint32_t>(rng.below(512));
-    }
-    const double bytes = static_cast<double>(blocks) * 64;
-    std::uint64_t hits_portable = 0;
-    bench_kernel(out, "bloom_test_block", bytes, reps, [&](const simd::Kernels& k) {
-      std::uint64_t hits = 0;
-      for (std::size_t i = 0; i < blocks; ++i) {
-        hits += k.bloom_test_block(table.data() + i * 8, 8, xs[i], ys[i]) ? 1 : 0;
-      }
-      if (hits_portable == 0) hits_portable = hits;
-      check(hits == hits_portable, "bloom_test_block hit count diverged");
-      return hits;
-    });
-    std::vector<std::uint64_t> set_portable;
-    bench_kernel(out, "bloom_set_block", bytes, reps, [&](const simd::Kernels& k) {
-      std::vector<std::uint64_t> t(table);
-      for (std::size_t i = 0; i < blocks; ++i) {
-        k.bloom_set_block(t.data() + i * 8, 8, xs[i], ys[i]);
-      }
-      if (set_portable.empty()) set_portable = t;
-      check(t == set_portable, "bloom_set_block bits diverged");
-      return t[0];
-    });
-  }
-
   // IBLT cell fold: an 8k-cell table (128 KiB per operand — the cache-
   // resident regime real difference tables live in), folded 256 times per
   // pass so the measurement is compute-bound like Iblt::subtract's loop.
@@ -406,14 +358,7 @@ std::vector<KernelResult> run_kernel_benches(int reps) {
     rng.fill(dst);
     rng.fill(src);
     const double bytes = static_cast<double>(n_cells) * 16 * 2 * passes;
-    std::vector<std::uint8_t> add_portable, sub_portable;
-    bench_kernel(out, "cells_add", bytes, reps, [&](const simd::Kernels& k) {
-      std::vector<std::uint8_t> d(dst);
-      for (int p = 0; p < passes; ++p) k.cells_add(d.data(), src.data(), n_cells);
-      if (add_portable.empty()) add_portable = d;
-      check(d == add_portable, "cells_add output diverged");
-      return static_cast<std::uint64_t>(d[0]);
-    });
+    std::vector<std::uint8_t> sub_portable;
     bench_kernel(out, "cells_sub", bytes, reps, [&](const simd::Kernels& k) {
       std::vector<std::uint8_t> d(dst);
       for (int p = 0; p < passes; ++p) k.cells_sub(d.data(), src.data(), n_cells);
@@ -423,8 +368,8 @@ std::vector<KernelResult> run_kernel_benches(int reps) {
     });
   }
 
-  // Raw byte kernels: 64 KiB buffers (L1/L2-resident, the coded-symbol and
-  // frame-compare regime), many passes per measurement.
+  // Raw byte kernels: 64 KiB buffers (L1/L2-resident, the coded-symbol
+  // regime), many passes per measurement.
   {
     const std::size_t n = 64u << 10;
     const int passes = 1024;
@@ -448,14 +393,6 @@ std::vector<KernelResult> run_kernel_benches(int reps) {
                    check(z == static_cast<std::uint64_t>(passes),
                          "all_zero rejected a zero buffer");
                    return z;
-                 });
-    bench_kernel(out, "bytes_equal", static_cast<double>(n) * 2 * passes, reps,
-                 [&](const simd::Kernels& k) {
-                   std::uint64_t eq = 0;
-                   for (int p = 0; p < passes; ++p) eq += k.bytes_equal(a.data(), a.data(), n) ? 1 : 0;
-                   check(eq == static_cast<std::uint64_t>(passes),
-                         "bytes_equal rejected identical buffers");
-                   return eq;
                  });
   }
   return out;
@@ -561,11 +498,10 @@ int main() {
                 r.filter_seed_ms, r.filter_lib_ms, r.filter_batch_ms,
                 r.filter_blocked_ms, r.filter_pool_ms,
                 r.filter_seed_ms / r.filter_blocked_ms);
-    std::printf("  iblt build    seed %9.2f ms | batch %9.2f | +pool %9.2f  (%.2fx vs seed)\n",
-                r.iblt_seed_ms, r.iblt_batch_ms, r.iblt_pool_ms,
-                r.iblt_seed_ms / r.iblt_batch_ms);
-    std::printf("  iblt subtract      %9.2f ms | +pool %9.2f ; decode %9.3f ms\n",
-                r.subtract_ms, r.subtract_pool_ms, r.decode_ms);
+    std::printf("  iblt build    seed %9.2f ms | batch %9.2f  (%.2fx vs seed)\n",
+                r.iblt_seed_ms, r.iblt_batch_ms, r.iblt_seed_ms / r.iblt_batch_ms);
+    std::printf("  iblt subtract      %9.2f ms ; decode %9.3f ms\n", r.subtract_ms,
+                r.decode_ms);
     results.push_back(r);
   }
 
@@ -632,14 +568,10 @@ int main() {
     w.number(r.iblt_seed_ms);
     w.key("iblt_batch_build_ms");
     w.number(r.iblt_batch_ms);
-    w.key("iblt_pool_build_ms");
-    w.number(r.iblt_pool_ms);
     w.key("iblt_build_speedup_vs_seed");
     w.number(r.iblt_seed_ms / r.iblt_batch_ms);
     w.key("subtract_ms");
     w.number(r.subtract_ms);
-    w.key("subtract_pool_ms");
-    w.number(r.subtract_pool_ms);
     w.key("decode_ms");
     w.number(r.decode_ms);
     w.end_object();

@@ -1,0 +1,80 @@
+// Hostile-bytes round trip over every payload wire type.
+//
+// The first input byte picks one type from kRoutes; the remainder goes to
+// that type's deserializer. Rejection (DeserializeError) is fine. Anything
+// accepted must serialize to bytes that parse again, consume exactly, and
+// re-serialize identically. (The input itself need not round-trip byte for
+// byte: discarded transaction padding and bit-packing slack re-serialize
+// canonically.) This is the only harness that reaches the reconcile
+// Offer/Request/Response/FetchRequest/FetchResponse and the daemon
+// Hello/Bye/Error parsers; the others get a dedicated harness as well.
+#include <cstdlib>
+#include <iterator>
+
+#include "bloom/bloom_filter.hpp"
+#include "bloom/cuckoo_filter.hpp"
+#include "bloom/golomb_set.hpp"
+#include "daemon/wire.hpp"
+#include "graphene/messages.hpp"
+#include "harness.hpp"
+#include "iblt/iblt.hpp"
+#include "iblt/strata_estimator.hpp"
+#include "reconcile/graphene_backend.hpp"
+#include "reconcile/rateless_backend.hpp"
+
+namespace {
+
+using namespace graphene;
+
+template <typename T>
+void round_trip(util::ByteView data) {
+  util::Bytes wire;
+  try {
+    util::ByteReader r(data);
+    wire = T::deserialize(r).serialize();
+  } catch (const util::DeserializeError&) {
+    return;
+  }
+  try {
+    util::ByteReader r{util::ByteView(wire)};
+    const util::Bytes again = T::deserialize(r).serialize();
+    if (r.remaining() != 0 || again != wire) std::abort();
+  } catch (const util::DeserializeError&) {
+    std::abort();  // an accepted message serialized to bytes it rejects
+  }
+}
+
+using Route = void (*)(util::ByteView);
+
+// The route byte indexes this table; tools/gen_fuzz_corpus.cpp seeds every
+// entry by position, so append new types at the end.
+constexpr Route kRoutes[] = {
+    &round_trip<bloom::BloomFilter>,        // 0
+    &round_trip<bloom::GolombSet>,          // 1
+    &round_trip<bloom::CuckooFilter>,       // 2
+    &round_trip<iblt::Iblt>,                // 3
+    &round_trip<iblt::StrataEstimator>,     // 4
+    &round_trip<core::GrapheneBlockMsg>,    // 5
+    &round_trip<core::GrapheneRequestMsg>,  // 6
+    &round_trip<core::GrapheneResponseMsg>, // 7
+    &round_trip<core::RepairRequestMsg>,    // 8
+    &round_trip<core::RepairResponseMsg>,   // 9
+    &round_trip<reconcile::Offer>,          // 10
+    &round_trip<reconcile::Request>,        // 11
+    &round_trip<reconcile::Response>,       // 12
+    &round_trip<reconcile::FetchRequest>,   // 13
+    &round_trip<reconcile::FetchResponse>,  // 14
+    &round_trip<reconcile::RatelessChunk>,  // 15
+    &round_trip<reconcile::RatelessNeed>,   // 16
+    &round_trip<daemon::HelloMsg>,          // 17
+    &round_trip<daemon::ByeMsg>,            // 18
+    &round_trip<daemon::ErrorMsg>,          // 19
+};
+
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
+  if (size == 0) return 0;
+  kRoutes[data[0] % std::size(kRoutes)](fuzz::view(data + 1, size - 1));
+  return 0;
+}

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/simd/simd.hpp"
 #include "util/thread_pool.hpp"
 #include "util/varint.hpp"
 #include "util/wire_limits.hpp"
@@ -164,12 +163,25 @@ std::uint64_t BloomFilter::block_base(util::ByteView txid, std::uint32_t* x,
   return block * (kBlockBits / 64);
 }
 
+// The k probes of one item walk its 512-bit block along the recurrence
+//   bit = x; x = (x + y) & 511; y = (y + i + 1) & 511   for i in [0, k).
 bool BloomFilter::test_block(std::uint64_t base, std::uint32_t x, std::uint32_t y) const {
-  return util::simd::active().bloom_test_block(bits_.data() + base, k_, x, y);
+  const std::uint64_t* block = bits_.data() + base;
+  for (std::uint32_t i = 0; i < k_; ++i) {
+    if ((block[x >> 6] & (1ULL << (x & 63))) == 0) return false;
+    x = (x + y) & kBlockMask;
+    y = (y + i + 1) & kBlockMask;
+  }
+  return true;
 }
 
 void BloomFilter::set_block(std::uint64_t base, std::uint32_t x, std::uint32_t y) {
-  util::simd::active().bloom_set_block(bits_.data() + base, k_, x, y);
+  std::uint64_t* block = bits_.data() + base;
+  for (std::uint32_t i = 0; i < k_; ++i) {
+    block[x >> 6] |= (1ULL << (x & 63));
+    x = (x + y) & kBlockMask;
+    y = (y + i + 1) & kBlockMask;
+  }
 }
 
 bool BloomFilter::test(util::ByteView txid) const {

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <latch>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -54,13 +55,15 @@ struct WorkerResult {
 
 class Worker {
  public:
-  Worker(const LoadgenOptions& opts, std::uint32_t conns, std::uint64_t deadline_abs)
-      : opts_(opts), n_conns_(conns), deadline_abs_(deadline_abs) {}
+  Worker(const LoadgenOptions& opts, std::uint32_t conns, std::uint64_t deadline_abs,
+         std::latch& connected)
+      : opts_(opts), n_conns_(conns), deadline_abs_(deadline_abs), connected_(connected) {}
 
   WorkerResult run() {
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (epoll_fd_ < 0) {
       result_.conn_errors += n_conns_;
+      arrive();
       return std::move(result_);
     }
     sockaddr_in addr{};
@@ -69,10 +72,12 @@ class Worker {
     if (::inet_pton(AF_INET, opts_.host.c_str(), &addr.sin_addr) != 1) {
       ::close(epoll_fd_);
       result_.conn_errors += n_conns_;
+      arrive();
       return std::move(result_);
     }
     for (std::uint32_t i = 0; i < n_conns_; ++i) open_conn(addr);
     loop();
+    arrive();  // left before connecting everything: release the other workers
     for (auto& [fd, conn] : conns_) {
       // Still open at the deadline (or after a loop abort): a failed peer.
       ++result_.conn_errors;
@@ -104,10 +109,7 @@ class Worker {
     }
     auto conn = std::make_unique<ClientConn>(util::wire::kMaxFramePayload);
     conn->fd = fd;
-    if (rc == 0) {
-      conn->connecting = false;
-      start_session(*conn);
-    }
+    conn->connecting = rc != 0;
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLOUT;
     ev.data.fd = fd;
@@ -129,9 +131,31 @@ class Worker {
     net::encode_frame_into(conn.out, msg);
   }
 
+  /// Counts this worker's connect phase as over at the shared latch, once.
+  void arrive() {
+    if (arrived_) return;
+    arrived_ = true;
+    connected_.count_down();
+  }
+
   void loop() {
     epoll_event events[64];
     while (!conns_.empty()) {
+      if (!arrived_ && std::none_of(conns_.begin(), conns_.end(), [](const auto& entry) {
+            return entry.second->connecting;
+          })) {
+        // Every connection of this worker is established. No hello goes out
+        // until every worker's connections are too, so the daemon has all of
+        // them queued (or accepted) before any session can finish and free a
+        // slot under its live-connection cap: which connections it admits
+        // cannot depend on how the workers interleave.
+        arrive();
+        connected_.wait();
+        for (auto& [fd, conn] : conns_) {
+          start_session(*conn);
+          update_interest(*conn);
+        }
+      }
       const std::uint64_t now = obs::monotonic_ns();
       if (now >= deadline_abs_) return;  // survivors counted by run()
       const std::uint64_t left_ms = (deadline_abs_ - now) / 1'000'000 + 1;
@@ -160,7 +184,6 @@ class Worker {
         return;
       }
       conn.connecting = false;
-      start_session(conn);
     }
     if ((events & EPOLLIN) != 0 && !readable(conn)) return;
     if (!flush(conn)) {
@@ -268,6 +291,8 @@ class Worker {
   const LoadgenOptions& opts_;
   std::uint32_t n_conns_;
   std::uint64_t deadline_abs_;
+  std::latch& connected_;
+  bool arrived_ = false;
   int epoll_fd_ = -1;
   std::unordered_map<int, std::unique_ptr<ClientConn>> conns_;
   WorkerResult result_;
@@ -292,13 +317,15 @@ LoadgenReport run_loadgen(const LoadgenOptions& opts) {
   std::vector<WorkerResult> results(workers);
   std::vector<std::thread> threads;
   threads.reserve(workers);
+  // Sessions start only once every worker has finished connecting.
+  std::latch connected(static_cast<std::ptrdiff_t>(workers));
   for (std::uint32_t w = 0; w < workers; ++w) {
     // Spread connections evenly; the first `connections % workers` workers
     // take one extra.
     const std::uint32_t share =
         opts.connections / workers + (w < opts.connections % workers ? 1 : 0);
-    threads.emplace_back([&opts, &results, w, share, deadline_abs] {
-      Worker worker(opts, share, deadline_abs);
+    threads.emplace_back([&opts, &results, &connected, w, share, deadline_abs] {
+      Worker worker(opts, share, deadline_abs, connected);
       results[w] = worker.run();
     });
   }

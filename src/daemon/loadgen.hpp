@@ -2,7 +2,9 @@
 //
 // run_loadgen() opens `connections` concurrent TCP clients against a daemon,
 // runs `sessions_per_conn` back-to-back reconciliation sessions on each, and
-// reports throughput plus exact session-latency quantiles. Worker threads
+// reports throughput plus exact session-latency quantiles. Every connection
+// is established before the first session starts, so a daemon's
+// live-connection cap admits the same number of them on every run. Worker threads
 // each own an epoll instance and a slice of the connections, so one process
 // can sustain thousands of concurrent peers; tools/loadgen and
 // bench/daemon_load are thin wrappers around this engine, and the session

@@ -83,6 +83,7 @@ ReceiveOutcome ReceiveSession::receive_block(const GrapheneBlockMsg& msg) {
   }
   msg_ = msg;
   have_block_msg_ = true;
+  used_pingpong_ = false;
   sid_to_txid_.clear();
   ambiguous_sids_.clear();
   candidates_.clear();
@@ -125,9 +126,9 @@ ReceiveOutcome ReceiveSession::receive_block(const GrapheneBlockMsg& msg) {
     std::vector<std::uint64_t> sids;
     sids.reserve(candidates_.size());
     for (const chain::TxId& id : candidates_) sids.push_back(sid(id));
-    i_prime.insert_all(sids, cfg_.pool);
+    i_prime.insert_all(sids);
 
-    const iblt::DecodeResult dec = msg.iblt_i.subtract(i_prime, cfg_.pool).decode();
+    const iblt::DecodeResult dec = msg.iblt_i.subtract(i_prime).decode();
     peel_iterations = dec.peel_iterations;
     peeled_items = dec.peeled();
     residual_cells = dec.residual_cells;
@@ -167,7 +168,7 @@ ReceiveOutcome ReceiveSession::receive_block(const GrapheneBlockMsg& msg) {
   }
 
   if (out.status == ReceiveStatus::kDecoded) {
-    out = finalize({}, /*used_pingpong=*/false);
+    out = finalize({});
     if (out.status != ReceiveStatus::kDecoded) out.status = ReceiveStatus::kNeedsProtocol2;
   }
   if (reg != nullptr) {
@@ -377,12 +378,11 @@ ReceiveOutcome ReceiveSession::complete(const GrapheneResponseMsg& resp) {
     std::vector<std::uint64_t> sids;
     sids.reserve(candidates_.size());
     for (const chain::TxId& id : candidates_) sids.push_back(sid(id));
-    j_prime.insert_all(sids, cfg_.pool);
+    j_prime.insert_all(sids);
   }
-  const iblt::Iblt diff_j = resp.iblt_j.subtract(j_prime, cfg_.pool);
+  const iblt::Iblt diff_j = resp.iblt_j.subtract(j_prime);
 
   iblt::DecodeResult dec = diff_j.decode();
-  bool used_pingpong = false;
   p2_span.attr("j_cells", resp.iblt_j.cell_count());
   p2_span.attr("peel_iterations", dec.peel_iterations);
   p2_span.attr("peeled", dec.peeled());
@@ -407,9 +407,9 @@ ReceiveOutcome ReceiveSession::complete(const GrapheneResponseMsg& resp) {
     std::vector<std::uint64_t> sids;
     sids.reserve(candidates_.size());
     for (const chain::TxId& id : candidates_) sids.push_back(sid(id));
-    i_prime.insert_all(sids, cfg_.pool);
+    i_prime.insert_all(sids);
     const iblt::PingPongResult pp =
-        iblt::pingpong_decode(diff_j, msg_.iblt_i.subtract(i_prime, cfg_.pool));
+        iblt::pingpong_decode(diff_j, msg_.iblt_i.subtract(i_prime));
     pingpong_rounds = pp.rounds;
     pp_span.attr("rounds", pp.rounds);
     pp_span.attr("success", pp.success ? 1 : 0);
@@ -424,14 +424,14 @@ ReceiveOutcome ReceiveSession::complete(const GrapheneResponseMsg& resp) {
       out.status = ReceiveStatus::kFailed;
       return finish(std::move(out));
     }
-    used_pingpong = true;
+    used_pingpong_ = true;
     dec.success = pp.success;
     dec.positives = pp.positives;
     dec.negatives = pp.negatives;
   }
   if (!dec.success) {
     out.status = ReceiveStatus::kFailed;
-    out.used_pingpong = used_pingpong;
+    out.used_pingpong = used_pingpong_;
     return finish(std::move(out));
   }
 
@@ -458,7 +458,7 @@ ReceiveOutcome ReceiveSession::complete(const GrapheneResponseMsg& resp) {
     unresolved.push_back(s);
   }
 
-  out = finalize(std::move(unresolved), used_pingpong);
+  out = finalize(std::move(unresolved));
   if (reg != nullptr) {
     reg->counter("graphene_p2_decode_total", {{"result", status_label(out.status)}})
         .inc();
@@ -498,7 +498,7 @@ ReceiveOutcome ReceiveSession::complete_repair(const RepairResponseMsg& resp) {
     received_txns_.emplace(tx.id, tx);
     index_candidate(tx.id);
   }
-  const ReceiveOutcome out = finalize({}, /*used_pingpong=*/false);
+  const ReceiveOutcome out = finalize({});
   span.attr("decoded", out.status == ReceiveStatus::kDecoded ? 1 : 0);
   if (obs::FlightRecorder* fr = obs::flight(reg)) {
     obs::FlightEvent e;
@@ -512,9 +512,9 @@ ReceiveOutcome ReceiveSession::complete_repair(const RepairResponseMsg& resp) {
   return out;
 }
 
-ReceiveOutcome ReceiveSession::finalize(std::vector<std::uint64_t> unresolved, bool used_pingpong) {
+ReceiveOutcome ReceiveSession::finalize(std::vector<std::uint64_t> unresolved) {
   ReceiveOutcome out;
-  out.used_pingpong = used_pingpong;
+  out.used_pingpong = used_pingpong_;
   if (!unresolved.empty()) {
     pending_unresolved_ = std::move(unresolved);
     out.unresolved = pending_unresolved_;

@@ -48,7 +48,8 @@ struct ReceiveOutcome {
   std::vector<std::uint64_t> unresolved;
   /// True when the final Merkle check passed.
   bool merkle_ok = false;
-  /// Diagnostics for benches: did ping-pong decoding rescue this block?
+  /// Diagnostics for benches: did ping-pong decoding engage for this block?
+  /// Set by complete() and kept on the repair round's outcome.
   bool used_pingpong = false;
 };
 
@@ -87,7 +88,7 @@ class ReceiveSession {
   [[nodiscard]] std::uint64_t observed_z() const noexcept { return z_; }
 
  private:
-  ReceiveOutcome finalize(std::vector<std::uint64_t> unresolved, bool used_pingpong);
+  ReceiveOutcome finalize(std::vector<std::uint64_t> unresolved);
   void index_candidate(const chain::TxId& id);
   [[nodiscard]] std::uint64_t sid(const chain::TxId& id) const noexcept;
   /// Snapshot of the protocol position for errors and trace records.
@@ -106,6 +107,8 @@ class ReceiveSession {
   Protocol2Params params2_{};
   bool have_block_msg_ = false;
   std::uint64_t z_ = 0;
+  /// Ping-pong decoding ran in complete(); reported again by complete_repair().
+  bool used_pingpong_ = false;
 
   /// Candidate block membership: short id → txid, plus txn storage for
   /// transactions that arrived over the wire rather than from the mempool.

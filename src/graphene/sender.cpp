@@ -79,7 +79,7 @@ EncodeResult Sender::encode(std::uint64_t receiver_mempool_count) const {
     } else {
       obs::ScopedSpan span(reg, "iblt_build");
       msg.iblt_i = iblt::Iblt(out.params.iblt, /*seed=*/salt_);
-      msg.iblt_i.insert_all(short_ids_, cfg_.pool);
+      msg.iblt_i.insert_all(short_ids_);
       span.attr("items", short_ids_.size());
       span.attr("cells", msg.iblt_i.cell_count());
       span.attr("k", msg.iblt_i.hash_count());
@@ -219,7 +219,7 @@ GrapheneResponseMsg Sender::serve(const GrapheneRequestMsg& request) const {
 
   resp.iblt_j = iblt::Iblt(iblt::cached_params(cfg_.param_cache, j_items, cfg_.fail_denom),
                            /*seed=*/salt_ + 1);
-  resp.iblt_j.insert_all(short_ids_, cfg_.pool);
+  resp.iblt_j.insert_all(short_ids_);
 
   serve_span.attr("n", n);
   serve_span.attr("z", request.z);

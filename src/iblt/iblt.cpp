@@ -5,15 +5,14 @@
 #include <stdexcept>
 
 #include "util/simd/simd.hpp"
-#include "util/thread_pool.hpp"
 #include "util/varint.hpp"
 #include "util/wire_limits.hpp"
 
 namespace graphene::iblt {
 
 namespace {
-// The SIMD cells_add/cells_sub kernels operate on the raw 16-byte cell
-// layout; pin the field offsets they assume.
+// The SIMD cells_sub kernel operates on the raw 16-byte cell layout; pin
+// the field offsets it assumes.
 static_assert(sizeof(Iblt::Cell) == 16);
 static_assert(offsetof(Iblt::Cell, key_sum) == 0);
 static_assert(offsetof(Iblt::Cell, count) == 8);
@@ -22,15 +21,10 @@ static_assert(offsetof(Iblt::Cell, check_sum) == 12);
 constexpr std::uint32_t kMinHashCount = 2;
 constexpr std::uint32_t kMaxHashCount = 16;
 constexpr std::uint64_t kCheckSalt = 0xc0ffee3141592653ULL;
-/// Lookahead tile of insert_batch: positions and checksums for a tile are
+/// Lookahead tile of insert_all: positions and checksums for a tile are
 /// derived (and the target cells prefetched) before any cell is touched, so
 /// the latency of up to kTile*k cache-line fills overlaps.
 constexpr std::size_t kTile = 16;
-/// Below this many keys per shard, the cost of zeroing a partial table
-/// outweighs the parallel win; insert_all degrades to a serial batch.
-constexpr std::size_t kMinKeysPerShard = 4096;
-/// Cells per parallel_for chunk in the pool-aware subtract.
-constexpr std::size_t kSubtractChunkCells = std::size_t{1} << 14;
 
 // Cell counts come off the wire attacker-controlled (a hostile table can
 // carry INT32_MIN), so count arithmetic must wrap two's-complement instead
@@ -156,7 +150,7 @@ void Iblt::update(std::uint64_t key, std::int32_t delta) {
 }
 
 template <std::uint32_t K>
-void Iblt::insert_batch_fixed(const std::uint64_t* keys, std::size_t count) {
+void Iblt::insert_all_fixed(std::span<const std::uint64_t> keys) {
   // Software pipeline through a ring of kDepth in-flight keys: positions and
   // checksum for key j+kDepth are derived — and their cells prefetched —
   // kDepth iterations before they are applied, so each of the (up to K)
@@ -165,6 +159,7 @@ void Iblt::insert_batch_fixed(const std::uint64_t* keys, std::size_t count) {
   // DRAM fill when the table outgrows the last-level cache. K is a
   // compile-time constant, so every inner loop fully unrolls.
   constexpr std::size_t kDepth = 8;  // power of 2: slot index is j & mask
+  const std::size_t count = keys.size();
   Cell* cells = cells_.data();
   const std::uint64_t stride = stride_;
   const util::FastMod64 div = stride_div_;
@@ -200,16 +195,17 @@ void Iblt::insert_batch_fixed(const std::uint64_t* keys, std::size_t count) {
   }
 }
 
-void Iblt::insert_batch(const std::uint64_t* keys, std::size_t count) {
+void Iblt::insert_all(std::span<const std::uint64_t> keys) {
+  const std::size_t count = keys.size();
   if (count == 0) return;
   // Dispatch the common table arities to unrolled pipelines; positions and
   // cell arithmetic are identical to insert() for every k.
   switch (k_) {
-    case 2: insert_batch_fixed<2>(keys, count); return;
-    case 3: insert_batch_fixed<3>(keys, count); return;
-    case 4: insert_batch_fixed<4>(keys, count); return;
-    case 5: insert_batch_fixed<5>(keys, count); return;
-    case 6: insert_batch_fixed<6>(keys, count); return;
+    case 2: insert_all_fixed<2>(keys); return;
+    case 3: insert_all_fixed<3>(keys); return;
+    case 4: insert_all_fixed<4>(keys); return;
+    case 5: insert_all_fixed<5>(keys); return;
+    case 6: insert_all_fixed<6>(keys); return;
     default: break;
   }
   std::uint64_t pos[kTile][kMaxHashCount];
@@ -241,59 +237,18 @@ void Iblt::insert_batch(const std::uint64_t* keys, std::size_t count) {
   }
 }
 
-void Iblt::insert_all(std::span<const std::uint64_t> keys, util::ThreadPool* pool) {
-  const std::size_t workers = pool == nullptr ? 0 : pool->size();
-  std::size_t shards = std::min(workers + 1, keys.size() / kMinKeysPerShard);
-  if (workers == 0 || shards < 2) {
-    insert_batch(keys.data(), keys.size());
-    return;
-  }
-  // Each shard fills a private table over a contiguous key range; the merge
-  // below is count-add/XOR, both commutative and associative, so the final
-  // cells match a serial insert bit-for-bit regardless of shard count.
-  std::vector<Iblt> partials(shards, Iblt(IbltParams{k_, cells_.size()}, seed_));
-  const std::size_t chunk = (keys.size() + shards - 1) / shards;
-  util::parallel_for(pool, shards, [&](std::uint64_t s) {
-    const std::size_t begin = static_cast<std::size_t>(s) * chunk;
-    const std::size_t end = std::min(begin + chunk, keys.size());
-    partials[static_cast<std::size_t>(s)].insert_batch(keys.data() + begin, end - begin);
-  });
-  for (const Iblt& p : partials) merge_add(p);
-}
-
-void Iblt::merge_add(const Iblt& other) noexcept {
-  // Cell is a packed 16-byte {u64, i32, u32} record, so the fold is the
-  // SIMD cells_add kernel verbatim (XOR the sums, wrapping-add the counts).
-  util::simd::active().cells_add(cells_.data(), other.cells_.data(),
-                                 cells_.size());
-}
-
 void Iblt::cancel(std::uint64_t key, int sign) {
   update(key, sign > 0 ? -1 : +1);
   // cancel(+1) removes an item that this difference-IBLT counted positively,
   // which is the same cell arithmetic as erasing it once.
 }
 
-Iblt Iblt::subtract(const Iblt& other, util::ThreadPool* pool) const {
+Iblt Iblt::subtract(const Iblt& other) const {
   if (cells_.size() != other.cells_.size() || k_ != other.k_ || seed_ != other.seed_) {
     throw std::invalid_argument("Iblt::subtract: incompatible parameters");
   }
   Iblt out = *this;
-  const std::size_t n = cells_.size();
-  auto body = [&](std::size_t begin, std::size_t end) {
-    util::simd::active().cells_sub(out.cells_.data() + begin,
-                                   other.cells_.data() + begin, end - begin);
-  };
-  if (pool != nullptr && pool->size() > 0 && n >= 2 * kSubtractChunkCells) {
-    // Cells are independent, so any chunking yields the same table.
-    const std::uint64_t chunks = (n + kSubtractChunkCells - 1) / kSubtractChunkCells;
-    util::parallel_for(pool, chunks, [&](std::uint64_t c) {
-      const std::size_t begin = static_cast<std::size_t>(c) * kSubtractChunkCells;
-      body(begin, std::min(begin + kSubtractChunkCells, n));
-    });
-  } else {
-    body(0, n);
-  }
+  util::simd::active().cells_sub(out.cells_.data(), other.cells_.data(), cells_.size());
   return out;
 }
 

@@ -16,10 +16,6 @@
 #include "util/bytes.hpp"
 #include "util/hash.hpp"
 
-namespace graphene::util {
-class ThreadPool;
-}  // namespace graphene::util
-
 namespace graphene::iblt {
 
 /// Tuning parameters: `k` hash functions over `cells` cells (divisible by k).
@@ -63,24 +59,14 @@ class Iblt {
   void insert(std::uint64_t key) { update(key, +1); }
   void erase(std::uint64_t key) { update(key, -1); }
 
-  /// Inserts `count` keys; identical cell state to inserting each in order,
+  /// Inserts all keys; identical cell state to inserting each in order,
   /// but pipelines position derivation with software prefetching of the
   /// target cells — the batch primitive behind I′/J′ construction.
-  void insert_batch(const std::uint64_t* keys, std::size_t count);
-
-  /// Inserts all keys, fanning the work across `pool` for large batches:
-  /// each worker fills a private partial table over a key range and the
-  /// partials merge by count-add/XOR. Both operations are commutative and
-  /// associative, so the resulting cells are bit-identical to a serial
-  /// insert for ANY worker count (the PR-3 determinism contract). A null or
-  /// empty pool — or a small batch — degrades to insert_batch.
-  void insert_all(std::span<const std::uint64_t> keys, util::ThreadPool* pool = nullptr);
+  void insert_all(std::span<const std::uint64_t> keys);
 
   /// Cell-wise subtraction (this − other). Both tables must share cell
-  /// count, k, and seed; throws std::invalid_argument otherwise. A non-null
-  /// pool splits the cell range across workers (cells are independent, so
-  /// the result is identical for any worker count).
-  [[nodiscard]] Iblt subtract(const Iblt& other, util::ThreadPool* pool = nullptr) const;
+  /// count, k, and seed; throws std::invalid_argument otherwise.
+  [[nodiscard]] Iblt subtract(const Iblt& other) const;
 
   /// Peels this table. Non-destructive (operates on a copy of the cells).
   [[nodiscard]] DecodeResult decode() const;
@@ -124,9 +110,9 @@ class Iblt {
 
  private:
   void update(std::uint64_t key, std::int32_t delta);
-  /// Unrolled, software-pipelined insert_batch body for a compile-time k.
+  /// Unrolled, software-pipelined insert_all body for a compile-time k.
   template <std::uint32_t K>
-  void insert_batch_fixed(const std::uint64_t* keys, std::size_t count);
+  void insert_all_fixed(std::span<const std::uint64_t> keys);
   void positions(std::uint64_t key, std::uint64_t* out) const noexcept;
   [[nodiscard]] std::uint32_t check_hash(std::uint64_t key) const noexcept;
   /// Rebuilds the derived index state (per-hash seed mixes, invariant
@@ -134,9 +120,6 @@ class Iblt {
   /// the naive per-call formulation; this just hoists the key-independent
   /// half of the hash and strength-reduces the `% stride` divide.
   void init_derived() noexcept;
-  /// Cell-wise this += other (count-add, XOR sums); parameter-compatibility
-  /// is the caller's responsibility. Used to fold parallel partial tables.
-  void merge_add(const Iblt& other) noexcept;
 
   std::vector<Cell> cells_;
   std::uint32_t k_ = 4;

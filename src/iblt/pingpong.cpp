@@ -57,52 +57,4 @@ PingPongResult pingpong_decode(const Iblt& a, const Iblt& b) {
   return result;
 }
 
-PingPongResult pingpong_decode_multi(std::span<const Iblt> tables) {
-  PingPongResult result;
-  if (tables.empty()) return result;
-
-  std::vector<Iblt> work(tables.begin(), tables.end());
-  std::unordered_set<std::uint64_t> seen_pos;
-  std::unordered_set<std::uint64_t> seen_neg;
-
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (std::size_t idx = 0; idx < work.size(); ++idx) {
-      const DecodeResult dec = work[idx].decode();
-      if (dec.malformed) {
-        result.malformed = true;
-        return result;
-      }
-      ++result.rounds;
-
-      auto cancel_everywhere = [&](std::uint64_t key, int sign) {
-        for (Iblt& table : work) table.cancel(key, sign);
-      };
-      for (const std::uint64_t key : dec.positives) {
-        if (seen_pos.insert(key).second) {
-          cancel_everywhere(key, +1);
-          progress = true;
-        }
-      }
-      for (const std::uint64_t key : dec.negatives) {
-        if (seen_neg.insert(key).second) {
-          cancel_everywhere(key, -1);
-          progress = true;
-        }
-      }
-      if (work[idx].empty()) {
-        result.success = true;
-        result.positives.assign(seen_pos.begin(), seen_pos.end());
-        result.negatives.assign(seen_neg.begin(), seen_neg.end());
-        return result;
-      }
-    }
-  }
-
-  result.positives.assign(seen_pos.begin(), seen_pos.end());
-  result.negatives.assign(seen_neg.begin(), seen_neg.end());
-  return result;
-}
-
 }  // namespace graphene::iblt

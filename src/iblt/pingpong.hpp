@@ -6,8 +6,6 @@
 // (1−p)² when the sibling is as large as the primary (Fig. 11).
 #pragma once
 
-#include <span>
-
 #include "iblt/iblt.hpp"
 
 namespace graphene::iblt {
@@ -25,13 +23,5 @@ struct PingPongResult {
 /// item sets (so their symmetric differences are identical); they may have
 /// different sizes, hash counts and seeds.
 [[nodiscard]] PingPongResult pingpong_decode(const Iblt& a, const Iblt& b);
-
-/// N-way generalization — §4.2's "a receiver could ask many neighbors for
-/// the same block and the IBLTs can be jointly decoded": every table must
-/// describe the same symmetric difference; items recovered from any table
-/// are cancelled in all others until a table empties or no table makes
-/// progress. With independent seeds the joint failure rate is roughly the
-/// product of the individual rates.
-[[nodiscard]] PingPongResult pingpong_decode_multi(std::span<const Iblt> tables);
 
 }  // namespace graphene::iblt

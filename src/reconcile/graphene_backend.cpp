@@ -240,7 +240,7 @@ Offer GrapheneHostBackend::make_offer(std::uint64_t client_count) const {
     sids.push_back(sid);
     offer.set_checksum ^= util::mix64(sid);
   }
-  offer.correction.insert_all(sids, cfg_.pool);
+  offer.correction.insert_all(sids);
   record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "offer", offer,
              {{"count", static_cast<double>(n)},
               {"bloom_bytes", static_cast<double>(offer.filter.serialized_size())},
@@ -337,7 +337,7 @@ Response GrapheneHostBackend::serve(const Request& request) const {
   std::vector<std::uint64_t> sids;
   sids.reserve(pass.digests.size());
   for (const ItemDigest* d : pass.digests) sids.push_back(short_id_of(*d, salt_, cfg_));
-  resp.correction.insert_all(sids, cfg_.pool);
+  resp.correction.insert_all(sids);
   record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "response", resp,
              {{"missing", static_cast<double>(resp.missing.size())},
               {"j_cells", static_cast<double>(resp.correction.cell_count())},
@@ -433,9 +433,9 @@ Outcome GrapheneClientBackend::absorb(const Offer& offer) {
   iblt::Iblt mine(iblt::IbltParams{offer.correction.hash_count(),
                                    offer.correction.cell_count()},
                   offer.correction.seed());
-  mine.insert_all(candidate_sids(), cfg_.pool);
+  mine.insert_all(candidate_sids());
 
-  const iblt::DecodeResult dec = offer.correction.subtract(mine, cfg_.pool).decode();
+  const iblt::DecodeResult dec = offer.correction.subtract(mine).decode();
   Outcome out;
   if (dec.malformed || !dec.success || !dec.positives.empty()) {
     out.status = dec.malformed ? Outcome::Status::kFailed : Outcome::Status::kNeedsRequest;
@@ -501,18 +501,18 @@ Outcome GrapheneClientBackend::complete(const Response& response) {
   iblt::Iblt mine(iblt::IbltParams{response.correction.hash_count(),
                                    response.correction.cell_count()},
                   response.correction.seed());
-  mine.insert_all(candidate_sids(), cfg_.pool);
+  mine.insert_all(candidate_sids());
 
-  const iblt::Iblt diff_j = response.correction.subtract(mine, cfg_.pool);
+  const iblt::Iblt diff_j = response.correction.subtract(mine);
   iblt::DecodeResult dec = diff_j.decode();
   if (!dec.success && !dec.malformed && cfg_.enable_pingpong) {
     // §4.2 ping-pong: the offer's IBLT covers the same item pair.
     iblt::Iblt offer_mine(iblt::IbltParams{offer_.correction.hash_count(),
                                            offer_.correction.cell_count()},
                           offer_.correction.seed());
-    offer_mine.insert_all(candidate_sids(), cfg_.pool);
+    offer_mine.insert_all(candidate_sids());
     const iblt::PingPongResult pp =
-        iblt::pingpong_decode(diff_j, offer_.correction.subtract(offer_mine, cfg_.pool));
+        iblt::pingpong_decode(diff_j, offer_.correction.subtract(offer_mine));
     if (pp.malformed) {
       out.status = Outcome::Status::kFailed;
       return finish(out);

@@ -41,7 +41,6 @@ GrapheneRun run_impl(const Scenario& scenario, std::uint64_t salt,
     run.missing_txn_bytes += resp.missing_tx_bytes();
 
     out = session.complete(resp);
-    run.used_pingpong = out.used_pingpong;
   }
 
   if (out.status == core::ReceiveStatus::kNeedsRepair) {
@@ -53,6 +52,7 @@ GrapheneRun run_impl(const Scenario& scenario, std::uint64_t salt,
     out = session.complete_repair(rep_resp);
   }
 
+  run.used_pingpong = out.used_pingpong;
   run.decoded = out.status == core::ReceiveStatus::kDecoded;
   return run;
 }

@@ -213,9 +213,4 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Equality for short digests via the SIMD bytes_equal kernel (not security
-/// critical here; any early exit is at vector-chunk granularity, not per
-/// byte, so it stays free of fine-grained short-circuit timing).
-bool equal(ByteView a, ByteView b) noexcept;
-
 }  // namespace graphene::util

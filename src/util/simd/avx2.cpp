@@ -14,55 +14,12 @@
 namespace graphene::util::simd::detail {
 namespace {
 
-constexpr std::uint32_t kBlockMask = 511;
 constexpr std::size_t kCellBytes = 16;
 
-// The probe recurrence is cheap scalar work (k <= 63 iterations of two adds
-// and two masks); the win is replacing k dependent load+branch pairs with
-// one branch-free 64-byte masked compare.
-void build_probe_mask(std::uint64_t* mask, std::uint32_t k, std::uint32_t x,
-                      std::uint32_t y) {
-  for (std::uint32_t i = 0; i < k; ++i) {
-    mask[x >> 6] |= (1ULL << (x & 63));
-    x = (x + y) & kBlockMask;
-    y = (y + i + 1) & kBlockMask;
-  }
-}
-
-bool bloom_test_block_avx2(const std::uint64_t* block, std::uint32_t k,
-                           std::uint32_t x, std::uint32_t y) {
-  alignas(32) std::uint64_t mask[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  build_probe_mask(mask, k, x, y);
-  const __m256i m0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(mask));
-  const __m256i m1 =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(mask + 4));
-  const __m256i b0 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block));
-  const __m256i b1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block + 4));
-  const __m256i hit0 = _mm256_cmpeq_epi64(_mm256_and_si256(b0, m0), m0);
-  const __m256i hit1 = _mm256_cmpeq_epi64(_mm256_and_si256(b1, m1), m1);
-  return _mm256_movemask_epi8(_mm256_and_si256(hit0, hit1)) == -1;
-}
-
-void bloom_set_block_avx2(std::uint64_t* block, std::uint32_t k,
-                          std::uint32_t x, std::uint32_t y) {
-  alignas(32) std::uint64_t mask[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  build_probe_mask(mask, k, x, y);
-  auto* p0 = reinterpret_cast<__m256i*>(block);
-  auto* p1 = reinterpret_cast<__m256i*>(block + 4);
-  const __m256i m0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(mask));
-  const __m256i m1 =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(mask + 4));
-  _mm256_storeu_si256(p0, _mm256_or_si256(_mm256_loadu_si256(p0), m0));
-  _mm256_storeu_si256(p1, _mm256_or_si256(_mm256_loadu_si256(p1), m1));
-}
-
 // Two 16-byte cells per 256-bit lane: XOR the whole vector (right for
-// key_sum and check_sum), add/sub the epi32 lanes (right for count), then
+// key_sum and check_sum), subtract the epi32 lanes (right for count), then
 // blend the count lanes (epi32 lanes 2 and 6) from the arithmetic result.
-template <bool Add>
-void cells_addsub_avx2(void* dst, const void* src, std::size_t n_cells) {
+void cells_sub_avx2(void* dst, const void* src, std::size_t n_cells) {
   auto* d = static_cast<std::uint8_t*>(dst);
   const auto* s = static_cast<const std::uint8_t*>(src);
   std::size_t c = 0;
@@ -70,8 +27,7 @@ void cells_addsub_avx2(void* dst, const void* src, std::size_t n_cells) {
     const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d));
     const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s));
     const __m256i x = _mm256_xor_si256(a, b);
-    const __m256i m =
-        Add ? _mm256_add_epi32(a, b) : _mm256_sub_epi32(a, b);
+    const __m256i m = _mm256_sub_epi32(a, b);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(d),
                         _mm256_blend_epi32(x, m, 0b01000100));
   }
@@ -79,18 +35,10 @@ void cells_addsub_avx2(void* dst, const void* src, std::size_t n_cells) {
     const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(d));
     const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(s));
     const __m128i x = _mm_xor_si128(a, b);
-    const __m128i m = Add ? _mm_add_epi32(a, b) : _mm_sub_epi32(a, b);
+    const __m128i m = _mm_sub_epi32(a, b);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(d),
                      _mm_blend_epi32(x, m, 0b0100));
   }
-}
-
-void cells_add_avx2(void* dst, const void* src, std::size_t n_cells) {
-  cells_addsub_avx2<true>(dst, src, n_cells);
-}
-
-void cells_sub_avx2(void* dst, const void* src, std::size_t n_cells) {
-  cells_addsub_avx2<false>(dst, src, n_cells);
 }
 
 void xor_bytes_avx2(std::uint8_t* dst, const std::uint8_t* src,
@@ -133,23 +81,13 @@ bool all_zero_avx2(const std::uint8_t* p, std::size_t n) {
   return tail == 0;
 }
 
-bool bytes_equal_avx2(const std::uint8_t* a, const std::uint8_t* b,
-                      std::size_t n) {
-  // Deliberately the same body as portable: glibc's IFUNC-dispatched memcmp
-  // already runs an AVX2 kernel at L1 bandwidth, and both hand-rolled vptest
-  // variants we benchmarked (per-vector test, 128-byte unroll) measured
-  // slower on long equal buffers. Keeping the slot on memcmp means this
-  // table never regresses below libc; bench_hotpath records the comparison.
-  return n == 0 || std::memcmp(a, b, n) == 0;
-}
-
 }  // namespace
 
 const Kernels& avx2_kernels() noexcept {
   static constexpr Kernels kTable{
-      &bloom_test_block_avx2, &bloom_set_block_avx2, &cells_add_avx2,
-      &cells_sub_avx2,        &xor_bytes_avx2,       &all_zero_avx2,
-      &bytes_equal_avx2,
+      &cells_sub_avx2,
+      &xor_bytes_avx2,
+      &all_zero_avx2,
   };
   return kTable;
 }

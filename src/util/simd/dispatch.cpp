@@ -19,36 +19,21 @@ bool cpu_has_avx2() noexcept {
 #endif
 }
 
-constexpr bool kHaveNeon =
-#if defined(GRAPHENE_SIMD_HAVE_NEON)
-    true;
-#else
-    false;
-#endif
-
 const Kernels* table_for(Isa isa) noexcept {
   switch (isa) {
 #if defined(GRAPHENE_SIMD_HAVE_AVX2)
     case Isa::kAvx2:
       return &detail::avx2_kernels();
 #endif
-#if defined(GRAPHENE_SIMD_HAVE_NEON)
-    case Isa::kNeon:
-      return &detail::neon_kernels();
-#endif
     default:
       return &detail::portable_kernels();
   }
 }
 
-Isa pick_auto() noexcept {
-  if (cpu_has_avx2()) return Isa::kAvx2;
-  if (kHaveNeon) return Isa::kNeon;
-  return Isa::kPortable;
-}
+Isa pick_auto() noexcept { return cpu_has_avx2() ? Isa::kAvx2 : Isa::kPortable; }
 
-/// GRAPHENE_SIMD: off|portable -> portable; avx2/neon -> that ISA when
-/// available, else portable; auto/unset/unknown -> best available.
+/// GRAPHENE_SIMD: off|portable -> portable; avx2 -> AVX2 when available,
+/// else portable; auto/unset/unknown -> best available.
 Isa pick_startup_isa() noexcept {
   const char* env = std::getenv("GRAPHENE_SIMD");
   if (env != nullptr) {
@@ -58,9 +43,6 @@ Isa pick_startup_isa() noexcept {
     }
     if (std::strcmp(env, "avx2") == 0) {
       return cpu_has_avx2() ? Isa::kAvx2 : Isa::kPortable;
-    }
-    if (std::strcmp(env, "neon") == 0) {
-      return kHaveNeon ? Isa::kNeon : Isa::kPortable;
     }
   }
   return pick_auto();
@@ -108,8 +90,6 @@ bool isa_available(Isa isa) noexcept {
       return true;
     case Isa::kAvx2:
       return cpu_has_avx2();
-    case Isa::kNeon:
-      return kHaveNeon;
   }
   return false;
 }
@@ -124,8 +104,6 @@ const char* isa_name(Isa isa) noexcept {
       return "portable";
     case Isa::kAvx2:
       return "avx2";
-    case Isa::kNeon:
-      return "neon";
   }
   return "unknown";
 }

@@ -12,8 +12,4 @@ namespace graphene::util::simd::detail {
 [[nodiscard]] const Kernels& avx2_kernels() noexcept;
 #endif
 
-#if defined(GRAPHENE_SIMD_HAVE_NEON)
-[[nodiscard]] const Kernels& neon_kernels() noexcept;
-#endif
-
 }  // namespace graphene::util::simd::detail

@@ -8,56 +8,11 @@
 namespace graphene::util::simd::detail {
 namespace {
 
-constexpr std::uint32_t kBlockMask = 511;  // 512-bit blocked-Bloom block
 constexpr std::size_t kCellBytes = 16;
 
-bool bloom_test_block_portable(const std::uint64_t* block, std::uint32_t k,
-                               std::uint32_t x, std::uint32_t y) {
-  for (std::uint32_t i = 0; i < k; ++i) {
-    if ((block[x >> 6] & (1ULL << (x & 63))) == 0) return false;
-    x = (x + y) & kBlockMask;
-    y = (y + i + 1) & kBlockMask;
-  }
-  return true;
-}
-
-void bloom_set_block_portable(std::uint64_t* block, std::uint32_t k,
-                              std::uint32_t x, std::uint32_t y) {
-  for (std::uint32_t i = 0; i < k; ++i) {
-    block[x >> 6] |= (1ULL << (x & 63));
-    x = (x + y) & kBlockMask;
-    y = (y + i + 1) & kBlockMask;
-  }
-}
-
 // Cell lanes are folded through fixed-width unsigned types via memcpy, so
-// the arithmetic (XOR / wrapping add) matches the in-memory representation
-// the vector variants operate on directly.
-void cells_add_portable(void* dst, const void* src, std::size_t n_cells) {
-  auto* d = static_cast<std::uint8_t*>(dst);
-  const auto* s = static_cast<const std::uint8_t*>(src);
-  for (std::size_t c = 0; c < n_cells; ++c, d += kCellBytes, s += kCellBytes) {
-    std::uint64_t dk = 0;
-    std::uint64_t sk = 0;
-    std::memcpy(&dk, d, 8);
-    std::memcpy(&sk, s, 8);
-    dk ^= sk;
-    std::memcpy(d, &dk, 8);
-    std::uint32_t dc = 0;
-    std::uint32_t sc = 0;
-    std::memcpy(&dc, d + 8, 4);
-    std::memcpy(&sc, s + 8, 4);
-    dc += sc;
-    std::memcpy(d + 8, &dc, 4);
-    std::uint32_t dh = 0;
-    std::uint32_t sh = 0;
-    std::memcpy(&dh, d + 12, 4);
-    std::memcpy(&sh, s + 12, 4);
-    dh ^= sh;
-    std::memcpy(d + 12, &dh, 4);
-  }
-}
-
+// the arithmetic (XOR / wrapping subtract) matches the in-memory
+// representation the vector variants operate on directly.
 void cells_sub_portable(void* dst, const void* src, std::size_t n_cells) {
   auto* d = static_cast<std::uint8_t*>(dst);
   const auto* s = static_cast<const std::uint8_t*>(src);
@@ -109,19 +64,13 @@ bool all_zero_portable(const std::uint8_t* p, std::size_t n) {
   return acc == 0;
 }
 
-bool bytes_equal_portable(const std::uint8_t* a, const std::uint8_t* b,
-                          std::size_t n) {
-  return n == 0 || std::memcmp(a, b, n) == 0;
-}
-
 }  // namespace
 
 const Kernels& portable_kernels() noexcept {
   static constexpr Kernels kTable{
-      &bloom_test_block_portable, &bloom_set_block_portable,
-      &cells_add_portable,        &cells_sub_portable,
-      &xor_bytes_portable,        &all_zero_portable,
-      &bytes_equal_portable,
+      &cells_sub_portable,
+      &xor_bytes_portable,
+      &all_zero_portable,
   };
   return kTable;
 }

@@ -5,10 +5,13 @@
 // pins this with min_rate=1.0 StatGates), so callers can route through
 // active() unconditionally. Dispatch is resolved once, on first use, from
 // CPU capability detection plus the GRAPHENE_SIMD environment override
-// (off|portable|avx2|neon|auto; unknown values fall back to auto, and a
+// (off|portable|avx2|auto; unknown values fall back to auto, and a
 // requested ISA the CPU lacks falls back to portable).
 //
-// Intrinsics and <immintrin.h>/<arm_neon.h> includes are confined to this
+// A slot exists only while some ISA variant beats the portable body on the
+// bench (docs/PERFORMANCE.md); a kernel that does not is deleted.
+//
+// Intrinsics and ISA headers such as <immintrin.h> are confined to this
 // directory (tools/lint.py enforces the boundary); ISA-specific code lives
 // in its own translation unit compiled with the matching -m flags so no
 // vector instruction can execute before the capability check.
@@ -22,28 +25,15 @@ namespace graphene::util::simd {
 enum class Isa : std::uint8_t {
   kPortable = 0,
   kAvx2 = 1,
-  kNeon = 2,
 };
 
 /// Function-pointer table for every vectorizable kernel. All pointers are
-/// always non-null; unimplemented ISA slots reuse the portable function.
+/// always non-null.
 struct Kernels {
-  /// Blocked-Bloom probe: test the k bits of the 512-bit block at `block`
-  /// (8 little-endian u64 words) visited by the recurrence
-  ///   bit = x; x = (x + y) & 511; y = (y + i + 1) & 511
-  /// for i in [0, k). Returns true iff every probed bit is set. k <= 63.
-  bool (*bloom_test_block)(const std::uint64_t* block, std::uint32_t k,
-                           std::uint32_t x, std::uint32_t y);
-  /// Blocked-Bloom insert: set the same k bits in the block.
-  void (*bloom_set_block)(std::uint64_t* block, std::uint32_t k,
-                          std::uint32_t x, std::uint32_t y);
-
-  /// IBLT cell merge-add: for n 16-byte cells laid out as
+  /// IBLT cell subtract: for n 16-byte cells laid out as
   ///   { u64 key_sum; i32 count; u32 check_sum }  (host representation)
-  /// fold src into dst: key_sum ^= , count += (wrapping), check_sum ^= .
+  /// fold src out of dst: key_sum ^= , count -= (wrapping), check_sum ^= .
   /// dst and src must not partially overlap.
-  void (*cells_add)(void* dst, const void* src, std::size_t n_cells);
-  /// IBLT cell subtract: key_sum ^= , count -= (wrapping), check_sum ^= .
   void (*cells_sub)(void* dst, const void* src, std::size_t n_cells);
 
   /// dst[i] ^= src[i] for i in [0, n). Used by CodedSymbol::apply digest
@@ -51,9 +41,6 @@ struct Kernels {
   void (*xor_bytes)(std::uint8_t* dst, const std::uint8_t* src, std::size_t n);
   /// True iff every byte in [p, p+n) is zero.
   bool (*all_zero)(const std::uint8_t* p, std::size_t n);
-  /// True iff the two n-byte buffers are byte-identical.
-  bool (*bytes_equal)(const std::uint8_t* a, const std::uint8_t* b,
-                      std::size_t n);
 };
 
 /// The kernel table selected for this process (env override + CPU probe,

@@ -22,7 +22,7 @@ namespace graphene::util::wire {
 /// 10^7-entry mempool filter needs at the paper's lowest FPRs.
 inline constexpr std::uint64_t kMaxBloomBits = 1ULL << 32;
 
-/// IBLT / KvIblt: 2^24 cells is a 256 MiB table; difference IBLTs in the
+/// IBLT: 2^24 cells is a 256 MiB table; difference IBLTs in the
 /// paper stay under 10^4 cells even for mempool sync.
 inline constexpr std::uint64_t kMaxIbltCells = 1ULL << 24;
 

@@ -23,6 +23,7 @@
 #include "testkit/faulty_channel.hpp"
 #include "testkit/gen.hpp"
 #include "util/bytes.hpp"
+#include "util/wire_limits.hpp"
 
 namespace graphene::core {
 namespace {
@@ -196,6 +197,68 @@ TEST(Forensics, ForcedUndersizedIbltFailureReplaysExactly) {
   EXPECT_TRUE(rep.ok()) << notes;
   EXPECT_EQ(rep.recorded_outcome, "p2:failed");
   EXPECT_EQ(rep.replayed_outcome, "p2:failed");
+}
+
+TEST(Forensics, ProtocolErrorIsCountedTracedAndCaptured) {
+  // A receiver driven out of order raises ProtocolError. With telemetry
+  // attached the error must also leave an `error` span, a per-stage
+  // counter, a flight event and one protocol_error capture.
+  ScopedCaptureDir capture_dir;
+  chain::Mempool pool;
+  obs::Registry reg;
+  ProtocolConfig cfg;
+  cfg.obs = &reg;
+  ReceiveSession session(pool, cfg);
+  EXPECT_THROW((void)session.build_request(), ProtocolError);
+
+  obs::TraceSpan span;
+  ASSERT_TRUE(reg.trace().find("error", &span));
+  EXPECT_DOUBLE_EQ(span.attr("have_block_msg"), 0.0);
+  EXPECT_EQ(
+      reg.counter("graphene_protocol_errors_total", {{"stage", "build_request"}}).value(),
+      1u);
+  const std::vector<obs::FlightEvent> events = reg.recorder().events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, obs::FlightEventKind::kError);
+  EXPECT_EQ(events[0].label, "build_request");
+
+  const std::vector<fs::path> files = capture_dir.drain_new();
+  ASSERT_EQ(files.size(), 1u);
+  const ForensicCapture cap = load_capture(files[0]);
+  EXPECT_EQ(cap.kind, "protocol_error");
+  EXPECT_EQ(cap.stage, "build_request");
+  EXPECT_TRUE(cap.has_error);
+  EXPECT_FALSE(cap.error.have_block_msg);
+}
+
+TEST(Forensics, SenderRejectionIsRecorded) {
+  // serve() re-validates an in-memory request's sizing; the rejection lands
+  // in the flight log with the offending parameters before it throws.
+  util::Rng rng(42);
+  chain::ScenarioSpec spec;
+  spec.block_txns = 50;
+  spec.extra_txns = 50;
+  const chain::Scenario s = chain::make_scenario(spec, rng);
+  obs::Registry reg;
+  ProtocolConfig cfg;
+  cfg.obs = &reg;
+  const Sender sender(s.block, /*salt=*/1, cfg);
+
+  GrapheneRequestMsg req;
+  req.z = 100;
+  req.fpr_r = 0.1;
+  req.filter_r = bloom::BloomFilter(100, 0.1, 2);
+  req.b = 1;
+  req.y_star = util::wire::kMaxSizingParam + 1;
+  EXPECT_THROW((void)sender.serve(req), ProtocolError);
+
+  const std::vector<obs::FlightEvent> events = reg.recorder().events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, obs::FlightEventKind::kError);
+  EXPECT_EQ(events[0].label, "p2_serve");
+  EXPECT_DOUBLE_EQ(events[0].attr("n"), 50.0);
+  EXPECT_DOUBLE_EQ(events[0].attr("y_star"),
+                   static_cast<double>(util::wire::kMaxSizingParam + 1));
 }
 
 TEST(Forensics, ChannelAbortCaptureReproducesDeserializeFailure) {

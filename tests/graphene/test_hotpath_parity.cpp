@@ -9,13 +9,11 @@
 // runs at 1, 2, and 8 workers.
 #include <gtest/gtest.h>
 
-#include <span>
 #include <vector>
 
 #include "bloom/bloom_filter.hpp"
 #include "graphene/receiver.hpp"
 #include "graphene/sender.hpp"
-#include "iblt/iblt.hpp"
 #include "testkit/gen.hpp"
 #include "testkit/stat_gate.hpp"
 #include "util/thread_pool.hpp"
@@ -81,60 +79,6 @@ TEST(HotpathParity, BloomBatchAndPooledPathsMatchScalar) {
             bloom::contains_all(batch, probe_views.data(), probe_views.size(),
                                 pooled.data(), &pool);
             if (pooled != got) return false;
-          }
-        }
-        return true;
-      },
-      [](const testkit::GenCase& c) { return testkit::shrink_case(c); },
-      [](const testkit::GenCase& c) { return testkit::describe_case(c); });
-  GRAPHENE_EXPECT_GATE(r);
-}
-
-// IBLT: insert_all over any worker count and pooled subtract must reproduce
-// the serial cells exactly, and the decoded difference must match.
-TEST(HotpathParity, IbltPooledBuildAndSubtractMatchSerial) {
-  util::ThreadPool pools[] = {util::ThreadPool(1), util::ThreadPool(2),
-                              util::ThreadPool(8)};
-  const testkit::ScenarioDims dims = parity_dims();
-  testkit::StatGateSpec spec;
-  spec.name = "hotpath_iblt_parity";
-  spec.trials = 60;
-  spec.min_rate = 1.0;
-  const testkit::GateResult r = testkit::StatGate(spec).run_cases<testkit::GenCase>(
-      [&](util::Rng& rng) { return testkit::gen_case(rng, dims); },
-      [&](const testkit::GenCase& c, util::Rng& rng) {
-        const chain::Scenario s = testkit::build_scenario(c);
-        std::vector<std::uint64_t> sender_sids;
-        for (const chain::TxId& id : s.block.tx_ids()) {
-          sender_sids.push_back(chain::short_id(id) ^ c.salt);
-        }
-        std::vector<std::uint64_t> receiver_sids;
-        for (const chain::TxId& id : s.receiver_mempool.ids()) {
-          receiver_sids.push_back(chain::short_id(id) ^ c.salt);
-        }
-        const iblt::IbltParams params{3, 30 + 3 * (rng.below(40) + 1)};
-
-        iblt::Iblt serial_i(params, c.salt);
-        serial_i.insert_batch(sender_sids.data(), sender_sids.size());
-        iblt::Iblt serial_j(params, c.salt);
-        serial_j.insert_batch(receiver_sids.data(), receiver_sids.size());
-        const iblt::Iblt serial_diff = serial_i.subtract(serial_j);
-        const util::Bytes want_i = serial_i.serialize();
-        const util::Bytes want_diff = serial_diff.serialize();
-        const iblt::DecodeResult want_dec = serial_diff.decode();
-
-        for (util::ThreadPool& pool : pools) {
-          iblt::Iblt pooled_i(params, c.salt);
-          pooled_i.insert_all(std::span<const std::uint64_t>(sender_sids), &pool);
-          if (pooled_i.serialize() != want_i) return false;
-          iblt::Iblt pooled_j(params, c.salt);
-          pooled_j.insert_all(std::span<const std::uint64_t>(receiver_sids), &pool);
-          const iblt::Iblt pooled_diff = pooled_i.subtract(pooled_j, &pool);
-          if (pooled_diff.serialize() != want_diff) return false;
-          const iblt::DecodeResult dec = pooled_diff.decode();
-          if (dec.success != want_dec.success || dec.positives != want_dec.positives ||
-              dec.negatives != want_dec.negatives) {
-            return false;
           }
         }
         return true;

@@ -163,17 +163,48 @@ TEST(Protocol2, PingPongEngagesOnUndersizedJ) {
     req.b = 1;
     const GrapheneResponseMsg resp = sender.serve(req);
     ReceiveOutcome out = receiver.complete(resp);
-    const bool pinged = out.used_pingpong;
     if (out.status == ReceiveStatus::kNeedsRepair) {
       out = receiver.complete_repair(sender.serve_repair(receiver.build_repair()));
     }
-    if (pinged && out.status == ReceiveStatus::kDecoded) ++rescued;
+    if (out.used_pingpong && out.status == ReceiveStatus::kDecoded) ++rescued;
     if (out.status != ReceiveStatus::kDecoded) ++plain_failures;
   }
   // Ping-pong should rescue at least some sabotaged runs; hard failures
   // should not dominate.
   EXPECT_GT(rescued, 0);
   EXPECT_LT(plain_failures, 5);
+}
+
+TEST(Protocol2, RepairRoundKeepsPingPongFlag) {
+  // A block that ping-pong rescued and that then needed the repair round
+  // must still report used_pingpong on its final outcome. fail_denom = 2
+  // sizes J to fail about half the time, so a short seed search finds such
+  // a relay.
+  ProtocolConfig cfg;
+  cfg.fail_denom = 2;
+  chain::ScenarioSpec spec;
+  spec.block_txns = 300;
+  spec.extra_txns = 600;
+  spec.block_fraction_in_mempool = 0.9;
+  bool found = false;
+  for (std::uint64_t seed = 1; seed <= 200 && !found; ++seed) {
+    util::Rng rng(seed);
+    const chain::Scenario s = chain::make_scenario(spec, rng);
+    Sender sender(s.block, rng.next(), cfg);
+    ReceiveSession receiver(s.receiver_mempool, cfg);
+    if (receiver.receive_block(sender.encode(s.m).msg).status !=
+        ReceiveStatus::kNeedsProtocol2) {
+      continue;
+    }
+    const ReceiveOutcome p2 = receiver.complete(sender.serve(receiver.build_request()));
+    if (p2.status != ReceiveStatus::kNeedsRepair || !p2.used_pingpong) continue;
+    found = true;
+    const ReceiveOutcome out =
+        receiver.complete_repair(sender.serve_repair(receiver.build_repair()));
+    EXPECT_EQ(out.status, ReceiveStatus::kDecoded) << "seed " << seed;
+    EXPECT_TRUE(out.used_pingpong) << "seed " << seed;
+  }
+  ASSERT_TRUE(found) << "no seed in [1, 200] needed ping-pong and then repair";
 }
 
 }  // namespace

@@ -4,11 +4,9 @@
 
 #include <algorithm>
 #include <set>
-#include <span>
 
 #include "util/hex.hpp"
 #include "util/random.hpp"
-#include "util/thread_pool.hpp"
 
 namespace graphene::iblt {
 namespace {
@@ -271,57 +269,16 @@ TEST(Iblt, GoldenWireBytesAndDecodePinned) {
 }
 
 TEST(Iblt, InsertBatchMatchesSequentialInsert) {
+  // insert_all runs an unrolled pipeline for k in [2, 6] and a tiled loop
+  // beyond; every arity must build exactly the cells of one-at-a-time
+  // inserts.
   const auto keys = random_keys(3000, 0xba7c4);
-  Iblt one(IbltParams{3, 900}, 7);
-  Iblt other(IbltParams{3, 900}, 7);
-  for (const std::uint64_t key : keys) one.insert(key);
-  other.insert_batch(keys.data(), keys.size());
-  EXPECT_EQ(one.serialize(), other.serialize());
-}
-
-TEST(Iblt, InsertAllIsBitIdenticalForAnyWorkerCount) {
-  // 20k keys clears the kMinKeysPerShard threshold, so the pooled runs
-  // genuinely build per-worker partial tables and merge them. Cell updates
-  // are counter adds and XORs — commutative and associative — so the merged
-  // table must equal the serial one bit for bit, whatever the worker count.
-  const auto keys = random_keys(20000, 0xa11);
-  Iblt serial(IbltParams{4, 240}, 99);
-  serial.insert_batch(keys.data(), keys.size());
-  const util::Bytes want = serial.serialize();
-
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    util::ThreadPool pool(workers);
-    Iblt pooled(IbltParams{4, 240}, 99);
-    pooled.insert_all(std::span<const std::uint64_t>(keys), &pool);
-    EXPECT_EQ(pooled.serialize(), want) << "workers=" << workers;
-  }
-}
-
-TEST(Iblt, SubtractWithPoolMatchesSerial) {
-  // 40k cells crosses the chunked-subtract threshold. The difference of two
-  // overlapping sets must come out identical with and without a pool, and
-  // still decode to the symmetric difference.
-  const auto mine = random_keys(600, 1);
-  const auto theirs = random_keys(600, 2);
-  Iblt a(IbltParams{4, 40000}, 5);
-  Iblt b(IbltParams{4, 40000}, 5);
-  a.insert_batch(mine.data(), mine.size());
-  b.insert_batch(theirs.data(), theirs.size());
-
-  const Iblt serial_diff = a.subtract(b);
-  util::ThreadPool pool(4);
-  const Iblt pooled_diff = a.subtract(b, &pool);
-  EXPECT_EQ(pooled_diff.serialize(), serial_diff.serialize());
-
-  const DecodeResult dec = pooled_diff.decode();
-  ASSERT_TRUE(dec.success);
-  std::set<std::uint64_t> mine_set(mine.begin(), mine.end());
-  std::set<std::uint64_t> theirs_set(theirs.begin(), theirs.end());
-  for (const std::uint64_t key : dec.positives) {
-    EXPECT_TRUE(mine_set.count(key) == 1 && theirs_set.count(key) == 0) << key;
-  }
-  for (const std::uint64_t key : dec.negatives) {
-    EXPECT_TRUE(theirs_set.count(key) == 1 && mine_set.count(key) == 0) << key;
+  for (std::uint32_t k = 2; k <= 8; ++k) {
+    Iblt one(IbltParams{k, 900}, 7);
+    Iblt other(IbltParams{k, 900}, 7);
+    for (const std::uint64_t key : keys) one.insert(key);
+    other.insert_all(keys);
+    EXPECT_EQ(one.serialize(), other.serialize()) << "k=" << k;
   }
 }
 

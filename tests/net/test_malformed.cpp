@@ -19,7 +19,6 @@
 #include "chain/transaction.hpp"
 #include "graphene/messages.hpp"
 #include "iblt/iblt.hpp"
-#include "iblt/kv_iblt.hpp"
 #include "iblt/strata_estimator.hpp"
 #include "reconcile/rateless_backend.hpp"
 #include "reconcile/set_reconciler.hpp"
@@ -94,11 +93,6 @@ std::vector<WireCase> make_cases() {
     iblt::Iblt t(iblt::IbltParams{4, 40}, rng.next());
     for (int i = 0; i < 12; ++i) t.insert(rng.next());
     cases.push_back({"Iblt", t.serialize(), parser<iblt::Iblt>()});
-  }
-  {
-    iblt::KvIblt t(4, 40, rng.next());
-    for (int i = 0; i < 12; ++i) t.insert(rng.next(), rng.next());
-    cases.push_back({"KvIblt", t.serialize(), parser<iblt::KvIblt>()});
   }
   {
     iblt::StrataEstimator est(/*universe_hint=*/1u << 10);

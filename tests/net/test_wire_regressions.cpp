@@ -30,7 +30,6 @@
 #include "graphene/messages.hpp"
 #include "graphene/sender.hpp"
 #include "iblt/iblt.hpp"
-#include "iblt/kv_iblt.hpp"
 #include "sim/scenario.hpp"
 #include "util/bytes.hpp"
 #include "util/random.hpp"
@@ -124,12 +123,6 @@ TEST(WireRegression, IbltHugeCellCountRejectedBeforeAllocation) {
   wire.push_back(0x04);
   put_u64(wire, 0);
   expect_rejected<iblt::Iblt>(wire, "cell count over cap");
-}
-
-TEST(WireRegression, KvIbltZeroCellsRejected) {
-  util::Bytes wire = {0x00, 0x04};
-  put_u64(wire, 0);
-  expect_rejected<iblt::KvIblt>(wire, "zero cells");
 }
 
 // Found by fuzz_iblt under UBSan: a wire cell carrying count INT32_MIN sat

@@ -1,8 +1,8 @@
 // SIMD kernel parity gates: every ISA variant the build carries must be
 // bit-exact against the portable reference table, both at the raw kernel
 // level (random inputs, including unaligned tails and saturating counts) and
-// end-to-end through the containers that call active() (Bloom build/probe,
-// IBLT merge/subtract/serialize, coded-symbol fold).
+// end-to-end through the containers that call active() (IBLT
+// subtract/serialize, coded-symbol fold).
 //
 // These are exact properties: every gate runs min_rate = 1.0, so one
 // diverging trial fails and prints the shrunk counterexample. On hosts where
@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "bloom/bloom_filter.hpp"
 #include "iblt/coded_symbol.hpp"
 #include "iblt/iblt.hpp"
 #include "testkit/gen.hpp"
@@ -30,12 +29,10 @@ namespace {
 namespace simd = util::simd;
 
 /// The non-portable ISAs this build can actually run. Empty on a machine
-/// without AVX2/NEON — each gate then checks portable against itself.
+/// without AVX2 — each gate then checks portable against itself.
 std::vector<simd::Isa> vector_isas() {
   std::vector<simd::Isa> isas;
-  for (const simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kNeon}) {
-    if (simd::isa_available(isa)) isas.push_back(isa);
-  }
+  if (simd::isa_available(simd::Isa::kAvx2)) isas.push_back(simd::Isa::kAvx2);
   if (isas.empty()) isas.push_back(simd::Isa::kPortable);
   return isas;
 }
@@ -46,58 +43,6 @@ testkit::StatGateSpec exact_spec(const char* name, std::uint32_t trials) {
   spec.trials = trials;
   spec.min_rate = 1.0;
   return spec;
-}
-
-struct BlockCase {
-  std::array<std::uint64_t, 8> block{};
-  std::uint32_t k = 1;
-  std::uint32_t x = 0;
-  std::uint32_t y = 0;
-};
-
-TEST(SimdParity, BloomBlockKernelsMatchPortable) {
-  const simd::Kernels& ref = simd::kernels_for(simd::Isa::kPortable);
-  for (const simd::Isa isa : vector_isas()) {
-    const simd::Kernels& var = simd::kernels_for(isa);
-    const testkit::GateResult r =
-        testkit::StatGate(exact_spec("simd_bloom_block_parity", 400))
-            .run_cases<BlockCase>(
-                [](util::Rng& rng) {
-                  BlockCase c;
-                  const double density = rng.uniform();
-                  for (auto& w : c.block) {
-                    w = 0;
-                    for (std::uint32_t b = 0; b < 64; ++b) {
-                      if (rng.chance(density)) w |= std::uint64_t{1} << b;
-                    }
-                  }
-                  c.k = 1 + static_cast<std::uint32_t>(rng.below(63));
-                  c.x = static_cast<std::uint32_t>(rng.below(512));
-                  c.y = static_cast<std::uint32_t>(rng.below(512));
-                  return c;
-                },
-                [&](const BlockCase& c, util::Rng&) {
-                  if (ref.bloom_test_block(c.block.data(), c.k, c.x, c.y) !=
-                      var.bloom_test_block(c.block.data(), c.k, c.x, c.y)) {
-                    return false;
-                  }
-                  std::array<std::uint64_t, 8> a = c.block;
-                  std::array<std::uint64_t, 8> b = c.block;
-                  ref.bloom_set_block(a.data(), c.k, c.x, c.y);
-                  var.bloom_set_block(b.data(), c.k, c.x, c.y);
-                  if (a != b) return false;
-                  // After set, a probe with the same coordinates must hit on
-                  // both tables.
-                  return ref.bloom_test_block(a.data(), c.k, c.x, c.y) &&
-                         var.bloom_test_block(a.data(), c.k, c.x, c.y);
-                },
-                [](const BlockCase&) { return std::vector<BlockCase>{}; },
-                [](const BlockCase& c) {
-                  return "k=" + std::to_string(c.k) + " x=" + std::to_string(c.x) +
-                         " y=" + std::to_string(c.y);
-                });
-    GRAPHENE_EXPECT_GATE(r);
-  }
 }
 
 struct CellsCase {
@@ -116,8 +61,8 @@ CellsCase gen_cells_case(util::Rng& rng) {
   for (auto& b : c.dst) b = static_cast<std::uint8_t>(rng.next());
   for (auto& b : c.src) b = static_cast<std::uint8_t>(rng.next());
   if (c.n_cells > 0 && rng.chance(0.2)) {
-    // Force count-lane wraparound: INT_MIN - 1 and INT_MAX + 1 must wrap
-    // identically in both variants (two's-complement add/sub).
+    // Force count-lane wraparound: INT_MIN - 1 and INT_MAX - (-1) must wrap
+    // identically in both variants (two's-complement subtract).
     const std::size_t cell = rng.below(c.n_cells);
     const std::uint32_t extreme = rng.chance(0.5) ? 0x7fffffffU : 0x80000000U;
     std::memcpy(c.dst.data() + cell * 16 + 8, &extreme, 4);
@@ -134,11 +79,6 @@ TEST(SimdParity, IbltCellKernelsMatchPortable) {
             .run_cases<CellsCase>(gen_cells_case, [&](const CellsCase& c, util::Rng&) {
               std::vector<std::uint8_t> a = c.dst;
               std::vector<std::uint8_t> b = c.dst;
-              ref.cells_add(a.data(), c.src.data(), c.n_cells);
-              var.cells_add(b.data(), c.src.data(), c.n_cells);
-              if (a != b) return false;
-              a = c.dst;
-              b = c.dst;
               ref.cells_sub(a.data(), c.src.data(), c.n_cells);
               var.cells_sub(b.data(), c.src.data(), c.n_cells);
               return a == b;
@@ -175,7 +115,7 @@ BytesCase gen_bytes_case(util::Rng& rng) {
   c.b.resize(n);
   for (auto& v : c.a) v = static_cast<std::uint8_t>(rng.next());
   if (rng.chance(0.25)) {
-    c.b = c.a;  // equal buffers: bytes_equal must say true
+    c.b = c.a;  // equal buffers: xor_bytes folds to all zero
   } else if (rng.chance(0.3) && n > 0) {
     c.b = c.a;  // single-byte flip at a random offset, often in the tail
     c.b[rng.below(n)] ^= static_cast<std::uint8_t>(1 + rng.below(255));
@@ -198,12 +138,11 @@ TEST(SimdParity, ByteKernelsMatchPortable) {
               ref.xor_bytes(x.data(), c.b.data(), x.size());
               var.xor_bytes(y.data(), c.b.data(), y.size());
               if (x != y) return false;
-              if (ref.all_zero(c.a.data(), c.a.size()) !=
-                  var.all_zero(c.a.data(), c.a.size())) {
+              if (ref.all_zero(x.data(), x.size()) != var.all_zero(x.data(), x.size())) {
                 return false;
               }
-              return ref.bytes_equal(c.a.data(), c.b.data(), c.a.size()) ==
-                     var.bytes_equal(c.a.data(), c.b.data(), c.a.size());
+              return ref.all_zero(c.a.data(), c.a.size()) ==
+                     var.all_zero(c.a.data(), c.a.size());
             },
             [](const BytesCase& c) {
               std::vector<BytesCase> out;
@@ -221,7 +160,7 @@ TEST(SimdParity, ByteKernelsMatchPortable) {
 }
 
 // End-to-end: the containers route through active(), so running the same
-// build/merge/fold under each override must produce identical serialized
+// subtract/fold under each override must produce identical serialized
 // bytes — the kernels are invisible at the wire.
 TEST(SimdParity, ContainersBitExactAcrossIsaOverride) {
   testkit::ScenarioDims dims;
@@ -235,17 +174,11 @@ TEST(SimdParity, ContainersBitExactAcrossIsaOverride) {
                 const chain::Scenario s = testkit::build_scenario(c);
                 const std::vector<chain::TxId> ids = s.block.tx_ids();
 
-                std::vector<util::Bytes> bloom_wire;
                 std::vector<util::Bytes> iblt_wire;
                 std::vector<std::array<std::uint8_t, 32>> folded;
                 for (const simd::Isa isa :
                      {simd::Isa::kPortable, simd::detected_isa()}) {
                   simd::ScopedIsaOverride force(isa);
-                  bloom::BloomFilter f(ids.size(), 0.02, c.salt,
-                                       bloom::HashStrategy::kBlocked);
-                  for (const chain::TxId& id : ids) f.insert(util::ByteView(id));
-                  bloom_wire.push_back(f.serialize());
-
                   iblt::Iblt t(iblt::IbltParams{4, 40}, c.salt);
                   for (const chain::TxId& id : ids) {
                     t.insert(util::hash64(util::ByteView(id), c.salt));
@@ -264,8 +197,7 @@ TEST(SimdParity, ContainersBitExactAcrossIsaOverride) {
                   }
                   folded.push_back(sym.sum);
                 }
-                return bloom_wire[0] == bloom_wire[1] && iblt_wire[0] == iblt_wire[1] &&
-                       folded[0] == folded[1];
+                return iblt_wire[0] == iblt_wire[1] && folded[0] == folded[1];
               },
               [](const testkit::GenCase& c) { return testkit::shrink_case(c); },
               [](const testkit::GenCase& c) { return testkit::describe_case(c); });
@@ -287,16 +219,11 @@ TEST(SimdParity, DispatchOverrideRestoresAndTablesAreComplete) {
   }
   EXPECT_EQ(simd::active_isa(), original);
 
-  for (const simd::Isa isa :
-       {simd::Isa::kPortable, simd::Isa::kAvx2, simd::Isa::kNeon}) {
+  for (const simd::Isa isa : {simd::Isa::kPortable, simd::Isa::kAvx2}) {
     const simd::Kernels& k = simd::kernels_for(isa);
-    EXPECT_NE(k.bloom_test_block, nullptr);
-    EXPECT_NE(k.bloom_set_block, nullptr);
-    EXPECT_NE(k.cells_add, nullptr);
     EXPECT_NE(k.cells_sub, nullptr);
     EXPECT_NE(k.xor_bytes, nullptr);
     EXPECT_NE(k.all_zero, nullptr);
-    EXPECT_NE(k.bytes_equal, nullptr);
     EXPECT_NE(simd::isa_name(isa), nullptr);
   }
 }

@@ -79,16 +79,6 @@ TEST(ByteReader, RawIntoCopiesExactBytes) {
   EXPECT_EQ(r.remaining(), 2u);
 }
 
-TEST(BytesEqual, ComparesContent) {
-  const Bytes a = {1, 2, 3};
-  const Bytes b = {1, 2, 3};
-  const Bytes c = {1, 2, 4};
-  const Bytes d = {1, 2};
-  EXPECT_TRUE(equal(ByteView(a), ByteView(b)));
-  EXPECT_FALSE(equal(ByteView(a), ByteView(c)));
-  EXPECT_FALSE(equal(ByteView(a), ByteView(d)));
-}
-
 TEST(ByteWriter, TakeMovesBuffer) {
   ByteWriter w;
   w.u32(42);

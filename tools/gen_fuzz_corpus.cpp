@@ -285,73 +285,141 @@ int main(int argc, char** argv) {
     emit("fuzz_frame", "seed-rateless-stream", prefix_byte(41, rstream));
   }
 
-  // Zero-copy differential reader: first byte routes among the wire types
-  // (see fuzz_zero_copy_reader.cpp's switch). One accepting seed per
-  // representative route so the fuzzer starts inside every parser family.
-  // Own Rng so inserting this section left every older seed byte-identical.
+  // Wire-type round trip: the first byte indexes the harness's route table
+  // (see fuzz_wire_types.cpp's kRoutes). One accepting seed per route so the
+  // fuzzer starts inside every parser. Own Rng so inserting this section
+  // left every older seed byte-identical.
   {
-    util::Rng zc_rng(0x2e20c0de);
-    emit("fuzz_zero_copy_reader", "seed-bloom",
-         prefix_byte(0, sample_filter(zc_rng, 60, 0.02).serialize()));
-    emit("fuzz_zero_copy_reader", "seed-bloom-blocked",
-         prefix_byte(0,
-                     sample_filter(zc_rng, 60, 0.02, bloom::HashStrategy::kBlocked)
-                         .serialize()));
+    util::Rng wt_rng(0x2e20c0de);
+    const auto seed = [](const char* name, std::uint8_t route, const util::Bytes& body) {
+      emit("fuzz_wire_types", name, prefix_byte(route, body));
+    };
+    seed("seed-bloom", 0, sample_filter(wt_rng, 60, 0.02).serialize());
+    seed("seed-bloom-blocked", 0,
+         sample_filter(wt_rng, 60, 0.02, bloom::HashStrategy::kBlocked).serialize());
     {
       std::vector<util::Bytes> digests;
       for (int i = 0; i < 40; ++i) {
-        const auto id = chain::make_random_transaction(zc_rng).id;
+        const auto id = chain::make_random_transaction(wt_rng).id;
         digests.emplace_back(id.begin(), id.end());
       }
-      emit("fuzz_zero_copy_reader", "seed-golomb",
-           prefix_byte(1, bloom::GolombSet(digests, 0.01, zc_rng.next()).serialize()));
+      seed("seed-golomb", 1, bloom::GolombSet(digests, 0.01, wt_rng.next()).serialize());
     }
-    emit("fuzz_zero_copy_reader", "seed-iblt",
-         prefix_byte(3, sample_iblt(zc_rng, 4, 32, 10).serialize()));
+    seed("seed-iblt", 3, sample_iblt(wt_rng, 4, 32, 10).serialize());
 
     core::GrapheneBlockMsg blk;
     blk.n = 30;
-    blk.shortid_salt = zc_rng.next();
-    blk.filter_s = sample_filter(zc_rng, 30, 0.02);
-    blk.iblt_i = sample_iblt(zc_rng, 4, 16, 4);
-    emit("fuzz_zero_copy_reader", "seed-block-msg", prefix_byte(6, blk.serialize()));
+    blk.shortid_salt = wt_rng.next();
+    blk.filter_s = sample_filter(wt_rng, 30, 0.02);
+    blk.iblt_i = sample_iblt(wt_rng, 4, 16, 4);
+    seed("seed-block-msg", 5, blk.serialize());
 
     core::GrapheneResponseMsg resp;
-    resp.missing = sample_txs(zc_rng, 3);
-    resp.iblt_j = sample_iblt(zc_rng, 4, 24, 5);
-    resp.filter_f = sample_filter(zc_rng, 40, 0.1);
-    emit("fuzz_zero_copy_reader", "seed-response-msg", prefix_byte(8, resp.serialize()));
+    resp.missing = sample_txs(wt_rng, 3);
+    resp.iblt_j = sample_iblt(wt_rng, 4, 24, 5);
+    resp.filter_f = sample_filter(wt_rng, 40, 0.1);
+    seed("seed-response-msg", 7, resp.serialize());
 
     reconcile::Offer offer;
     offer.count = 50;
-    offer.salt = zc_rng.next();
-    offer.set_checksum = zc_rng.next();
-    offer.filter = sample_filter(zc_rng, 50, 0.02);
-    offer.correction = sample_iblt(zc_rng, 4, 16, 6);
-    emit("fuzz_zero_copy_reader", "seed-offer", prefix_byte(11, offer.serialize()));
+    offer.salt = wt_rng.next();
+    offer.set_checksum = wt_rng.next();
+    offer.filter = sample_filter(wt_rng, 50, 0.02);
+    offer.correction = sample_iblt(wt_rng, 4, 16, 6);
+    seed("seed-offer", 10, offer.serialize());
 
     reconcile::RatelessChunk chunk;
     chunk.start = 0;
     chunk.host_count = 20;
-    chunk.salt = zc_rng.next();
+    chunk.salt = wt_rng.next();
     iblt::RatelessEncoder enc(chunk.salt);
     for (int i = 0; i < 20; ++i) {
-      const auto id = chain::make_random_transaction(zc_rng).id;
+      const auto id = chain::make_random_transaction(wt_rng).id;
       reconcile::ItemDigest d;
       std::copy(id.begin(), id.end(), d.begin());
       enc.add_item(d);
     }
     chunk.set_checksum = enc.set_checksum();
     for (int i = 0; i < 8; ++i) chunk.symbols.push_back(enc.next_symbol());
-    emit("fuzz_zero_copy_reader", "seed-chunk", prefix_byte(16, chunk.serialize()));
+    seed("seed-chunk", 15, chunk.serialize());
 
     daemon::HelloMsg hello;
     hello.backend = 0;
     hello.item_count = 25;
-    emit("fuzz_zero_copy_reader", "seed-hello", prefix_byte(18, hello.serialize()));
-    emit("fuzz_zero_copy_reader", "seed-frame",
-         prefix_byte(21, net::encode_frame(net::Message{net::MessageType::kDaemonHello,
-                                                        hello.serialize()})));
+    seed("seed-hello", 17, hello.serialize());
+
+    // The routes no other harness reaches: the rest of a Graphene reconcile
+    // session and the daemon's closing messages.
+    reconcile::Request req;
+    req.candidate_count = 45;
+    req.b = 3;
+    req.y_star = 5;
+    req.fpr_r = 0.05;
+    req.filter = sample_filter(wt_rng, 45, 0.05);
+    seed("seed-request", 11, req.serialize());
+
+    reconcile::Response rresp;
+    for (int i = 0; i < 3; ++i) {
+      const auto id = chain::make_random_transaction(wt_rng).id;
+      reconcile::ItemDigest d;
+      std::copy(id.begin(), id.end(), d.begin());
+      rresp.missing.push_back(d);
+    }
+    std::sort(rresp.missing.begin(), rresp.missing.end());
+    rresp.correction = sample_iblt(wt_rng, 4, 24, 5);
+    rresp.compensation = sample_filter(wt_rng, 40, 0.1);
+    seed("seed-response", 12, rresp.serialize());
+
+    reconcile::FetchRequest freq;
+    for (int i = 0; i < 4; ++i) freq.short_ids.push_back(wt_rng.next());
+    seed("seed-fetch-request", 13, freq.serialize());
+
+    reconcile::FetchResponse fresp;
+    fresp.items = rresp.missing;
+    seed("seed-fetch-response", 14, fresp.serialize());
+
+    daemon::ByeMsg bye;
+    bye.ok = 1;
+    bye.rounds = 3;
+    seed("seed-bye", 18, bye.serialize());
+
+    daemon::ErrorMsg err;
+    err.code = daemon::ErrorCode::kLimit;
+    err.detail = "daemon: session message cap";
+    seed("seed-error", 19, err.serialize());
+
+    // The remaining routes also have a dedicated harness of their own.
+    bloom::CuckooFilter cf(60, 0.02, wt_rng.next());
+    for (int i = 0; i < 40; ++i) {
+      const auto id = chain::make_random_transaction(wt_rng).id;
+      cf.insert(util::ByteView(id.data(), id.size()));
+    }
+    seed("seed-cuckoo", 2, cf.serialize());
+
+    iblt::StrataEstimator est(/*universe_hint=*/1u << 10);
+    for (int i = 0; i < 60; ++i) est.insert(wt_rng.next());
+    seed("seed-strata", 4, est.serialize());
+
+    core::GrapheneRequestMsg greq;
+    greq.z = 40;
+    greq.b = 2;
+    greq.y_star = 4;
+    greq.fpr_r = 0.05;
+    greq.filter_r = sample_filter(wt_rng, 40, 0.05);
+    seed("seed-request-msg", 6, greq.serialize());
+
+    core::RepairRequestMsg rreq;
+    for (int i = 0; i < 3; ++i) rreq.short_ids.push_back(wt_rng.next());
+    seed("seed-repair-request", 8, rreq.serialize());
+
+    core::RepairResponseMsg rrsp;
+    rrsp.txns = sample_txs(wt_rng, 2);
+    seed("seed-repair-response", 9, rrsp.serialize());
+
+    reconcile::RatelessNeed need;
+    need.next_index = 8;
+    need.count = 16;
+    seed("seed-need", 16, need.serialize());
   }
 
   // roundtrip consumes a parameter stream, not wire bytes: raw entropy seeds.
