@@ -42,11 +42,10 @@ int main(int argc, char** argv) {
   std::printf("CA revocation set: %zu entries | client copy: %zu entries (stale by %llu)\n",
               revoked.size(), client_copy.size(), static_cast<unsigned long long>(fresh));
 
-  const reconcile::Host ca(revoked, rng.next());
+  reconcile::Host ca(revoked, rng.next());
   reconcile::Client client(client_copy);
   reconcile::Outcome outcome;
-  const reconcile::SyncStats stats = reconcile::reconcile_one_way(
-      ca, client, ca.make_offer(client_copy.size()), outcome);
+  const reconcile::SyncStats stats = reconcile::reconcile_one_way(ca, client, outcome);
 
   if (!stats.success) {
     std::printf("reconciliation FAILED (expected ~1/240 of runs)\n");
@@ -55,9 +54,10 @@ int main(int argc, char** argv) {
   std::printf("\nclient now holds %zu revocations (request round: %s, fetch round: %s)\n",
               outcome.host_set.size(), stats.used_request_round ? "yes" : "no",
               stats.used_fetch_round ? "yes" : "no");
-  std::printf("bytes: offer %zu + request %zu + response %zu + fetch %zu = %zu total\n",
-              stats.offer_bytes(), stats.request_bytes(), stats.response_bytes(),
-              stats.fetch_bytes(), stats.total_bytes());
+  // round_bytes: the offer, then each request and its response.
+  std::printf("bytes per message:");
+  for (const std::size_t b : stats.round_bytes) std::printf(" %zu", b);
+  std::printf(" = %zu total\n", stats.total_bytes());
   const std::size_t naive = revoked.size() * 32;
   std::printf("naive full transfer: %zu bytes — graphene used %.2f%% of that\n", naive,
               100.0 * static_cast<double>(stats.total_bytes()) /

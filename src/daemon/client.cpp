@@ -36,11 +36,10 @@ ClientSession::Status ClientSession::on_message(const net::Message& msg,
   }
 
   try {
-    const reconcile::WireMsg wire{msg.type, msg.payload};
-    outcome_ = backend_->absorb_wire(wire);
+    outcome_ = backend_->absorb_wire(msg);
     if (reconcile::needs_more(outcome_.status)) {
       if (++rounds_ > cfg_.reconcile_round_cap) return finish(out, /*ok=*/false);
-      out.push_back(backend_->next_request().to_message());
+      out.push_back(backend_->next_request());
       return status_;
     }
     return finish(out, outcome_.status == reconcile::Outcome::Status::kComplete);

@@ -9,17 +9,7 @@
 namespace graphene::daemon {
 namespace {
 
-/// Deserializes a whole payload, rejecting trailing bytes (same contract as
-/// reconcile::detail::parse_payload, restated here for the daemon frames).
-template <typename Msg>
-Msg parse_payload(const net::Message& msg, const char* what) {
-  util::ByteReader reader(util::ByteView(msg.payload));
-  Msg parsed = Msg::deserialize(reader);
-  if (!reader.done()) {
-    throw util::DeserializeError(std::string(what) + ": trailing bytes in payload");
-  }
-  return parsed;
-}
+using reconcile::detail::parse_payload;
 
 const char* backend_label(core::ReconcileBackend backend) noexcept {
   return backend == core::ReconcileBackend::kRatelessIblt ? "rateless" : "graphene";
@@ -143,9 +133,7 @@ void PeerSession::handle_message(std::uint64_t now_ns, const net::Message& msg,
     return;
   }
   try {
-    const reconcile::WireMsg request{msg.type, msg.payload};
-    const reconcile::WireMsg response = backend_->serve_wire(request);
-    out.push_back(response.to_message());
+    out.push_back(backend_->serve_wire(msg));
     ++stats_.messages_out;
   } catch (const core::ProtocolError& e) {
     fail(CloseReason::kProtocolError, ErrorCode::kProtocol, e.what(), out);
@@ -176,12 +164,12 @@ void PeerSession::handle_hello(std::uint64_t now_ns, const net::Message& msg,
       util::mix64(salt_ ^ (0x9e3779b97f4a7c15ULL * (sessions_total_ + 1)));
   try {
     backend_ = reconcile::make_host_backend(*items_, session_salt, cfg);
-    const reconcile::WireMsg opening = backend_->open(hello.item_count);
+    reconcile::WireMsg opening = backend_->open(hello.item_count);
     serving_ = true;
     backend_kind_ = hello.backend == 1 ? BackendKind::kRateless : BackendKind::kGraphene;
     session_start_ns_ = now_ns;
     session_messages_ = 0;
-    out.push_back(opening.to_message());
+    out.push_back(std::move(opening));
     ++stats_.messages_out;
   } catch (const core::ProtocolError& e) {
     backend_.reset();

@@ -1,4 +1,6 @@
-// Receiver-side protocol engine (Protocols 1 and 2, §3.1–§3.2).
+// Block relay, receiver side (Protocols 1 and 2, §3.1–§3.2): the mempool's
+// txids go through the Graphene engine; this layer adds the header, the
+// transactions that arrive over the wire, and the Merkle check.
 //
 // ReceiveSession drives the full state machine for ONE relayed block:
 //
@@ -14,15 +16,13 @@
 // Receiver is the long-lived per-node object: it holds the mempool binding
 // and configuration and mints a fresh ReceiveSession per relay. Sessions
 // from one Receiver are independent, so distinct peers' relays can be
-// driven concurrently from pool threads. Receiver also keeps the legacy
-// one-block-at-a-time methods as a facade over an internal session; see the
-// deprecation note below.
+// driven concurrently from pool threads.
 #pragma once
 
 #include <unordered_map>
-#include <unordered_set>
 
 #include "chain/mempool.hpp"
+#include "graphene/engine.hpp"
 #include "graphene/errors.hpp"
 #include "graphene/messages.hpp"
 #include "graphene/params.hpp"
@@ -80,17 +80,16 @@ class ReceiveSession {
   /// Parameters chosen by build_request() — exposed for the benchmarks that
   /// decompose message sizes (Fig. 17).
   [[nodiscard]] const Protocol2Params& request_params() const noexcept {
-    return params2_;
+    return engine_.params();
   }
 
   /// Candidate-set size |Z| observed right after filtering the mempool
   /// through S — the Protocol 2 sizing input and the error-context `z`.
-  [[nodiscard]] std::uint64_t observed_z() const noexcept { return z_; }
+  [[nodiscard]] std::uint64_t observed_z() const noexcept { return engine_.observed_z(); }
 
  private:
-  ReceiveOutcome finalize(std::vector<std::uint64_t> unresolved);
-  void index_candidate(const chain::TxId& id);
-  [[nodiscard]] std::uint64_t sid(const chain::TxId& id) const noexcept;
+  /// The Merkle check over the engine's candidates: kDecoded or kFailed.
+  [[nodiscard]] ReceiveOutcome verify() const;
   /// Snapshot of the protocol position for errors and trace records.
   [[nodiscard]] ErrorContext error_context() const noexcept;
   /// Records an `error` trace span + counter, then throws ProtocolError.
@@ -101,22 +100,16 @@ class ReceiveSession {
 
   const chain::Mempool* mempool_;
   ProtocolConfig cfg_;
+  GrapheneReceiver engine_;
 
-  // Protocol state (valid between receive_block and completion).
-  GrapheneBlockMsg msg_{};
-  Protocol2Params params2_{};
+  // From the block message (valid after receive_block).
+  chain::BlockHeader header_{};
+  std::uint64_t n_ = 0;
+  std::uint64_t salt_ = 0;
   bool have_block_msg_ = false;
-  std::uint64_t z_ = 0;
-  /// Ping-pong decoding ran in complete(); reported again by complete_repair().
-  bool used_pingpong_ = false;
 
-  /// Candidate block membership: short id → txid, plus txn storage for
-  /// transactions that arrived over the wire rather than from the mempool.
-  std::unordered_map<std::uint64_t, chain::TxId> sid_to_txid_;
-  std::unordered_set<std::uint64_t> ambiguous_sids_;
-  std::unordered_set<chain::TxId, chain::TxIdHasher> candidates_;
+  /// Transactions that arrived over the wire rather than from the mempool.
   std::unordered_map<chain::TxId, chain::Transaction, chain::TxIdHasher> received_txns_;
-  std::vector<std::uint64_t> pending_unresolved_;
 };
 
 /// Long-lived per-node receiver: binds a mempool + config and mints

@@ -1,9 +1,10 @@
-// Sender-side protocol engine (Protocols 1 and 2, §3.1–§3.2).
+// Block relay, sender side (Protocols 1 and 2, §3.1–§3.2): the block's
+// txids go through the Graphene engine; this layer adds the header and the
+// full transactions the receiver lacks.
 #pragma once
 
-#include <unordered_map>
-
 #include "chain/block.hpp"
+#include "graphene/engine.hpp"
 #include "graphene/messages.hpp"
 #include "graphene/params.hpp"
 
@@ -38,19 +39,26 @@ class Sender {
   [[nodiscard]] RepairResponseMsg serve_repair(const RepairRequestMsg& request) const;
 
   [[nodiscard]] const chain::Block& block() const noexcept { return block_; }
-  [[nodiscard]] std::uint64_t salt() const noexcept { return salt_; }
+  [[nodiscard]] std::uint64_t salt() const noexcept { return engine_.salt(); }
 
  private:
   chain::Block block_;
-  std::uint64_t salt_;
   ProtocolConfig cfg_;
-  std::vector<std::uint64_t> short_ids_;  // aligned with block_.transactions()
-  std::unordered_map<std::uint64_t, const chain::Transaction*> by_short_id_;
+  GrapheneHost engine_;  ///< over block_'s txids, in CTOR order
 };
+
+/// Block relay's wire constants (docs/PROTOCOL.md).
+inline constexpr EngineKeys kBlockKeys{.s_seed = 0x5eedf00d,
+                                       .r_seed = 0x42d551f17e1dULL,
+                                       .f_seed = 0xfeedface,
+                                       .sid_key = 0x717fb1a5c0ffee00ULL,
+                                       .min_filter_items = 0};
 
 /// Short-ID derivation shared by sender and receiver: SipHash-keyed under
 /// `salt` when cfg.keyed_short_ids, else the txid's first 8 bytes.
-[[nodiscard]] std::uint64_t derive_short_id(const chain::TxId& id, std::uint64_t salt,
-                                            const ProtocolConfig& cfg) noexcept;
+[[nodiscard]] inline std::uint64_t derive_short_id(const chain::TxId& id, std::uint64_t salt,
+                                                   const ProtocolConfig& cfg) noexcept {
+  return short_id_of(id, salt, kBlockKeys, cfg);
+}
 
 }  // namespace graphene::core

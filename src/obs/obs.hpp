@@ -10,7 +10,8 @@
 //     to the registry's TraceSink and (b) feeds the `graphene_stage_ns`
 //     histogram family labeled by stage.
 //
-// Stage names emitted by the pipeline, in protocol order:
+// Stage names emitted by block relay, in protocol order (most run inside
+// the Graphene engine, graphene/engine.hpp, called from these methods):
 //   p1_optimize, sfilter_build, iblt_build   (Sender::encode)
 //   p1_candidates, p1_peel                   (ReceiveSession::receive_block)
 //   thm_bounds, rfilter_build                (ReceiveSession::build_request)

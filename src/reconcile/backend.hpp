@@ -11,7 +11,7 @@
 //                          decode failure is not a failure mode: the client
 //                          just asks for more symbols (rateless_backend.hpp).
 //
-// A backend speaks WireMsgs — (net::MessageType, payload bytes) pairs — so
+// A backend speaks WireMsgs — net::Messages: a type and its payload bytes — so
 // the driver loop, channels, and fault injection treat every backend the
 // same way: the client absorbs a message, and either finishes or emits the
 // next request for the host to serve.
@@ -27,14 +27,9 @@
 
 namespace graphene::reconcile {
 
-/// One protocol message as the backends emit and consume it. Wrap in a
-/// net::Message (same fields) to push it through a real channel.
-struct WireMsg {
-  net::MessageType type = net::MessageType::kReconcileOffer;
-  util::Bytes payload;
-
-  [[nodiscard]] net::Message to_message() const { return {type, payload}; }
-};
+/// One protocol message as the backends emit and consume it: the frame
+/// payload a channel or socket carries, with no copy in between.
+using WireMsg = net::Message;
 
 /// Host (sender) side of a backend: produces the opening digest of its set
 /// and answers every follow-up the client sends. Methods are non-const

@@ -1,5 +1,5 @@
 // Internal flight-recorder helpers shared by the reconcile backends,
-// mirroring the src/graphene engines: message events carry the serialized
+// mirroring block relay (src/graphene): message events carry the serialized
 // wire bytes (when capture is on) so a failed reconciliation can be
 // inspected the same way a failed block relay can.
 #pragma once

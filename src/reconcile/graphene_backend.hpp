@@ -1,11 +1,13 @@
 // GrapheneBackend: the paper's Bloom + IBLT construction behind the
 // ReconcilerBackend seam.
 //
-// The typed messages and the host/client logic here are the pre-seam
-// reconcile::Host/Client moved verbatim — the wire formats are pinned
-// bit-for-bit by tests/reconcile/test_backend.cpp golden hashes. The only
-// new code is the WireMsg dispatch layer (open/serve_wire/absorb_wire/
-// next_request) that lets the generic driver run this backend.
+// Both backends are thin callers of the Graphene engine
+// (graphene/engine.hpp), the same engine block relay runs. This layer keeps
+// what is particular to sets: the typed messages below (pinned bit-for-bit
+// by tests/reconcile/test_backend.cpp golden hashes), digests as the items
+// a response carries, the count and set checksum as the final check, the
+// flight events, and the WireMsg dispatch (open/serve_wire/absorb_wire/
+// next_request) that lets the generic driver run it.
 //
 //   Offer     — host's digest of its set (Bloom filter S + IBLT I)
 //   Request   — client's repair request when the offer alone is not
@@ -16,11 +18,9 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "graphene/messages.hpp"
+#include "graphene/engine.hpp"
 #include "graphene/params.hpp"
 #include "reconcile/backend.hpp"
 #include "reconcile/types.hpp"
@@ -96,10 +96,8 @@ struct FetchResponse {
   static FetchResponse deserialize(util::ByteReader& reader);
 };
 
-/// Graphene host backend. The item set is borrowed from the session driver
-/// and fixed for the backend's lifetime. The typed methods (make_offer,
-/// serve, serve_fetch) are const and usable directly — reconcile::Host
-/// forwards to them for API compatibility.
+/// Graphene host backend over a copy of the host's items. The typed
+/// methods (make_offer, serve, serve_fetch) are const and usable directly.
 class GrapheneHostBackend final : public HostBackend {
  public:
   GrapheneHostBackend(const ItemSet& items, std::uint64_t salt,
@@ -113,9 +111,8 @@ class GrapheneHostBackend final : public HostBackend {
   [[nodiscard]] WireMsg serve_wire(const WireMsg& request) override;
 
  private:
-  const ItemSet* items_;
-  std::uint64_t salt_;
   core::ProtocolConfig cfg_;
+  core::GrapheneHost engine_;
 };
 
 /// Graphene client backend; drives the one-way reconciliation. After
@@ -141,21 +138,14 @@ class GrapheneClientBackend final : public ClientBackend {
   /// to a terminal kFailed so the generic driver cannot loop.
   enum class Phase : std::uint8_t { kAwaitOffer, kAwaitResponse, kAwaitFetch, kDone };
 
-  Outcome finalize();
-  [[nodiscard]] std::uint64_t sid(const ItemDigest& d) const noexcept;
-  void index(const ItemDigest& d);
-  /// Short IDs of the current candidate set, in iteration order — the batch
-  /// input for the IBLT mirror builds.
-  [[nodiscard]] std::vector<std::uint64_t> candidate_sids() const;
+  /// The count and set-checksum check over the engine's candidates.
+  [[nodiscard]] Outcome finalize() const;
 
   const ItemSet* items_;
   core::ProtocolConfig cfg_;
-  Offer offer_{};
-  core::Protocol2Params params2_{};
-  std::unordered_map<std::uint64_t, ItemDigest> sid_to_digest_;
-  std::unordered_set<std::uint64_t> ambiguous_;
-  ItemSet candidates_;
-  std::vector<std::uint64_t> pending_fetch_;
+  core::GrapheneReceiver engine_;
+  std::uint64_t host_count_ = 0;
+  std::uint64_t set_checksum_ = 0;
   Phase phase_ = Phase::kAwaitOffer;
   Outcome::Status last_status_ = Outcome::Status::kFailed;
 };

@@ -74,6 +74,19 @@ class MixHasher {
   return words;
 }
 
+/// Hash functor for unordered containers of 32-byte digests (txids, set
+/// items). It chain-mixes all four words: digests that agree in any one
+/// word, which an adversary can grind for, must not share a bucket.
+struct DigestHasher {
+  [[nodiscard]] std::size_t operator()(const std::array<std::uint8_t, 32>& d) const noexcept {
+    const std::array<std::uint64_t, 4> words =
+        split_digest_words(ByteView(d.data(), d.size()));
+    std::uint64_t h = 0x243f6a8885a308d3ULL;
+    for (const std::uint64_t w : words) h = mix64(h ^ w);
+    return static_cast<std::size_t>(h);
+  }
+};
+
 /// Folds an arbitrary byte string to 64 bits (FNV-1a then mixed); used where
 /// an input is not already a digest.
 [[nodiscard]] std::uint64_t hash64(ByteView data, std::uint64_t seed = 0) noexcept;

@@ -48,6 +48,13 @@ TEST(DaemonTcpIntegration, LoadgenCompletesSessionsOnBothBackends) {
     EXPECT_GT(report.sessions_per_sec, 0.0);
   }
 
+  // The daemon counts a session when it reads the client's bye, which can
+  // trail run_loadgen's return: wait (bounded) until it has closed all 16
+  // connections, so stop() cannot cut a bye off unread.
+  for (std::uint64_t spin = 0; spin < 100'000'000ULL && daemon.stats().conns_closed < 16;
+       ++spin) {
+    std::this_thread::yield();
+  }
   daemon.stop();
   const DaemonStats stats = daemon.stats();
   EXPECT_EQ(stats.sessions_ok, expected_ok);

@@ -243,8 +243,7 @@ TEST(ClientSession, RoundCapBoundsHostileDaemon) {
   const reconcile::ItemSet host_items = make_items(400, 1000);
   auto host = reconcile::make_host_backend(host_items, 0x5eed,
                                            cfg_for(core::ReconcileBackend::kRatelessIblt));
-  const reconcile::WireMsg opening = host->open(client_items.size());
-  net::Message stuck = opening.to_message();
+  const net::Message stuck = host->open(client_items.size());
 
   std::vector<net::Message> out;
   ClientSession::Status status = ClientSession::Status::kInFlight;

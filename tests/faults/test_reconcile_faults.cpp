@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "graphene/errors.hpp"
+#include "reconcile/graphene_backend.hpp"
 #include "reconcile/set_reconciler.hpp"
 #include "testkit/faulty_channel.hpp"
 #include "testkit/gen.hpp"
@@ -31,24 +32,28 @@ enum class End : std::uint8_t { kExactSet, kTypedError, kAborted, kWrongSet };
 
 constexpr int kMaxAttemptsPerStep = 3;
 
-template <typename Msg>
-std::optional<Msg> deliver(testkit::FaultyChannel& ch, net::Direction dir, const Msg& msg) {
-  const util::Bytes encoded = msg.serialize();
+/// Pushes one message through the faulty link and hands each copy that
+/// arrives, re-typed as the original message, to `accept` until one parses.
+/// Returns false when none did. Retries a few times so pure drops do not
+/// dominate the sweep.
+template <typename Accept>
+bool deliver(testkit::FaultyChannel& ch, net::Direction dir, const WireMsg& msg,
+             const Accept& accept) {
   for (int attempt = 0; attempt < kMaxAttemptsPerStep; ++attempt) {
     std::vector<util::Bytes> buffers =
-        ch.transmit(dir, net::MessageType::kInv, encoded);
+        ch.transmit(dir, net::MessageType::kInv, msg.payload);
     if (attempt + 1 == kMaxAttemptsPerStep) {
       for (util::Bytes& held : ch.flush(dir)) buffers.push_back(std::move(held));
     }
-    for (const util::Bytes& b : buffers) {
+    for (util::Bytes& b : buffers) {
       try {
-        util::ByteReader reader(b);
-        return Msg::deserialize(reader);
+        accept(WireMsg{msg.type, std::move(b)});
+        return true;
       } catch (const util::DeserializeError&) {
       }
     }
   }
-  return std::nullopt;
+  return false;
 }
 
 End run_reconcile_through_faults(util::Rng& rng, const testkit::FaultSpec& faults) {
@@ -62,44 +67,33 @@ End run_reconcile_through_faults(util::Rng& rng, const testkit::FaultSpec& fault
   }
   for (const ItemDigest& d : random_set(rng, rng.below(300))) client_items.insert(d);
 
-  const Host host(host_items, /*salt=*/rng.next());
+  Host host(host_items, /*salt=*/rng.next());
   Client client(client_items);
   testkit::FaultyChannel ch(faults);
 
-  const auto classify = [&](const Outcome& out) {
+  try {
+    Outcome out;
+    const auto to_client = [&](const WireMsg& m) { out = client.absorb_wire(m); };
+    if (!deliver(ch, net::Direction::kSenderToReceiver, host.open(client_items.size()),
+                 to_client)) {
+      return End::kAborted;
+    }
+    // The request and fetch rounds, as the outcomes ask for them; the
+    // client fails any message out of that order.
+    for (std::uint32_t round = 0;
+         needs_more(out.status) && round < client.config().reconcile_round_cap; ++round) {
+      WireMsg response;
+      if (!deliver(ch, net::Direction::kReceiverToSender, client.next_request(),
+                   [&](const WireMsg& m) { response = host.serve_wire(m); }) ||
+          !deliver(ch, net::Direction::kSenderToReceiver, response, to_client)) {
+        return End::kAborted;
+      }
+    }
+
+    // Any state short of kComplete after the protocol's rounds is a bounded,
+    // reported failure — the checksum refused to certify.
     if (out.status != Outcome::Status::kComplete) return End::kTypedError;
     return out.host_set == host.items() ? End::kExactSet : End::kWrongSet;
-  };
-
-  try {
-    const auto offer = deliver(ch, net::Direction::kSenderToReceiver,
-                               host.make_offer(client_items.size()));
-    if (!offer) return End::kAborted;
-    Outcome out = client.absorb(*offer);
-
-    if (out.status == Outcome::Status::kNeedsRequest) {
-      const auto request =
-          deliver(ch, net::Direction::kReceiverToSender, client.make_request());
-      if (!request) return End::kAborted;
-      const auto response =
-          deliver(ch, net::Direction::kSenderToReceiver, host.serve(*request));
-      if (!response) return End::kAborted;
-      out = client.complete(*response);
-    }
-
-    if (out.status == Outcome::Status::kNeedsFetch) {
-      const auto fetch_req =
-          deliver(ch, net::Direction::kReceiverToSender, client.make_fetch());
-      if (!fetch_req) return End::kAborted;
-      const auto fetch =
-          deliver(ch, net::Direction::kSenderToReceiver, host.serve_fetch(*fetch_req));
-      if (!fetch) return End::kAborted;
-      out = client.complete_fetch(*fetch);
-    }
-
-    // Any state still short of kComplete after the protocol's rounds is a
-    // bounded, reported failure — the checksum refused to certify.
-    return classify(out);
   } catch (const core::ProtocolError&) {
     return End::kTypedError;
   } catch (const util::DeserializeError&) {
@@ -153,11 +147,12 @@ TEST(ReconcileFaults, CleanLinkReconcilesExactly) {
 }
 
 TEST(ReconcileFaults, HostRejectsOversizedRequestSizing) {
-  // Regression guard for the Host::serve revalidation: a request whose
+  // Regression guard for the serve() revalidation: a request whose
   // fields pass the individual wire caps but whose b + y* would allocate an
   // IBLT beyond kMaxIbltCells must throw a typed error, not allocate.
   util::Rng rng(91);
-  const Host host(random_set(rng, 20), 5);
+  const ItemSet items = random_set(rng, 20);
+  const GrapheneHostBackend host(items, 5, {});
   Request req;
   req.candidate_count = 10;
   req.b = util::wire::kMaxSizingParam;

@@ -20,6 +20,7 @@
 #include "graphene/messages.hpp"
 #include "iblt/iblt.hpp"
 #include "iblt/strata_estimator.hpp"
+#include "reconcile/graphene_backend.hpp"
 #include "reconcile/rateless_backend.hpp"
 #include "reconcile/set_reconciler.hpp"
 #include "util/bytes.hpp"

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "reconcile/graphene_backend.hpp"
 #include "util/random.hpp"
+#include "util/sha256.hpp"
 
 namespace graphene::reconcile {
 namespace {
@@ -43,9 +45,9 @@ SyncSetup make_setup(std::size_t host_count, std::size_t overlap, std::size_t ex
 TEST(SetReconciler, OfferAloneSufficesWhenClientHasSuperset) {
   util::Rng rng(1);
   const SyncSetup s = make_setup(500, 500, 500, rng);
-  const Host host(s.host_items, rng.next());
+  Host host(s.host_items, rng.next());
   Client client(s.client_items);
-  const Outcome out = client.absorb(host.make_offer(s.client_items.size()));
+  const Outcome out = client.absorb_wire(host.open(s.client_items.size()));
   ASSERT_EQ(out.status, Outcome::Status::kComplete);
   EXPECT_EQ(out.host_set, s.host_items);
 }
@@ -61,11 +63,10 @@ TEST_P(ReconcileOverlapSweep, FullRoundRecoversHostSet) {
     const std::size_t host_count = 400;
     const auto overlap = static_cast<std::size_t>(overlap_frac * host_count);
     const SyncSetup s = make_setup(host_count, overlap, 200, rng);
-    const Host host(s.host_items, rng.next());
+    Host host(s.host_items, rng.next());
     Client client(s.client_items);
     Outcome out;
-    const SyncStats stats =
-        reconcile_one_way(host, client, host.make_offer(s.client_items.size()), out);
+    const SyncStats stats = reconcile_one_way(host, client, out);
     if (stats.success) {
       ++complete;
       EXPECT_EQ(out.host_set, s.host_items);
@@ -87,11 +88,10 @@ TEST(SetReconciler, CrliteStyleRevocationCheck) {
   const ItemSet newly_revoked = random_items(50, rng);
   revocations.insert(newly_revoked.begin(), newly_revoked.end());
 
-  const Host ca(revocations, rng.next());
+  Host ca(revocations, rng.next());
   Client checker(client);
   Outcome out;
-  const SyncStats stats =
-      reconcile_one_way(ca, checker, ca.make_offer(client.size()), out);
+  const SyncStats stats = reconcile_one_way(ca, checker, out);
   ASSERT_TRUE(stats.success);
   for (const ItemDigest& d : newly_revoked) EXPECT_TRUE(out.host_set.count(d) > 0);
   // Far cheaper than shipping 1050 × 32-byte digests.
@@ -101,8 +101,8 @@ TEST(SetReconciler, CrliteStyleRevocationCheck) {
 TEST(SetReconciler, WireRoundTripOfAllMessages) {
   util::Rng rng(5);
   const SyncSetup s = make_setup(300, 200, 100, rng);
-  const Host host(s.host_items, rng.next());
-  Client client(s.client_items);
+  const GrapheneHostBackend host(s.host_items, rng.next(), {});
+  GrapheneClientBackend client(s.client_items, {});
 
   const Offer offer = host.make_offer(s.client_items.size());
   util::Bytes offer_wire = offer.serialize();
@@ -141,8 +141,8 @@ TEST(SetReconciler, WireRoundTripOfAllMessages) {
 TEST(SetReconciler, ChecksumCatchesWrongFinalSet) {
   util::Rng rng(6);
   const SyncSetup s = make_setup(100, 100, 0, rng);
-  const Host host(s.host_items, rng.next());
-  Client client(s.client_items);
+  const GrapheneHostBackend host(s.host_items, rng.next(), {});
+  GrapheneClientBackend client(s.client_items, {});
   Offer offer = host.make_offer(s.client_items.size());
   offer.set_checksum ^= 0xdeadbeef;  // corrupted commitment
   const Outcome out = client.absorb(offer);
@@ -157,9 +157,9 @@ TEST(SetReconciler, DigestOfIsSha256) {
 TEST(SetReconciler, EmptyHostSetCompletesTrivially) {
   util::Rng rng(7);
   const ItemSet client_items = random_items(50, rng);
-  const Host host(ItemSet{}, rng.next());
+  Host host(ItemSet{}, rng.next());
   Client client(client_items);
-  const Outcome out = client.absorb(host.make_offer(client_items.size()));
+  const Outcome out = client.absorb_wire(host.open(client_items.size()));
   EXPECT_EQ(out.status, Outcome::Status::kComplete);
   EXPECT_TRUE(out.host_set.empty());
 }

@@ -3,9 +3,8 @@
 
 Reads the .gcda files produced by a GRAPHENE_COVERAGE=ON build after a ctest
 run, asks gcov for machine-readable (JSON) line records, and aggregates line
-coverage for each scoped directory (src/graphene, src/iblt by default).  The
-run fails if any scope drops below its floor in tools/coverage_baseline.json
-by more than the tolerance.
+coverage for each directory that has a floor in tools/coverage_baseline.json.
+The run fails if any scope drops below its floor by more than the tolerance.
 
 No third-party dependencies on purpose: gcov ships with gcc and the JSON
 format is stable since gcc 9.  Usage:
