@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 
 #include "util/hex.hpp"
@@ -50,6 +52,31 @@ TEST(Sha256, BlockBoundaryLengths) {
     for (char ch : s) incremental.update(&ch, 1);
     EXPECT_EQ(d1, incremental.finalize()) << "length " << len;
   }
+}
+
+// Pins the padding at every tail length over three blocks and more: the
+// digest of the concatenated digests of 'a' x len, len in [0, 200], each
+// hashed one-shot and then fed in uneven update() chunks so the buffered
+// tail starts at every offset. Any change to update() or finalize() must
+// leave this value unchanged.
+TEST(Sha256, PaddingBoundaryGolden) {
+  static constexpr std::size_t kChunks[] = {1, 7, 64, 3, 55, 13, 129};
+  Sha256 all;
+  for (std::size_t len = 0; len <= 200; ++len) {
+    const std::string s(len, 'a');
+    const Sha256Digest one_shot = sha256(str_bytes(s));
+    Sha256 chunked;
+    for (std::size_t off = 0, i = 0; off < len; ++i) {
+      const std::size_t take = std::min(kChunks[i % std::size(kChunks)], len - off);
+      chunked.update(s.data() + off, take);
+      off += take;
+    }
+    const Sha256Digest pieces = chunked.finalize();
+    all.update(one_shot.data(), one_shot.size());
+    all.update(pieces.data(), pieces.size());
+  }
+  const Sha256Digest d = all.finalize();
+  EXPECT_EQ(to_hex(ByteView(d.data(), d.size())), "0addd6741e62f0642ad65a315e7ede2e2a492b60bde4dbcdcb6af4fb1eeedd68");
 }
 
 TEST(Sha256, IncrementalMatchesOneShot) {
