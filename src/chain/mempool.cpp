@@ -2,25 +2,35 @@
 
 namespace graphene::chain {
 
-bool Mempool::insert(const Transaction& tx) { return pool_.emplace(tx.id, tx).second; }
+bool Mempool::insert(const Transaction& tx) {
+  if (!pool_.try_emplace(tx.id, Entry{tx, ids_.size()}).second) return false;
+  ids_.push_back(tx.id);
+  return true;
+}
 
 std::optional<Transaction> Mempool::get(const TxId& id) const {
   const auto it = pool_.find(id);
   if (it == pool_.end()) return std::nullopt;
-  return it->second;
+  return it->second.tx;
 }
 
-std::vector<TxId> Mempool::ids() const {
-  std::vector<TxId> out;
-  out.reserve(pool_.size());
-  for (const auto& [id, tx] : pool_) out.push_back(id);
-  return out;
+bool Mempool::erase(const TxId& id) {
+  const auto it = pool_.find(id);
+  if (it == pool_.end()) return false;
+  const std::size_t slot = it->second.slot;
+  pool_.erase(it);
+  if (slot + 1 != ids_.size()) {
+    ids_[slot] = ids_.back();
+    pool_.find(ids_[slot])->second.slot = slot;
+  }
+  ids_.pop_back();
+  return true;
 }
 
 std::vector<Transaction> Mempool::transactions() const {
   std::vector<Transaction> out;
-  out.reserve(pool_.size());
-  for (const auto& [id, tx] : pool_) out.push_back(tx);
+  out.reserve(ids_.size());
+  for (const TxId& id : ids_) out.push_back(pool_.find(id)->second.tx);
   return out;
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -23,18 +24,29 @@ class Mempool {
 
   [[nodiscard]] bool contains(const TxId& id) const noexcept { return pool_.count(id) > 0; }
   [[nodiscard]] std::optional<Transaction> get(const TxId& id) const;
-  [[nodiscard]] std::size_t size() const noexcept { return pool_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return ids_.size(); }
 
-  bool erase(const TxId& id) { return pool_.erase(id) > 0; }
+  /// Removes the txid; the last id in id_view() takes its place.
+  bool erase(const TxId& id);
 
-  /// Snapshot of all txids (unordered).
-  [[nodiscard]] std::vector<TxId> ids() const;
+  /// Every txid, packed in insertion order except where erase() moved the
+  /// last one into a hole. Valid until the next insert() or erase().
+  [[nodiscard]] std::span<const TxId> id_view() const noexcept { return ids_; }
 
-  /// Snapshot of all transactions (unordered).
+  /// Copy of id_view().
+  [[nodiscard]] std::vector<TxId> ids() const { return ids_; }
+
+  /// All transactions, in id_view() order.
   [[nodiscard]] std::vector<Transaction> transactions() const;
 
  private:
-  std::unordered_map<TxId, Transaction, TxIdHasher> pool_;
+  struct Entry {
+    Transaction tx;
+    std::size_t slot = 0;  ///< index of tx.id in ids_
+  };
+
+  std::unordered_map<TxId, Entry, TxIdHasher> pool_;
+  std::vector<TxId> ids_;
 };
 
 }  // namespace graphene::chain

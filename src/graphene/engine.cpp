@@ -26,7 +26,7 @@ std::vector<util::ByteView> views_of(const Ids& ids) {
 
 /// hit[i] = 1 iff ids[i] passes `filter`. Chunk-parallel with a pool; the
 /// hit pattern is that of querying one id at a time.
-std::vector<std::uint8_t> scan(const bloom::BloomFilter& filter, const std::vector<Id>& ids,
+std::vector<std::uint8_t> scan(const bloom::BloomFilter& filter, std::span<const Id> ids,
                                util::ThreadPool* pool) {
   const std::vector<util::ByteView> views = views_of(ids);
   std::vector<std::uint8_t> hit(ids.size());
@@ -230,7 +230,7 @@ std::vector<std::uint64_t> GrapheneReceiver::candidate_sids() const {
 }
 
 void GrapheneReceiver::filter(std::uint64_t salt, std::uint64_t n,
-                              const std::vector<Id>& local,
+                              std::span<const Id> local,
                               const bloom::BloomFilter& filter_s) {
   salt_ = salt;
   n_ = n;

@@ -25,6 +25,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -138,8 +139,9 @@ class GrapheneReceiver {
   GrapheneReceiver(EngineKeys keys, ProtocolConfig cfg, obs::Registry* stages);
 
   /// Protocol 1 step 4: starts a session for a host set of `n` ids under
-  /// `salt`; the candidates Z are the `local` ids that pass S.
-  void filter(std::uint64_t salt, std::uint64_t n, const std::vector<Id>& local,
+  /// `salt`; the candidates Z are the `local` ids that pass S. `local` is
+  /// read during the call only.
+  void filter(std::uint64_t salt, std::uint64_t n, std::span<const Id> local,
               const bloom::BloomFilter& filter_s);
 
   /// I ⊖ I′ over Z. Decoded only when every difference is a known candidate

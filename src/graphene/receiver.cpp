@@ -55,7 +55,7 @@ ReceiveOutcome ReceiveSession::receive_block(const GrapheneBlockMsg& msg) {
   received_txns_.clear();
 
   // Step 4: the candidate set Z = mempool transactions passing S, then I ⊖ I′.
-  engine_.filter(msg.shortid_salt, msg.n, mempool_->ids(), msg.filter_s);
+  engine_.filter(msg.shortid_salt, msg.n, mempool_->id_view(), msg.filter_s);
   const Peel peel = engine_.peel(msg.iblt_i);
   ReceiveOutcome out;
   if (peel.status == Resolution::kDecoded) {

@@ -2,47 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 
+#include "util/simd/simd.hpp"
+
 namespace graphene::util {
-
-namespace {
-
-constexpr std::array<std::uint32_t, 64> kRoundConstants = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
-    0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
-    0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
-    0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
-    0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
-    0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
-    0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
-    0xc67178f2};
-
-inline std::uint32_t big_sigma0(std::uint32_t x) noexcept {
-  return std::rotr(x, 2) ^ std::rotr(x, 13) ^ std::rotr(x, 22);
-}
-inline std::uint32_t big_sigma1(std::uint32_t x) noexcept {
-  return std::rotr(x, 6) ^ std::rotr(x, 11) ^ std::rotr(x, 25);
-}
-inline std::uint32_t small_sigma0(std::uint32_t x) noexcept {
-  return std::rotr(x, 7) ^ std::rotr(x, 18) ^ (x >> 3);
-}
-inline std::uint32_t small_sigma1(std::uint32_t x) noexcept {
-  return std::rotr(x, 17) ^ std::rotr(x, 19) ^ (x >> 10);
-}
-inline std::uint32_t ch(std::uint32_t x, std::uint32_t y, std::uint32_t z) noexcept {
-  return (x & y) ^ (~x & z);
-}
-inline std::uint32_t maj(std::uint32_t x, std::uint32_t y, std::uint32_t z) noexcept {
-  return (x & y) ^ (x & z) ^ (y & z);
-}
-
-}  // namespace
 
 void Sha256::reset() noexcept {
   state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -51,43 +17,10 @@ void Sha256::reset() noexcept {
   buffer_len_ = 0;
 }
 
-void Sha256::compress(const std::uint8_t block[64]) noexcept {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    w[i] = small_sigma1(w[i - 2]) + w[i - 7] + small_sigma0(w[i - 15]) + w[i - 16];
-  }
-
-  auto [a, b, c, d, e, f, g, h] = state_;
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t t1 = h + big_sigma1(e) + ch(e, f, g) + kRoundConstants[static_cast<std::size_t>(i)] + w[i];
-    const std::uint32_t t2 = big_sigma0(a) + maj(a, b, c);
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 Sha256& Sha256::update(const void* data, std::size_t len) noexcept {
+  if (len == 0) return *this;
   const auto* p = static_cast<const std::uint8_t*>(data);
+  const simd::Kernels& k = simd::active();
   total_len_ += len;
   if (buffer_len_ > 0) {
     const std::size_t fill = std::min(len, 64 - buffer_len_);
@@ -95,16 +28,14 @@ Sha256& Sha256::update(const void* data, std::size_t len) noexcept {
     buffer_len_ += fill;
     p += fill;
     len -= fill;
-    if (buffer_len_ == 64) {
-      compress(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < 64) return *this;
+    k.sha256_compress(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  while (len >= 64) {
-    compress(p);
-    p += 64;
-    len -= 64;
-  }
+  const std::size_t blocks = len / 64;
+  if (blocks > 0) k.sha256_compress(state_.data(), p, blocks);
+  p += blocks * 64;
+  len -= blocks * 64;
   if (len > 0) {
     std::memcpy(buffer_.data(), p, len);
     buffer_len_ = len;
@@ -115,26 +46,28 @@ Sha256& Sha256::update(const void* data, std::size_t len) noexcept {
 Sha256& Sha256::update(ByteView data) noexcept { return update(data.data(), data.size()); }
 
 Sha256Digest Sha256::finalize() noexcept {
+  const simd::Kernels& k = simd::active();
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(&pad_byte, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(&zero, 1);
-
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
+  buffer_[buffer_len_++] = 0x80;
+  // The 8-byte length goes in bytes 56..63: a tail past byte 55 pads out
+  // this block and the length takes one more.
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    k.sha256_compress(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  // Bypass total_len_ bookkeeping: this is part of the padding.
-  std::memcpy(buffer_.data() + 56, len_be, 8);
-  compress(buffer_.data());
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
+  }
+  k.sha256_compress(state_.data(), buffer_.data(), 1);
 
   Sha256Digest digest;
-  for (int i = 0; i < 8; ++i) {
-    digest[static_cast<std::size_t>(4 * i)] = static_cast<std::uint8_t>(state_[static_cast<std::size_t>(i)] >> 24);
-    digest[static_cast<std::size_t>(4 * i + 1)] = static_cast<std::uint8_t>(state_[static_cast<std::size_t>(i)] >> 16);
-    digest[static_cast<std::size_t>(4 * i + 2)] = static_cast<std::uint8_t>(state_[static_cast<std::size_t>(i)] >> 8);
-    digest[static_cast<std::size_t>(4 * i + 3)] = static_cast<std::uint8_t>(state_[static_cast<std::size_t>(i)]);
+  for (std::size_t i = 0; i < 8; ++i) {
+    digest[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
+    digest[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
+    digest[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
+    digest[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
   }
   return digest;
 }

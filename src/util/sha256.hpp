@@ -2,7 +2,9 @@
 //
 // The blockchain substrate derives transaction IDs and Merkle roots from
 // SHA-256, mirroring Bitcoin's double-SHA256 convention. Implemented here so
-// the library carries no external dependencies.
+// the library carries no external dependencies. The compression function is
+// the util::simd sha256_compress slot: SHA-NI where the CPU has it, the
+// portable body otherwise.
 #pragma once
 
 #include <array>
@@ -31,8 +33,6 @@ class Sha256 {
   [[nodiscard]] Sha256Digest finalize() noexcept;
 
  private:
-  void compress(const std::uint8_t block[64]) noexcept;
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::uint64_t total_len_ = 0;

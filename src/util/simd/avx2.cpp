@@ -1,11 +1,13 @@
 // AVX2 kernel variants. This translation unit is the only x86 code compiled
 // with -mavx2 (see src/CMakeLists.txt); it must never execute unless
 // dispatch.cpp confirmed __builtin_cpu_supports("avx2"), so nothing here may
-// leak into a header or be called at static-init time.
+// leak into a header or be called at static-init time. The SHA-256 slot
+// keeps the portable body here; dispatch.cpp swaps in sha_ni.cpp's when the
+// CPU has the SHA extensions.
 
 #include "util/simd/kernels.hpp"
 
-#if defined(GRAPHENE_SIMD_HAVE_AVX2)
+#if defined(GRAPHENE_SIMD_X86)
 
 #include <immintrin.h>
 
@@ -88,10 +90,11 @@ const Kernels& avx2_kernels() noexcept {
       &cells_sub_avx2,
       &xor_bytes_avx2,
       &all_zero_avx2,
+      &sha256_compress_portable,
   };
   return kTable;
 }
 
 }  // namespace graphene::util::simd::detail
 
-#endif  // GRAPHENE_SIMD_HAVE_AVX2
+#endif  // GRAPHENE_SIMD_X86

@@ -12,18 +12,33 @@ namespace graphene::util::simd {
 namespace {
 
 bool cpu_has_avx2() noexcept {
-#if defined(GRAPHENE_SIMD_HAVE_AVX2)
+#if defined(GRAPHENE_SIMD_X86)
   return __builtin_cpu_supports("avx2") != 0;
 #else
   return false;
 #endif
 }
 
+#if defined(GRAPHENE_SIMD_X86)
+/// The x86 table: the AVX2 bodies, with the SHA-NI compress in place of the
+/// portable one when the CPU has the SHA extensions.
+const Kernels& x86_kernels() noexcept {
+  static const Kernels table = [] {
+    Kernels k = detail::avx2_kernels();
+    if (__builtin_cpu_supports("sha") != 0 && __builtin_cpu_supports("sse4.1") != 0) {
+      k.sha256_compress = &detail::sha256_compress_sha_ni;
+    }
+    return k;
+  }();
+  return table;
+}
+#endif
+
 const Kernels* table_for(Isa isa) noexcept {
   switch (isa) {
-#if defined(GRAPHENE_SIMD_HAVE_AVX2)
+#if defined(GRAPHENE_SIMD_X86)
     case Isa::kAvx2:
-      return &detail::avx2_kernels();
+      return &x86_kernels();
 #endif
     default:
       return &detail::portable_kernels();

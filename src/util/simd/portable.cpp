@@ -1,6 +1,7 @@
 // Portable scalar reference kernels. Every ISA variant is tested bit-exact
 // against these; keep them boring and obviously correct.
 
+#include <bit>
 #include <cstring>
 
 #include "util/simd/kernels.hpp"
@@ -64,13 +65,72 @@ bool all_zero_portable(const std::uint8_t* p, std::size_t n) {
   return acc == 0;
 }
 
+inline std::uint32_t big_sigma0(std::uint32_t x) noexcept {
+  return std::rotr(x, 2) ^ std::rotr(x, 13) ^ std::rotr(x, 22);
+}
+inline std::uint32_t big_sigma1(std::uint32_t x) noexcept {
+  return std::rotr(x, 6) ^ std::rotr(x, 11) ^ std::rotr(x, 25);
+}
+inline std::uint32_t small_sigma0(std::uint32_t x) noexcept {
+  return std::rotr(x, 7) ^ std::rotr(x, 18) ^ (x >> 3);
+}
+inline std::uint32_t small_sigma1(std::uint32_t x) noexcept {
+  return std::rotr(x, 17) ^ std::rotr(x, 19) ^ (x >> 10);
+}
+inline std::uint32_t ch(std::uint32_t x, std::uint32_t y, std::uint32_t z) noexcept {
+  return (x & y) ^ (~x & z);
+}
+inline std::uint32_t maj(std::uint32_t x, std::uint32_t y, std::uint32_t z) noexcept {
+  return (x & y) ^ (x & z) ^ (y & z);
+}
+
 }  // namespace
+
+void sha256_compress_portable(std::uint32_t state[8], const std::uint8_t* blocks,
+                              std::size_t n_blocks) {
+  for (; n_blocks > 0; --n_blocks, blocks += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(blocks[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      w[i] = small_sigma1(w[i - 2]) + w[i - 7] + small_sigma0(w[i - 15]) + w[i - 16];
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t t1 = h + big_sigma1(e) + ch(e, f, g) + kSha256RoundConstants[i] + w[i];
+      const std::uint32_t t2 = big_sigma0(a) + maj(a, b, c);
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
 
 const Kernels& portable_kernels() noexcept {
   static constexpr Kernels kTable{
       &cells_sub_portable,
       &xor_bytes_portable,
       &all_zero_portable,
+      &sha256_compress_portable,
   };
   return kTable;
 }

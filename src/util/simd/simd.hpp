@@ -11,6 +11,11 @@
 // A slot exists only while some ISA variant beats the portable body on the
 // bench (docs/PERFORMANCE.md); a kernel that does not is deleted.
 //
+// Isa::kAvx2 names the x86 table. Its sha256_compress is the SHA-NI body
+// when the CPU also reports the SHA extensions and the portable body when
+// it does not (Haswell through Comet Lake have AVX2 without SHA). A CPU
+// with SHA but no AVX2 runs the portable table.
+//
 // Intrinsics and ISA headers such as <immintrin.h> are confined to this
 // directory (tools/lint.py enforces the boundary); ISA-specific code lives
 // in its own translation unit compiled with the matching -m flags so no
@@ -41,6 +46,12 @@ struct Kernels {
   void (*xor_bytes)(std::uint8_t* dst, const std::uint8_t* src, std::size_t n);
   /// True iff every byte in [p, p+n) is zero.
   bool (*all_zero)(const std::uint8_t* p, std::size_t n);
+
+  /// SHA-256 compression (FIPS 180-4 §6.2.2): folds n_blocks consecutive
+  /// 64-byte message blocks, in order, into the eight-word hash state.
+  /// `blocks` need not be aligned; n_blocks = 0 leaves the state unchanged.
+  void (*sha256_compress)(std::uint32_t state[8], const std::uint8_t* blocks,
+                          std::size_t n_blocks);
 };
 
 /// The kernel table selected for this process (env override + CPU probe,

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <span>
 
 #include "util/random.hpp"
 
@@ -70,6 +72,52 @@ TEST(Mempool, TransactionsSnapshotPreservesMetadata) {
   const auto txs = pool.transactions();
   ASSERT_EQ(txs.size(), 1u);
   EXPECT_EQ(txs[0].size_bytes, 777u);
+}
+
+// Seeded random inserts, re-inserts and erases (head, middle and tail of
+// the view, plus misses), checked after every step against a std::set.
+TEST(Mempool, EraseKeepsIdViewDense) {
+  util::Rng rng(6);
+  Mempool pool;
+  std::set<TxId> ref;
+  std::vector<Transaction> erased;
+  // Metadata derived from the id, so get() can be checked for each view id.
+  const auto fee_of = [](const TxId& id) {
+    return (static_cast<std::uint64_t>(id[0]) << 8) | id[1];
+  };
+  for (int step = 0; step < 2000; ++step) {
+    const std::uint64_t op = rng.below(10);
+    if (ref.empty() || op < 5) {
+      Transaction tx = make_random_transaction(rng);
+      tx.fee_per_kb = fee_of(tx.id);
+      ASSERT_EQ(pool.insert(tx), ref.insert(tx.id).second);
+    } else if (op == 5 && !erased.empty()) {
+      const Transaction tx = erased[rng.below(erased.size())];
+      ASSERT_EQ(pool.insert(tx), ref.insert(tx.id).second);
+    } else if (op == 6) {
+      ASSERT_FALSE(pool.erase(make_random_transaction(rng).id));
+    } else {
+      const TxId victim = pool.id_view()[rng.below(pool.size())];
+      erased.push_back(*pool.get(victim));
+      ASSERT_TRUE(pool.erase(victim));
+      ref.erase(victim);
+      ASSERT_FALSE(pool.erase(victim));
+    }
+
+    const std::span<const TxId> view = pool.id_view();
+    ASSERT_EQ(view.size(), pool.size());
+    const std::set<TxId> distinct(view.begin(), view.end());
+    ASSERT_EQ(distinct.size(), view.size()) << "duplicate id in the view, step " << step;
+    ASSERT_EQ(distinct, ref) << "step " << step;
+    for (const TxId& id : view) {
+      ASSERT_TRUE(pool.contains(id));
+      const auto tx = pool.get(id);
+      ASSERT_TRUE(tx.has_value());
+      ASSERT_EQ(tx->id, id);
+      ASSERT_EQ(tx->fee_per_kb, fee_of(id));
+    }
+  }
+  EXPECT_GT(erased.size(), 100u);
 }
 
 }  // namespace

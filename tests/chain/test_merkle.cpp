@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/random.hpp"
+#include "util/simd/simd.hpp"
 
 namespace graphene::chain {
 namespace {
@@ -54,6 +55,23 @@ TEST(Merkle, ContentSensitive) {
 TEST(Merkle, DeterministicAcrossCalls) {
   const auto ids = random_ids(100, 6);
   EXPECT_EQ(merkle_root(ids), merkle_root(ids));
+}
+
+// The root goes through the dispatched SHA-256 compress: every tree shape
+// from 1 to 65 leaves (odd levels included) must give the same root on the
+// portable body and on the body this CPU selects.
+TEST(Merkle, RootIdenticalAcrossSha256Bodies) {
+  namespace simd = util::simd;
+  for (std::size_t n = 1; n <= 65; ++n) {
+    const auto ids = random_ids(n, 1000 + n);
+    TxId portable{};
+    {
+      const simd::ScopedIsaOverride force(simd::Isa::kPortable);
+      portable = merkle_root(ids);
+    }
+    const simd::ScopedIsaOverride force(simd::detected_isa());
+    EXPECT_EQ(merkle_root(ids), portable) << n << " leaves";
+  }
 }
 
 class MerkleSizeSweep : public ::testing::TestWithParam<std::size_t> {};

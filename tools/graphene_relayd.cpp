@@ -9,6 +9,7 @@
 // prints its lifetime stats.
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,15 +40,19 @@ const char* flag_str(int argc, char** argv, const char* name, const char* fallba
   return fallback;
 }
 
+void usage(std::FILE* out, const char* argv0) {
+  std::fprintf(out,
+               "usage: %s [--host H] [--port P] [--items N] [--seed S] [--max-conns N]\n",
+               argv0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace graphene;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf(
-          "usage: %s [--host H] [--port P] [--items N] [--seed S] [--max-conns N]\n",
-          argv[0]);
+      usage(stdout, argv[0]);
       return 0;
     }
   }
@@ -59,7 +64,12 @@ int main(int argc, char** argv) {
   iblt::ParamCache cache;
   daemon::DaemonOptions opts;
   opts.protocol.param_cache = &cache;
-  opts.max_connections = flag_u64(argc, argv, "--max-conns", opts.max_connections);
+  const std::uint64_t max_conns = flag_u64(argc, argv, "--max-conns", opts.max_connections);
+  if (max_conns > UINT32_MAX) {
+    usage(stderr, argv[0]);
+    return 2;
+  }
+  opts.max_connections = static_cast<std::uint32_t>(max_conns);
 
   daemon::RelayDaemon served(tools::host_set(seed, items), opts);
   const std::uint16_t bound = served.listen(host, port);

@@ -91,7 +91,7 @@ RE_NOLINT = re.compile(r"\bNOLINT(NEXTLINE|BEGIN|END)?\b(\(([^)]*)\))?")
 
 RE_INTRINSIC_HEADER = re.compile(
     r'#\s*include\s*[<"](?:immintrin|x86intrin|arm_neon|emmintrin|smmintrin|'
-    r"tmmintrin|avxintrin|avx2intrin)\.h"
+    r"tmmintrin|avxintrin|avx2intrin|shaintrin|nmmintrin|wmmintrin)\.h"
 )
 # x86 vector intrinsics and types (_mm_/_mm256_/_mm512_, __m128*/__m256*/
 # __m512*) and the NEON load/store/arith prefixes (vld1q_u8(...), vaddq, ...).

@@ -134,6 +134,13 @@ class ConfinedIntrinsics(unittest.TestCase):
             rules = rules_of(lint_text(path, self.HEADER))
             self.assertEqual(rules, ["confined-intrinsics"], path)
 
+    def test_sha_crc_and_aes_headers_flagged_outside_kernel_dir(self):
+        for header in ("shaintrin", "nmmintrin", "wmmintrin"):
+            text = f"#include <{header}.h>\n"
+            rules = rules_of(lint_text("src/net/frame.cpp", text))
+            self.assertEqual(rules, ["confined-intrinsics"], header)
+            self.assertEqual(lint_text("src/util/simd/sha_ni.cpp", text), [], header)
+
     def test_calls_and_types_flagged_outside_kernel_dir(self):
         for text in (self.CALL, self.NEON, self.TYPE):
             rules = rules_of(lint_text("src/net/frame.cpp", text))
