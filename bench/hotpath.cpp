@@ -9,31 +9,36 @@
 //   batch        — contains_batch (tiled, prefetched, split-digest layout);
 //   blocked      — contains_batch over the cache-line-blocked layout.
 // And two IBLT builds: seed-replica scalar insert (per-probe seed mix and
-// hardware `%`) and the pipelined insert_all, plus subtract and decode of a
+// hardware `%`) and the library's insert_all, plus subtract and decode of a
 // realistic difference.
 //
-// Three more sections:
-//   kernels — each SIMD kernel (IBLT cell subtract, xor, all_zero, SHA-256
-//             compress) timed portable-vs-best-ISA over large buffers via
-//             kernels_for(), reported as bytes/s + speedup;
-//   merkle  — chain::merkle_root over a block's 2,000 ids on the portable
-//             SHA-256 body and on the one auto-dispatch picks, with a root
-//             cross-check;
-//   wire    — copy (encode_frame) vs zero-copy (begin_frame + serialize_into
-//             + end_frame) framing of a realistic GrapheneBlockMsg, with a
-//             byte-identity cross-check.
+// Four more sections:
+//   kernels     — the SHA-256 compress kernel timed portable-vs-best-ISA over
+//                 1 MiB via kernels_for(), reported as bytes/s + speedup;
+//   merkle      — chain::merkle_root over a block's 2,000 ids on the portable
+//                 SHA-256 body and on the one auto-dispatch picks, with a
+//                 root cross-check;
+//   served_iblt — the IBLT at the size a relay builds: 2,000 keys into 80
+//                 and 240 cells with insert_all, then subtract and decode of
+//                 a 30-key difference;
+//   wire        — copy (encode_frame) vs zero-copy (begin_frame +
+//                 serialize_into + end_frame) framing of a realistic
+//                 GrapheneBlockMsg, with a byte-identity cross-check.
 //
 // Every variant's results are cross-checked (hit counts per strategy, cell
-// bytes across build paths, kernel outputs portable-vs-SIMD) and the process
-// exits nonzero on any divergence, so CI smoke runs double as a parity gate.
+// bytes across build paths, kernel outputs portable-vs-SIMD, decoded
+// differences) and the process exits nonzero on any divergence, so CI smoke
+// runs double as a parity gate.
 // Writes BENCH_hotpath.json (overwritten each run); GRAPHENE_FAST=1 drops
 // the 1M scale for smoke runs.
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -259,10 +264,11 @@ ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
   check(hits_blocked == hits_pool, "pooled contains_all diverged from batch");
 
   // --- IBLT build / subtract / decode ------------------------------------
-  // Tables are sized to the full mempool, not the block: this is the
-  // difference-digest / strata-estimator / mempool-sync regime, where IBLTs
-  // scale with m and construction is the memory-bound hot loop. (Protocol 1's
-  // per-block I is tiny — a* cells — and never shows up in a profile.)
+  // Tables are sized to the full mempool, not the block, so at m = 1M the
+  // cell array outgrows the caches. No library path builds such a table with
+  // insert_all: the engine's I and J hold about 80 cells (see
+  // run_served_iblt_bench), and the difference-digest baseline, the strata
+  // estimator and mempool sync call insert().
   const std::uint64_t items = m;
   const std::uint64_t cell_count = items / 2 + 8;
   std::vector<std::uint64_t> sids_a(items), sids_b(items);
@@ -320,29 +326,25 @@ ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
 namespace simd = util::simd;
 
 struct KernelResult {
-  std::string kernel;   ///< e.g. "cells_sub"
-  std::string variant;  ///< "portable" or the dispatched ISA name
+  std::string kernel;   ///< e.g. "sha256_compress"
+  std::string variant;  ///< the ISA name: "portable" or "sha-ni"
   double ms = 0;
   double bytes_per_sec = 0;
   double speedup = 1.0;  ///< this variant's throughput over portable
 };
 
 /// Times one kernel once per variant over the same inputs and cross-checks
-/// the outputs; appends a KernelResult per variant (portable first). The
-/// best variant is labelled `best_label`, or by its ISA when null.
+/// the outputs; appends a KernelResult per variant (portable first).
 template <typename Fn>
 void bench_kernel(std::vector<KernelResult>& out, const char* name,
-                  double bytes_per_pass, int reps, Fn&& run_variant,
-                  const char* best_label = nullptr) {
+                  double bytes_per_pass, int reps, Fn&& run_variant) {
   const simd::Isa best = simd::detected_isa();
   double portable_ms = 0;
   for (const simd::Isa isa : {simd::Isa::kPortable, best}) {
     std::uint64_t sink = 0;
     KernelResult r;
     r.kernel = name;
-    r.variant = isa == simd::Isa::kPortable ? "portable"
-                : best_label != nullptr     ? best_label
-                                            : simd::isa_name(isa);
+    r.variant = simd::isa_name(isa);
     r.ms = best_ms(reps, &sink, [&] { return run_variant(simd::kernels_for(isa)); });
     r.bytes_per_sec = bytes_per_pass / (r.ms / 1e3);
     if (isa == simd::Isa::kPortable) portable_ms = r.ms;
@@ -353,88 +355,29 @@ void bench_kernel(std::vector<KernelResult>& out, const char* name,
   }
 }
 
-/// The SHA-256 body the best ISA's table carries: the x86 table has the
-/// SHA-NI compress only on CPUs with the SHA extensions.
-const char* sha256_body_name() {
-  return simd::kernels_for(simd::detected_isa()).sha256_compress ==
-                 simd::kernels_for(simd::Isa::kPortable).sha256_compress
-             ? "portable"
-             : "sha-ni";
-}
-
 std::vector<KernelResult> run_kernel_benches(int reps) {
   std::vector<KernelResult> out;
   util::Rng rng(0x51d4be7c);
 
-  // IBLT cell fold: an 8k-cell table (128 KiB per operand — the cache-
-  // resident regime real difference tables live in), folded 256 times per
-  // pass so the measurement is compute-bound like Iblt::subtract's loop.
-  {
-    const std::size_t n_cells = 1 << 13;
-    const int passes = 256;
-    std::vector<std::uint8_t> dst(n_cells * 16), src(n_cells * 16);
-    rng.fill(dst);
-    rng.fill(src);
-    const double bytes = static_cast<double>(n_cells) * 16 * 2 * passes;
-    std::vector<std::uint8_t> sub_portable;
-    bench_kernel(out, "cells_sub", bytes, reps, [&](const simd::Kernels& k) {
-      std::vector<std::uint8_t> d(dst);
-      for (int p = 0; p < passes; ++p) k.cells_sub(d.data(), src.data(), n_cells);
-      if (sub_portable.empty()) sub_portable = d;
-      check(d == sub_portable, "cells_sub output diverged");
-      return static_cast<std::uint64_t>(d[0]);
-    });
-  }
-
-  // Raw byte kernels: 64 KiB buffers (L1/L2-resident, the coded-symbol
-  // regime), many passes per measurement.
-  {
-    const std::size_t n = 64u << 10;
-    const int passes = 1024;
-    std::vector<std::uint8_t> a(n), b(n);
-    rng.fill(a);
-    rng.fill(b);
-    std::vector<std::uint8_t> xor_portable;
-    bench_kernel(out, "xor_bytes", static_cast<double>(n) * 2 * passes, reps,
-                 [&](const simd::Kernels& k) {
-                   std::vector<std::uint8_t> d(a);
-                   for (int p = 0; p < passes; ++p) k.xor_bytes(d.data(), b.data(), n);
-                   if (xor_portable.empty()) xor_portable = d;
-                   check(d == xor_portable, "xor_bytes output diverged");
-                   return static_cast<std::uint64_t>(d[0]);
-                 });
-    const std::vector<std::uint8_t> zeros(n, 0);
-    bench_kernel(out, "all_zero", static_cast<double>(n) * passes, reps,
-                 [&](const simd::Kernels& k) {
-                   std::uint64_t z = 0;
-                   for (int p = 0; p < passes; ++p) z += k.all_zero(zeros.data(), n) ? 1 : 0;
-                   check(z == static_cast<std::uint64_t>(passes),
-                         "all_zero rejected a zero buffer");
-                   return z;
-                 });
-  }
-
   // SHA-256 compress: 1 MiB (16,384 blocks) per call, the state chained
   // across passes, so every block goes through the multi-block body.
-  {
-    const std::size_t n = 1u << 20;
-    const int passes = 4;
-    std::vector<std::uint8_t> msg(n);
-    rng.fill(msg);
-    std::optional<std::array<std::uint32_t, 8>> sha_portable;
-    bench_kernel(
-        out, "sha256_compress", static_cast<double>(n) * passes, reps,
-        [&](const simd::Kernels& k) {
-          std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
-                                                0xa54ff53a, 0x510e527f, 0x9b05688c,
-                                                0x1f83d9ab, 0x5be0cd19};
-          for (int p = 0; p < passes; ++p) k.sha256_compress(state.data(), msg.data(), n / 64);
-          if (!sha_portable) sha_portable = state;
-          check(state == *sha_portable, "sha256_compress output diverged");
-          return static_cast<std::uint64_t>(state[0]);
-        },
-        sha256_body_name());
-  }
+  const std::size_t n = 1u << 20;
+  const int passes = 4;
+  std::vector<std::uint8_t> msg(n);
+  rng.fill(msg);
+  std::optional<std::array<std::uint32_t, 8>> sha_portable;
+  bench_kernel(out, "sha256_compress", static_cast<double>(n) * passes, reps,
+               [&](const simd::Kernels& k) {
+                 std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                                       0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                                       0x1f83d9ab, 0x5be0cd19};
+                 for (int p = 0; p < passes; ++p) {
+                   k.sha256_compress(state.data(), msg.data(), n / 64);
+                 }
+                 if (!sha_portable) sha_portable = state;
+                 check(state == *sha_portable, "sha256_compress output diverged");
+                 return static_cast<std::uint64_t>(state[0]);
+               });
   return out;
 }
 
@@ -452,7 +395,7 @@ struct MerkleResult {
 MerkleResult run_merkle_bench(int reps) {
   MerkleResult res;
   res.leaves = 2000;
-  res.variant = sha256_body_name();
+  res.variant = simd::isa_name(simd::detected_isa());
   const std::vector<chain::TxId> ids = random_ids(res.leaves, 0x3e1c1e);
   const int roots_per_rep = 16;
   chain::TxId roots[2] = {};
@@ -472,6 +415,70 @@ MerkleResult run_merkle_bench(int reps) {
   res.active_ms = ms[1];
   res.speedup = res.portable_ms / res.active_ms;
   return res;
+}
+
+// --- The IBLT at the size a relay builds ------------------------------------
+
+struct ServedIbltResult {
+  std::uint64_t cells = 0;
+  double build_us = 0;     ///< a fresh table plus insert_all of every key
+  double subtract_us = 0;  ///< mine.subtract(peer's)
+  double decode_us = 0;    ///< peeling the difference
+};
+
+constexpr std::size_t kServedKeys = 2000;
+constexpr std::size_t kServedDifference = 30;
+
+/// relay_block's I and J hold a block's 2,000 short IDs in about 80 cells
+/// (perfbench's iblt.cells); 240 cells gives the same keys three times the
+/// room. The peer's table lacks the last 30 keys, so the difference decodes
+/// to 30 positives. Per-operation times, so a future fast path has a
+/// caller-size number to beat.
+std::vector<ServedIbltResult> run_served_iblt_bench(int reps) {
+  const std::uint64_t salt = 0x5e7ed1b1;
+  std::vector<std::uint64_t> keys(kServedKeys);
+  util::Rng rng(salt);
+  for (std::uint64_t& key : keys) key = rng.next();
+  const std::span<const std::uint64_t> peer_keys =
+      std::span(keys).first(kServedKeys - kServedDifference);
+  const std::span<const std::uint64_t> missing_keys = std::span(keys).last(kServedDifference);
+  std::vector<std::uint64_t> missing(missing_keys.begin(), missing_keys.end());
+  std::sort(missing.begin(), missing.end());
+  const int ops_per_rep = 1024;
+  const auto per_op_us = [&](double ms) { return ms * 1e3 / ops_per_rep; };
+
+  std::vector<ServedIbltResult> out;
+  for (const std::uint64_t cells : {std::uint64_t{80}, std::uint64_t{240}}) {
+    const iblt::IbltParams params{4, cells};
+    ServedIbltResult r;
+    r.cells = cells;
+    iblt::Iblt mine(params, salt);
+    std::uint64_t sink = 0;
+    r.build_us = per_op_us(best_ms(reps, &sink, [&] {
+      for (int i = 0; i < ops_per_rep; ++i) {
+        mine = iblt::Iblt(params, salt);
+        mine.insert_all(keys);
+      }
+      return mine.cells_for_test()[0].key_sum;
+    }));
+    iblt::Iblt peer(params, salt);
+    peer.insert_all(peer_keys);
+    iblt::Iblt diff;
+    r.subtract_us = per_op_us(best_ms(reps, &sink, [&] {
+      for (int i = 0; i < ops_per_rep; ++i) diff = mine.subtract(peer);
+      return diff.cells_for_test()[0].key_sum;
+    }));
+    iblt::DecodeResult dec;
+    r.decode_us = per_op_us(best_ms(reps, &sink, [&] {
+      for (int i = 0; i < ops_per_rep; ++i) dec = diff.decode();
+      return dec.peel_iterations;
+    }));
+    std::sort(dec.positives.begin(), dec.positives.end());
+    check(dec.success && dec.negatives.empty() && dec.positives == missing,
+          "served-size IBLT difference failed to decode");
+    out.push_back(r);
+  }
+  return out;
 }
 
 // --- Copy vs zero-copy wire serialization ----------------------------------
@@ -563,6 +570,13 @@ int main() {
   std::printf("  merkle_root %zu ids  portable %9.3f ms | %-8s %9.3f ms  (%.2fx)\n",
               merkle.leaves, merkle.portable_ms, merkle.variant.c_str(), merkle.active_ms,
               merkle.speedup);
+  const std::vector<ServedIbltResult> served = run_served_iblt_bench(reps);
+  for (const ServedIbltResult& r : served) {
+    std::printf("  iblt %zu keys -> %3llu cells  build %7.2f us | subtract %6.3f us | "
+                "decode %6.2f us (%zu-key difference)\n",
+                kServedKeys, static_cast<unsigned long long>(r.cells), r.build_us,
+                r.subtract_us, r.decode_us, kServedDifference);
+  }
   const WireResult wire = run_wire_bench(reps);
   std::printf("  wire frame %zu B   copy %9.3f ms | zero-copy %9.3f ms  (%.2fx)\n",
               wire.frame_bytes, wire.copy_ms, wire.zero_copy_ms, wire.speedup);
@@ -626,6 +640,25 @@ int main() {
   w.key("speedup");
   w.number(merkle.speedup);
   w.end_object();
+  w.key("served_iblt");
+  w.begin_array();
+  for (const ServedIbltResult& r : served) {
+    w.begin_object();
+    w.key("keys");
+    w.number(static_cast<std::uint64_t>(kServedKeys));
+    w.key("cells");
+    w.number(r.cells);
+    w.key("difference");
+    w.number(static_cast<std::uint64_t>(kServedDifference));
+    w.key("build_us");
+    w.number(r.build_us);
+    w.key("subtract_us");
+    w.number(r.subtract_us);
+    w.key("decode_us");
+    w.number(r.decode_us);
+    w.end_object();
+  }
+  w.end_array();
   w.key("wire");
   w.begin_object();
   w.key("frame_bytes");

@@ -4,27 +4,15 @@
 #include <cstddef>
 #include <stdexcept>
 
-#include "util/simd/simd.hpp"
 #include "util/varint.hpp"
 #include "util/wire_limits.hpp"
 
 namespace graphene::iblt {
 
 namespace {
-// The SIMD cells_sub kernel operates on the raw 16-byte cell layout; pin
-// the field offsets it assumes.
-static_assert(sizeof(Iblt::Cell) == 16);
-static_assert(offsetof(Iblt::Cell, key_sum) == 0);
-static_assert(offsetof(Iblt::Cell, count) == 8);
-static_assert(offsetof(Iblt::Cell, check_sum) == 12);
-
 constexpr std::uint32_t kMinHashCount = 2;
 constexpr std::uint32_t kMaxHashCount = 16;
 constexpr std::uint64_t kCheckSalt = 0xc0ffee3141592653ULL;
-/// Lookahead tile of insert_all: positions and checksums for a tile are
-/// derived (and the target cells prefetched) before any cell is touched, so
-/// the latency of up to kTile*k cache-line fills overlaps.
-constexpr std::size_t kTile = 16;
 
 // Cell counts come off the wire attacker-controlled (a hostile table can
 // carry INT32_MIN), so count arithmetic must wrap two's-complement instead
@@ -39,12 +27,8 @@ std::int32_t wrap_sub(std::int32_t a, std::int32_t b) noexcept {
                                    static_cast<std::uint32_t>(b));
 }
 
-inline void prefetch_write(const void* p) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, 1, 1);
-#else
-  (void)p;
-#endif
+bool is_zero(const Iblt::Cell& c) noexcept {
+  return c.key_sum == 0 && c.count == 0 && c.check_sum == 0;
 }
 
 /// Open-addressed set of peeled keys, replacing the unordered_map the §6.1
@@ -149,94 +133,6 @@ void Iblt::update(std::uint64_t key, std::int32_t delta) {
   }
 }
 
-template <std::uint32_t K>
-void Iblt::insert_all_fixed(std::span<const std::uint64_t> keys) {
-  // Software pipeline through a ring of kDepth in-flight keys: positions and
-  // checksum for key j+kDepth are derived — and their cells prefetched —
-  // kDepth iterations before they are applied, so each of the (up to K)
-  // cache-line fills has several full hash chains of work to hide behind.
-  // A 1-deep pipeline only covers ~one mix64/fastmod chain, far short of a
-  // DRAM fill when the table outgrows the last-level cache. K is a
-  // compile-time constant, so every inner loop fully unrolls.
-  constexpr std::size_t kDepth = 8;  // power of 2: slot index is j & mask
-  const std::size_t count = keys.size();
-  Cell* cells = cells_.data();
-  const std::uint64_t stride = stride_;
-  const util::FastMod64 div = stride_div_;
-  std::uint64_t mix[K];
-  for (std::uint32_t i = 0; i < K; ++i) mix[i] = seed_mix_[i];
-  std::uint64_t ring[kDepth][K];
-  std::uint32_t checks[kDepth];
-  const auto derive = [&](std::uint64_t key, std::size_t slot) {
-    std::uint64_t* p = ring[slot];
-    std::uint64_t base = 0;
-    for (std::uint32_t i = 0; i < K; ++i, base += stride) {
-      p[i] = base + div.mod(util::mix64(key ^ mix[i]));
-      prefetch_write(&cells[p[i]]);
-    }
-    checks[slot] = check_hash(key);
-  };
-  const std::size_t lead = count < kDepth ? count : kDepth;
-  for (std::size_t j = 0; j < lead; ++j) derive(keys[j], j);
-  for (std::size_t j = 0; j < count; ++j) {
-    const std::size_t slot = j & (kDepth - 1);
-    // Snapshot the slot before refilling it with key j+kDepth.
-    std::uint64_t q[K];
-    for (std::uint32_t i = 0; i < K; ++i) q[i] = ring[slot][i];
-    const std::uint32_t check = checks[slot];
-    const std::uint64_t key = keys[j];
-    if (j + kDepth < count) derive(keys[j + kDepth], slot);
-    for (std::uint32_t i = 0; i < K; ++i) {
-      Cell& cell = cells[q[i]];
-      cell.count = wrap_add(cell.count, 1);
-      cell.key_sum ^= key;
-      cell.check_sum ^= check;
-    }
-  }
-}
-
-void Iblt::insert_all(std::span<const std::uint64_t> keys) {
-  const std::size_t count = keys.size();
-  if (count == 0) return;
-  // Dispatch the common table arities to unrolled pipelines; positions and
-  // cell arithmetic are identical to insert() for every k.
-  switch (k_) {
-    case 2: insert_all_fixed<2>(keys); return;
-    case 3: insert_all_fixed<3>(keys); return;
-    case 4: insert_all_fixed<4>(keys); return;
-    case 5: insert_all_fixed<5>(keys); return;
-    case 6: insert_all_fixed<6>(keys); return;
-    default: break;
-  }
-  std::uint64_t pos[kTile][kMaxHashCount];
-  std::uint32_t check[kTile];
-  std::size_t done = 0;
-  while (done < count) {
-    const std::size_t tile = std::min(kTile, count - done);
-    // Pass 1: derive every position in the tile and prefetch its cell, so
-    // the cache misses of pass 2 resolve while later hashes are computed.
-    for (std::size_t t = 0; t < tile; ++t) {
-      positions(keys[done + t], pos[t]);
-      check[t] = check_hash(keys[done + t]);
-      for (std::uint32_t i = 0; i < k_; ++i) {
-        prefetch_write(&cells_[pos[t][i]]);
-      }
-    }
-    // Pass 2: apply the updates; identical cell arithmetic and order to a
-    // plain insert() loop (count-add and XOR per target cell).
-    for (std::size_t t = 0; t < tile; ++t) {
-      const std::uint64_t key = keys[done + t];
-      for (std::uint32_t i = 0; i < k_; ++i) {
-        Cell& cell = cells_[pos[t][i]];
-        cell.count = wrap_add(cell.count, 1);
-        cell.key_sum ^= key;
-        cell.check_sum ^= check[t];
-      }
-    }
-    done += tile;
-  }
-}
-
 void Iblt::cancel(std::uint64_t key, int sign) {
   update(key, sign > 0 ? -1 : +1);
   // cancel(+1) removes an item that this difference-IBLT counted positively,
@@ -248,14 +144,17 @@ Iblt Iblt::subtract(const Iblt& other) const {
     throw std::invalid_argument("Iblt::subtract: incompatible parameters");
   }
   Iblt out = *this;
-  util::simd::active().cells_sub(out.cells_.data(), other.cells_.data(), cells_.size());
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    Cell& cell = out.cells_[i];
+    const Cell& sub = other.cells_[i];
+    cell.key_sum ^= sub.key_sum;
+    cell.count = wrap_sub(cell.count, sub.count);
+    cell.check_sum ^= sub.check_sum;
+  }
   return out;
 }
 
-bool Iblt::empty() const noexcept {
-  const util::ByteView raw = util::object_bytes(cells_.data(), cells_.size());
-  return util::simd::active().all_zero(raw.data(), raw.size());
-}
+bool Iblt::empty() const noexcept { return std::all_of(cells_.begin(), cells_.end(), is_zero); }
 
 DecodeResult Iblt::decode() const {
   DecodeResult result;
@@ -310,7 +209,7 @@ DecodeResult Iblt::decode() const {
   }
 
   for (const Cell& c : cells) {
-    if (c.count != 0 || c.key_sum != 0 || c.check_sum != 0) ++result.residual_cells;
+    if (!is_zero(c)) ++result.residual_cells;
   }
   result.success = result.residual_cells == 0;
   return result;

@@ -59,10 +59,10 @@ class Iblt {
   void insert(std::uint64_t key) { update(key, +1); }
   void erase(std::uint64_t key) { update(key, -1); }
 
-  /// Inserts all keys; identical cell state to inserting each in order,
-  /// but pipelines position derivation with software prefetching of the
-  /// target cells — the batch primitive behind I′/J′ construction.
-  void insert_all(std::span<const std::uint64_t> keys);
+  /// Inserts all keys in order (I, J and their receiver-side twins).
+  void insert_all(std::span<const std::uint64_t> keys) {
+    for (const std::uint64_t key : keys) insert(key);
+  }
 
   /// Cell-wise subtraction (this − other). Both tables must share cell
   /// count, k, and seed; throws std::invalid_argument otherwise.
@@ -110,9 +110,6 @@ class Iblt {
 
  private:
   void update(std::uint64_t key, std::int32_t delta);
-  /// Unrolled, software-pipelined insert_all body for a compile-time k.
-  template <std::uint32_t K>
-  void insert_all_fixed(std::span<const std::uint64_t> keys);
   void positions(std::uint64_t key, std::uint64_t* out) const noexcept;
   [[nodiscard]] std::uint32_t check_hash(std::uint64_t key) const noexcept;
   /// Rebuilds the derived index state (per-hash seed mixes, invariant

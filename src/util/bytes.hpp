@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 namespace graphene::util {
@@ -26,15 +25,6 @@ using ByteView = std::span<const std::uint8_t>;
 /// `reinterpret_cast` is banned by tools/lint.py.
 inline ByteView str_bytes(std::string_view s) noexcept {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
-}
-
-/// Views the in-memory bytes of a trivially-copyable object array (host
-/// representation — only for same-process use such as SIMD kernels and
-/// scratch comparisons, never directly for wire bytes).
-template <typename T>
-inline ByteView object_bytes(const T* data, std::size_t count) noexcept {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return {reinterpret_cast<const std::uint8_t*>(data), count * sizeof(T)};
 }
 
 /// Thrown when a reader runs off the end of a buffer or a decoder meets a

@@ -11,54 +11,32 @@
 namespace graphene::util::simd {
 namespace {
 
-bool cpu_has_avx2() noexcept {
+bool cpu_has_sha_ni() noexcept {
 #if defined(GRAPHENE_SIMD_X86)
-  return __builtin_cpu_supports("avx2") != 0;
+  return __builtin_cpu_supports("sha") != 0 && __builtin_cpu_supports("sse4.1") != 0;
 #else
   return false;
 #endif
 }
 
-#if defined(GRAPHENE_SIMD_X86)
-/// The x86 table: the AVX2 bodies, with the SHA-NI compress in place of the
-/// portable one when the CPU has the SHA extensions.
-const Kernels& x86_kernels() noexcept {
-  static const Kernels table = [] {
-    Kernels k = detail::avx2_kernels();
-    if (__builtin_cpu_supports("sha") != 0 && __builtin_cpu_supports("sse4.1") != 0) {
-      k.sha256_compress = &detail::sha256_compress_sha_ni;
-    }
-    return k;
-  }();
-  return table;
-}
-#endif
-
 const Kernels* table_for(Isa isa) noexcept {
   switch (isa) {
 #if defined(GRAPHENE_SIMD_X86)
-    case Isa::kAvx2:
-      return &x86_kernels();
+    case Isa::kShaNi:
+      return &detail::sha_ni_kernels();
 #endif
     default:
       return &detail::portable_kernels();
   }
 }
 
-Isa pick_auto() noexcept { return cpu_has_avx2() ? Isa::kAvx2 : Isa::kPortable; }
+Isa pick_auto() noexcept { return cpu_has_sha_ni() ? Isa::kShaNi : Isa::kPortable; }
 
-/// GRAPHENE_SIMD: off|portable -> portable; avx2 -> AVX2 when available,
-/// else portable; auto/unset/unknown -> best available.
+/// GRAPHENE_SIMD: off|portable -> portable; unset or anything else -> auto.
 Isa pick_startup_isa() noexcept {
   const char* env = std::getenv("GRAPHENE_SIMD");
-  if (env != nullptr) {
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "portable") == 0 ||
-        std::strcmp(env, "scalar") == 0) {
-      return Isa::kPortable;
-    }
-    if (std::strcmp(env, "avx2") == 0) {
-      return cpu_has_avx2() ? Isa::kAvx2 : Isa::kPortable;
-    }
+  if (env != nullptr && (std::strcmp(env, "off") == 0 || std::strcmp(env, "portable") == 0)) {
+    return Isa::kPortable;
   }
   return pick_auto();
 }
@@ -103,8 +81,8 @@ bool isa_available(Isa isa) noexcept {
   switch (isa) {
     case Isa::kPortable:
       return true;
-    case Isa::kAvx2:
-      return cpu_has_avx2();
+    case Isa::kShaNi:
+      return cpu_has_sha_ni();
   }
   return false;
 }
@@ -117,8 +95,8 @@ const char* isa_name(Isa isa) noexcept {
   switch (isa) {
     case Isa::kPortable:
       return "portable";
-    case Isa::kAvx2:
-      return "avx2";
+    case Isa::kShaNi:
+      return "sha-ni";
   }
   return "unknown";
 }

@@ -24,16 +24,10 @@ inline constexpr std::uint32_t kSha256RoundConstants[64] = {
 
 [[nodiscard]] const Kernels& portable_kernels() noexcept;
 
-/// The portable SHA-256 body, which the x86 table keeps on CPUs without SHA.
-void sha256_compress_portable(std::uint32_t state[8], const std::uint8_t* blocks,
-                              std::size_t n_blocks);
-
 #if defined(GRAPHENE_SIMD_X86)
-[[nodiscard]] const Kernels& avx2_kernels() noexcept;
-
-/// Callable only after dispatch.cpp's SHA and SSE4.1 probe (sha_ni.cpp).
-void sha256_compress_sha_ni(std::uint32_t state[8], const std::uint8_t* blocks,
-                            std::size_t n_blocks);
+/// The x86 table, whose one slot is the SHA-NI compress (sha_ni.cpp).
+/// Callable only after dispatch.cpp's SHA and SSE4.1 probe.
+[[nodiscard]] const Kernels& sha_ni_kernels() noexcept;
 #endif
 
 }  // namespace graphene::util::simd::detail

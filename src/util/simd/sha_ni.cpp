@@ -34,8 +34,6 @@ inline __m128i next_quad(__m128i w16, __m128i w12, __m128i w8, __m128i w4) {
   return _mm_sha256msg2_epu32(partial, w4);
 }
 
-}  // namespace
-
 void sha256_compress_sha_ni(std::uint32_t state[8], const std::uint8_t* blocks,
                             std::size_t n_blocks) {
   // Message words are big-endian: reverse the bytes of each 32-bit lane.
@@ -80,6 +78,15 @@ void sha256_compress_sha_ni(std::uint32_t state[8], const std::uint8_t* blocks,
                    _mm_shuffle_epi32(_mm_unpackhi_epi64(cdgh, abef), 0x1b));
   _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
                    _mm_shuffle_epi32(_mm_unpacklo_epi64(cdgh, abef), 0x1b));
+}
+
+}  // namespace
+
+const Kernels& sha_ni_kernels() noexcept {
+  static constexpr Kernels kTable{
+      &sha256_compress_sha_ni,
+  };
+  return kTable;
 }
 
 }  // namespace graphene::util::simd::detail

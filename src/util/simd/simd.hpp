@@ -5,16 +5,17 @@
 // pins this with min_rate=1.0 StatGates), so callers can route through
 // active() unconditionally. Dispatch is resolved once, on first use, from
 // CPU capability detection plus the GRAPHENE_SIMD environment override
-// (off|portable|avx2|auto; unknown values fall back to auto, and a
-// requested ISA the CPU lacks falls back to portable).
+// (off|portable pins the portable table; unset or any other value means
+// auto).
 //
-// A slot exists only while some ISA variant beats the portable body on the
-// bench (docs/PERFORMANCE.md); a kernel that does not is deleted.
+// A slot exists only while some ISA variant beats the portable body on a
+// bench at the sizes its callers pass (docs/PERFORMANCE.md); a kernel that
+// does not is deleted.
 //
-// Isa::kAvx2 names the x86 table. Its sha256_compress is the SHA-NI body
-// when the CPU also reports the SHA extensions and the portable body when
-// it does not (Haswell through Comet Lake have AVX2 without SHA). A CPU
-// with SHA but no AVX2 runs the portable table.
+// One slot remains, SHA-256 compression. Isa::kShaNi names the x86 table,
+// which differs from the portable one only in its SHA-NI sha256_compress;
+// auto-dispatch picks it exactly when the CPU reports the SHA extensions
+// and SSE4.1.
 //
 // Intrinsics and ISA headers such as <immintrin.h> are confined to this
 // directory (tools/lint.py enforces the boundary); ISA-specific code lives
@@ -29,24 +30,12 @@ namespace graphene::util::simd {
 
 enum class Isa : std::uint8_t {
   kPortable = 0,
-  kAvx2 = 1,
+  kShaNi = 1,
 };
 
 /// Function-pointer table for every vectorizable kernel. All pointers are
 /// always non-null.
 struct Kernels {
-  /// IBLT cell subtract: for n 16-byte cells laid out as
-  ///   { u64 key_sum; i32 count; u32 check_sum }  (host representation)
-  /// fold src out of dst: key_sum ^= , count -= (wrapping), check_sum ^= .
-  /// dst and src must not partially overlap.
-  void (*cells_sub)(void* dst, const void* src, std::size_t n_cells);
-
-  /// dst[i] ^= src[i] for i in [0, n). Used by CodedSymbol::apply digest
-  /// folds. Buffers must not partially overlap.
-  void (*xor_bytes)(std::uint8_t* dst, const std::uint8_t* src, std::size_t n);
-  /// True iff every byte in [p, p+n) is zero.
-  bool (*all_zero)(const std::uint8_t* p, std::size_t n);
-
   /// SHA-256 compression (FIPS 180-4 §6.2.2): folds n_blocks consecutive
   /// 64-byte message blocks, in order, into the eight-word hash state.
   /// `blocks` need not be aligned; n_blocks = 0 leaves the state unchanged.

@@ -87,6 +87,23 @@ TEST(CodedSymbol, ApplyIsSelfInverse) {
   EXPECT_TRUE(cell.is_zero());
 }
 
+// is_zero folds the digest as 64-bit words: a non-zero value anywhere, the
+// last sum word included, must count.
+TEST(CodedSymbol, IsZeroSeesEveryField) {
+  EXPECT_TRUE(CodedSymbol{}.is_zero());
+  for (std::size_t i = 0; i < Digest32{}.size(); ++i) {
+    CodedSymbol cell;
+    cell.sum[i] = 0x80;
+    EXPECT_FALSE(cell.is_zero()) << "sum byte " << i;
+  }
+  CodedSymbol checked;
+  checked.check = 1;
+  EXPECT_FALSE(checked.is_zero());
+  CodedSymbol counted;
+  counted.count = -1;
+  EXPECT_FALSE(counted.is_zero());
+}
+
 TEST(RatelessEncoder, StreamIsDeterministicAndChecksumIsXor) {
   util::Rng rng(3);
   const auto items = random_digests(100, rng);

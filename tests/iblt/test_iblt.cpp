@@ -37,6 +37,21 @@ TEST(Iblt, InsertThenEraseIsEmpty) {
   EXPECT_TRUE(t.empty());
 }
 
+TEST(Iblt, EmptySeesEveryFieldOfEveryCell) {
+  const Iblt blank(IbltParams{4, 40});
+  ASSERT_TRUE(blank.empty());
+  for (const std::uint64_t cell : {std::uint64_t{0}, blank.cell_count() - 1}) {
+    for (int field = 0; field < 3; ++field) {
+      Iblt t = blank;
+      Iblt::Cell& c = t.cells_for_test().at(cell);
+      if (field == 0) c.key_sum = 1ULL << 63;
+      if (field == 1) c.count = 1;
+      if (field == 2) c.check_sum = 1U << 31;
+      EXPECT_FALSE(t.empty()) << "cell " << cell << " field " << field;
+    }
+  }
+}
+
 TEST(Iblt, DecodeRecoverasInsertedKeys) {
   Iblt t(IbltParams{4, 60});
   const auto keys = random_keys(12, 2);
@@ -269,9 +284,8 @@ TEST(Iblt, GoldenWireBytesAndDecodePinned) {
 }
 
 TEST(Iblt, InsertBatchMatchesSequentialInsert) {
-  // insert_all runs an unrolled pipeline for k in [2, 6] and a tiled loop
-  // beyond; every arity must build exactly the cells of one-at-a-time
-  // inserts.
+  // insert_all is the batch entry the engine and perfbench call; for every
+  // arity it must build exactly the cells of one-at-a-time inserts.
   const auto keys = random_keys(3000, 0xba7c4);
   for (std::uint32_t k = 2; k <= 8; ++k) {
     Iblt one(IbltParams{k, 900}, 7);

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "bloom/bloom_filter.hpp"
 #include "bloom/cuckoo_filter.hpp"
@@ -173,8 +174,23 @@ TEST(WireRegression, IbltSubtractSurvivesInt32MinCellCount) {
   t.insert(0x1234567890abcdefULL);
   util::ByteReader r{util::ByteView(patched)};
   const iblt::Iblt hostile = iblt::Iblt::deserialize(r);
-  (void)hostile.subtract(t).decode();  // INT32_MIN - 1: UB before the fix
-  (void)t.subtract(hostile).decode();  // 1 - INT32_MIN: likewise
+  // The patched cell's count must wrap two's-complement; every other cell
+  // cancels (or was empty) and holds count 0.
+  const auto counts_of = [](iblt::Iblt diff) {
+    std::vector<std::int32_t> counts;
+    for (const iblt::Iblt::Cell& c : diff.cells_for_test()) {
+      if (c.count != 0) counts.push_back(c.count);
+    }
+    return counts;
+  };
+  const iblt::Iblt hostile_minus_t = hostile.subtract(t);
+  const iblt::Iblt t_minus_hostile = t.subtract(hostile);
+  EXPECT_EQ(counts_of(hostile_minus_t),  // INT32_MIN - 1: UB before the fix
+            std::vector<std::int32_t>{std::numeric_limits<std::int32_t>::max()});
+  EXPECT_EQ(counts_of(t_minus_hostile),  // 1 - INT32_MIN: likewise
+            std::vector<std::int32_t>{std::numeric_limits<std::int32_t>::min() + 1});
+  (void)hostile_minus_t.decode();
+  (void)t_minus_hostile.decode();
 }
 
 // ---------------------------------------------------------------------------
