@@ -1,13 +1,12 @@
 // Data-plane hot-path timing: the receiver's mempool filter pass and the
 // IBLT build/subtract/decode pipeline, at mempool scales m ∈ {10k, 100k, 1M}.
 //
-// Four Bloom variants per scale:
-//   seed scalar  — a faithful replica of the pre-batch implementation
-//                  (per-item probe_positions with hardware `%`, one query at
-//                  a time), embedded here so the baseline can't drift;
+// Three Bloom variants per scale:
+//   seed scalar  — a faithful replica of the seed implementation (per-item
+//                  probe_positions with hardware `%`, one query at a time),
+//                  embedded here so the baseline can't drift;
 //   lib scalar   — today's BloomFilter::contains in a loop;
-//   batch        — contains_batch (tiled, prefetched, split-digest layout);
-//   blocked      — contains_batch over the cache-line-blocked layout.
+//   batch        — bloom::contains_all, the scan the receiver runs.
 // And two IBLT builds: seed-replica scalar insert (per-probe seed mix and
 // hardware `%`) and the library's insert_all, plus subtract and decode of a
 // realistic difference.
@@ -25,7 +24,7 @@
 //                 serialize_into + end_frame) framing of a realistic
 //                 GrapheneBlockMsg, with a byte-identity cross-check.
 //
-// Every variant's results are cross-checked (hit counts per strategy, cell
+// Every variant's results are cross-checked (hit counts per variant, cell
 // bytes across build paths, kernel outputs portable-vs-SIMD, decoded
 // differences) and the process exits nonzero on any divergence, so CI smoke
 // runs double as a parity gate.
@@ -40,7 +39,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bloom/bloom_filter.hpp"
@@ -55,7 +53,6 @@
 #include "util/hash.hpp"
 #include "util/random.hpp"
 #include "util/simd/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -192,12 +189,11 @@ void check(bool ok, const char* what) {
 struct ScaleResult {
   std::uint64_t m = 0, n = 0;
   double filter_seed_ms = 0, filter_lib_ms = 0, filter_batch_ms = 0;
-  double filter_blocked_ms = 0, filter_pool_ms = 0;
   double iblt_seed_ms = 0, iblt_batch_ms = 0;
   double subtract_ms = 0, decode_ms = 0;
 };
 
-ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
+ScaleResult run_scale(std::uint64_t m, int reps) {
   ScaleResult res;
   res.m = m;
   res.n = m / 10;
@@ -213,23 +209,15 @@ ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
   // --- Mempool filter pass ------------------------------------------------
   SeedBloom seed_filter(res.n, fpr, salt);
   bloom::BloomFilter lib_filter(res.n, fpr, salt);
-  bloom::BloomFilter blocked(res.n, fpr, salt, bloom::HashStrategy::kBlocked);
-  {
-    std::vector<util::ByteView> block_views;
-    block_views.reserve(block.size());
-    for (const chain::TxId& id : block) {
-      seed_filter.insert(util::ByteView(id));
-      block_views.emplace_back(id);
-    }
-    lib_filter.insert_batch(block_views.data(), block_views.size());
-    blocked.insert_batch(block_views.data(), block_views.size());
+  for (const chain::TxId& id : block) {
+    seed_filter.insert(util::ByteView(id));
+    lib_filter.insert(util::ByteView(id));
   }
   check(seed_filter.n_bits == lib_filter.bit_count() &&
             seed_filter.k == lib_filter.hash_count(),
         "seed replica and library sized differently");
 
-  std::uint64_t hits_seed = 0, hits_lib = 0, hits_batch = 0, hits_pool = 0,
-                hits_blocked = 0;
+  std::uint64_t hits_seed = 0, hits_lib = 0, hits_batch = 0;
   res.filter_seed_ms = best_ms(reps, &hits_seed, [&] {
     std::uint64_t hits = 0;
     for (const chain::TxId& id : mempool) hits += seed_filter.contains(util::ByteView(id)) ? 1 : 0;
@@ -242,26 +230,13 @@ ScaleResult run_scale(std::uint64_t m, util::ThreadPool& pool, int reps) {
   });
   std::vector<std::uint8_t> out(m, 0);
   res.filter_batch_ms = best_ms(reps, &hits_batch, [&] {
-    lib_filter.contains_batch(views.data(), views.size(), out.data());
-    std::uint64_t hits = 0;
-    for (const std::uint8_t b : out) hits += b;
-    return hits;
-  });
-  res.filter_blocked_ms = best_ms(reps, &hits_blocked, [&] {
-    blocked.contains_batch(views.data(), views.size(), out.data());
-    std::uint64_t hits = 0;
-    for (const std::uint8_t b : out) hits += b;
-    return hits;
-  });
-  res.filter_pool_ms = best_ms(reps, &hits_pool, [&] {
-    bloom::contains_all(blocked, views.data(), views.size(), out.data(), &pool);
+    bloom::contains_all(lib_filter, views.data(), views.size(), out.data());
     std::uint64_t hits = 0;
     for (const std::uint8_t b : out) hits += b;
     return hits;
   });
   check(hits_seed == hits_lib, "library scalar diverged from seed replica");
-  check(hits_lib == hits_batch, "contains_batch diverged from scalar");
-  check(hits_blocked == hits_pool, "pooled contains_all diverged from batch");
+  check(hits_lib == hits_batch, "contains_all diverged from scalar");
 
   // --- IBLT build / subtract / decode ------------------------------------
   // Tables are sized to the full mempool, not the block, so at m = 1M the
@@ -499,13 +474,8 @@ WireResult run_wire_bench(int reps) {
   core::GrapheneBlockMsg msg;
   msg.n = n;
   msg.shortid_salt = 0xfeedface;
-  msg.filter_s = bloom::BloomFilter(n, 0.005, 0xb10cf11e, bloom::HashStrategy::kBlocked);
-  {
-    std::vector<util::ByteView> views;
-    views.reserve(ids.size());
-    for (const chain::TxId& id : ids) views.emplace_back(id);
-    msg.filter_s.insert_batch(views.data(), views.size());
-  }
+  msg.filter_s = bloom::BloomFilter(n, 0.005, 0xb10cf11e);
+  for (const chain::TxId& id : ids) msg.filter_s.insert(util::ByteView(id));
   msg.iblt_i = iblt::Iblt(iblt::IbltParams{4, 60}, 0xb10cf11e);
   for (const chain::TxId& id : ids) {
     msg.iblt_i.insert(util::hash64(util::ByteView(id), 0xb10cf11e));
@@ -554,9 +524,6 @@ int main() {
                                           ? std::vector<std::uint64_t>{10'000, 50'000}
                                           : std::vector<std::uint64_t>{10'000, 100'000,
                                                                        1'000'000};
-  const std::size_t workers = std::max(1u, std::thread::hardware_concurrency());
-  util::ThreadPool pool(workers);
-
   std::printf("simd: detected %s, active %s\n",
               simd::isa_name(simd::detected_isa()),
               simd::isa_name(simd::active_isa()));
@@ -586,12 +553,11 @@ int main() {
     std::printf("m = %llu (n = %llu, %d reps, best-of)\n",
                 static_cast<unsigned long long>(m),
                 static_cast<unsigned long long>(m / 10), reps);
-    const ScaleResult r = run_scale(m, pool, reps);
-    std::printf("  filter pass   seed %9.2f ms | scalar %9.2f | batch %9.2f | "
-                "blocked %9.2f | +pool %9.2f  (%.2fx vs seed)\n",
+    const ScaleResult r = run_scale(m, reps);
+    std::printf("  filter pass   seed %9.2f ms | scalar %9.2f | batch %9.2f  "
+                "(%.2fx vs seed)\n",
                 r.filter_seed_ms, r.filter_lib_ms, r.filter_batch_ms,
-                r.filter_blocked_ms, r.filter_pool_ms,
-                r.filter_seed_ms / r.filter_blocked_ms);
+                r.filter_seed_ms / r.filter_batch_ms);
     std::printf("  iblt build    seed %9.2f ms | batch %9.2f  (%.2fx vs seed)\n",
                 r.iblt_seed_ms, r.iblt_batch_ms, r.iblt_seed_ms / r.iblt_batch_ms);
     std::printf("  iblt subtract      %9.2f ms ; decode %9.3f ms\n", r.subtract_ms,
@@ -602,8 +568,6 @@ int main() {
   std::ofstream json("BENCH_hotpath.json");
   obs::json::Writer w;
   w.begin_object();
-  w.key("workers");
-  w.number(static_cast<std::uint64_t>(workers));
   w.key("reps");
   w.number(static_cast<std::uint64_t>(reps));
   w.key("fast");
@@ -684,12 +648,8 @@ int main() {
     w.number(r.filter_lib_ms);
     w.key("filter_batch_ms");
     w.number(r.filter_batch_ms);
-    w.key("filter_blocked_ms");
-    w.number(r.filter_blocked_ms);
-    w.key("filter_pool_ms");
-    w.number(r.filter_pool_ms);
     w.key("filter_speedup_vs_seed");
-    w.number(r.filter_seed_ms / r.filter_blocked_ms);
+    w.number(r.filter_seed_ms / r.filter_batch_ms);
     w.key("iblt_seed_build_ms");
     w.number(r.iblt_seed_ms);
     w.key("iblt_batch_build_ms");

@@ -14,7 +14,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
 
     const std::uint8_t probe[32] = {0xde, 0xad, 0xbe, 0xef};
     (void)filter.contains(graphene::util::ByteView(probe, sizeof(probe)));
-    (void)filter.effective_fpr();
 
     const graphene::util::Bytes wire = filter.serialize();
     graphene::util::ByteReader r2{graphene::util::ByteView(wire)};

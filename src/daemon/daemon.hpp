@@ -44,7 +44,7 @@ namespace graphene::daemon {
 
 struct DaemonOptions {
   DaemonLimits limits;
-  /// Carries obs/pool/param_cache into every session; reconcile_backend is
+  /// Carries obs/param_cache into every session; reconcile_backend is
   /// overridden per hello.
   core::ProtocolConfig protocol;
   /// Connections beyond this are accepted and immediately closed (refused).

@@ -155,6 +155,11 @@ void PeerSession::handle_hello(std::uint64_t now_ns, const net::Message& msg,
          "daemon: unsupported protocol version " + std::to_string(hello.version), out);
     return;
   }
+  if (hello.backend > 1) {
+    fail(CloseReason::kProtocolError, ErrorCode::kUnsupported,
+         "daemon: unsupported backend " + std::to_string(hello.backend), out);
+    return;
+  }
   core::ProtocolConfig cfg = proto_;
   cfg.reconcile_backend = hello.backend == 1 ? core::ReconcileBackend::kRatelessIblt
                                              : core::ReconcileBackend::kGraphene;
@@ -166,7 +171,7 @@ void PeerSession::handle_hello(std::uint64_t now_ns, const net::Message& msg,
     backend_ = reconcile::make_host_backend(*items_, session_salt, cfg);
     reconcile::WireMsg opening = backend_->open(hello.item_count);
     serving_ = true;
-    backend_kind_ = hello.backend == 1 ? BackendKind::kRateless : BackendKind::kGraphene;
+    backend_kind_ = cfg.reconcile_backend;
     session_start_ns_ = now_ns;
     session_messages_ = 0;
     out.push_back(std::move(opening));
@@ -218,9 +223,7 @@ void PeerSession::record_session_end(std::uint64_t now_ns, bool ok,
     ++stats_.sessions_failed;
   }
   if (obs::Registry* reg = obs::enabled(obs_)) {
-    const char* backend = backend_kind_ == BackendKind::kRateless
-                              ? backend_label(core::ReconcileBackend::kRatelessIblt)
-                              : backend_label(core::ReconcileBackend::kGraphene);
+    const char* backend = backend_label(backend_kind_);
     const obs::Labels labels = {{"backend", backend}, {"ok", ok ? "1" : "0"}};
     reg->histogram("daemon_session_ns", labels).observe(now_ns - session_start_ns_);
     reg->counter("daemon_sessions_total", labels).inc();

@@ -95,7 +95,7 @@ struct SessionStats {
 class PeerSession {
  public:
   /// `items` is the daemon's set (borrowed; outlives the session). `salt`
-  /// seeds per-session short-ID keys. `proto` carries obs/pool/param_cache;
+  /// seeds per-session short-ID keys. `proto` carries obs/param_cache;
   /// its reconcile_backend is overridden by each hello.
   PeerSession(const reconcile::ItemSet& items, std::uint64_t salt,
               const DaemonLimits& limits, core::ProtocolConfig proto);
@@ -134,8 +134,6 @@ class PeerSession {
   [[nodiscard]] const SessionStats& stats() const noexcept { return stats_; }
 
  private:
-  enum class BackendKind : std::uint8_t { kGraphene, kRateless };
-
   void handle_message(std::uint64_t now_ns, const net::Message& msg,
                       std::vector<net::Message>& out);
   void handle_hello(std::uint64_t now_ns, const net::Message& msg,
@@ -155,7 +153,7 @@ class PeerSession {
   net::FrameReader reader_;
   std::unique_ptr<reconcile::HostBackend> backend_;
   bool serving_ = false;
-  BackendKind backend_kind_ = BackendKind::kGraphene;
+  core::ReconcileBackend backend_kind_ = core::ReconcileBackend::kGraphene;
   CloseReason reason_ = CloseReason::kOpen;
 
   std::uint64_t last_activity_ns_ = 0;

@@ -24,10 +24,6 @@ HelloMsg HelloMsg::deserialize(util::ByteReader& reader) {
   HelloMsg msg;
   msg.version = reader.u32();
   msg.backend = reader.u8();
-  if (msg.backend > 1) {
-    throw util::DeserializeError("daemon::HelloMsg: unknown backend " +
-                                 std::to_string(msg.backend));
-  }
   msg.item_count =
       util::read_varint_bounded(reader, util::wire::kMaxDaemonItemCount,
                                 "daemon::HelloMsg::item_count");

@@ -30,8 +30,10 @@ namespace graphene::daemon {
 /// rejected with ErrorCode::kUnsupported — no negotiation at version 1.
 inline constexpr std::uint32_t kDaemonProtocolVersion = 1;
 
-/// Session open. `backend` mirrors core::ReconcileBackend's numeric values
-/// but is validated strictly on deserialize (only 0 and 1 exist on the wire).
+/// Session open. `backend` mirrors core::ReconcileBackend's numeric values.
+/// Any byte parses; the session rejects an unknown one with
+/// ErrorCode::kUnsupported after the version check, so a later version can
+/// add backends.
 struct HelloMsg {
   std::uint32_t version = kDaemonProtocolVersion;
   std::uint8_t backend = 0;       ///< 0 = Graphene, 1 = rateless IBLT

@@ -9,29 +9,29 @@
 #include "iblt/param_cache.hpp"
 #include "iblt/pingpong.hpp"
 #include "obs/obs.hpp"
-#include "util/thread_pool.hpp"
 #include "util/wire_limits.hpp"
 
 namespace graphene::core {
 
 namespace {
 
-template <typename Ids>
-std::vector<util::ByteView> views_of(const Ids& ids) {
+/// hit[i] = 1 iff ids[i] passes `filter`.
+std::vector<std::uint8_t> scan(const bloom::BloomFilter& filter, std::span<const Id> ids) {
   std::vector<util::ByteView> views;
   views.reserve(ids.size());
   for (const Id& id : ids) views.emplace_back(id.data(), id.size());
-  return views;
+  std::vector<std::uint8_t> hit(ids.size());
+  bloom::contains_all(filter, views.data(), views.size(), hit.data());
+  return hit;
 }
 
-/// hit[i] = 1 iff ids[i] passes `filter`. Chunk-parallel with a pool; the
-/// hit pattern is that of querying one id at a time.
-std::vector<std::uint8_t> scan(const bloom::BloomFilter& filter, std::span<const Id> ids,
-                               util::ThreadPool* pool) {
-  const std::vector<util::ByteView> views = views_of(ids);
-  std::vector<std::uint8_t> hit(ids.size());
-  bloom::contains_all(filter, views.data(), views.size(), hit.data(), pool);
-  return hit;
+/// A filter over `ids` at `fpr`, sized for at least `min_items`.
+template <typename Ids>
+bloom::BloomFilter filter_of(const Ids& ids, std::uint64_t min_items, double fpr,
+                             std::uint64_t seed) {
+  bloom::BloomFilter f(std::max<std::uint64_t>(ids.size(), min_items), fpr, seed);
+  for (const auto& id : ids) f.insert(util::ByteView(id.data(), id.size()));
+  return f;
 }
 
 iblt::Iblt empty_like(const iblt::Iblt& t) {
@@ -73,29 +73,22 @@ GrapheneHost::Offer GrapheneHost::offer(std::uint64_t receiver_count) const {
     span.attr("iblt_bytes", out.params.iblt_bytes);
   }
 
-  // S and I are independent, so with a pool they build as two concurrent
-  // tasks. Without one, parallel_for runs them in order on the caller, which
-  // keeps the serial span sequence the telemetry tests pin down.
-  util::parallel_for(cfg_.pool, 2, [&](std::uint64_t task) {
-    if (task == 0) {
-      obs::ScopedSpan span(stages_, "sfilter_build");
-      out.filter_s = bloom::BloomFilter(std::max(n, keys_.min_filter_items), out.params.fpr,
-                                        salt_ ^ keys_.s_seed, cfg_.bloom_strategy);
-      const std::vector<util::ByteView> views = views_of(ids_);
-      out.filter_s.insert_batch(views.data(), views.size());
-      span.attr("items", n);
-      span.attr("bits", out.filter_s.bit_count());
-      span.attr("hashes", out.filter_s.hash_count());
-      span.attr("target_fpr", out.filter_s.target_fpr());
-    } else {
-      obs::ScopedSpan span(stages_, "iblt_build");
-      out.iblt_i = iblt::Iblt(out.params.iblt, salt_);
-      out.iblt_i.insert_all(sids_);
-      span.attr("items", sids_.size());
-      span.attr("cells", out.iblt_i.cell_count());
-      span.attr("k", out.iblt_i.hash_count());
-    }
-  });
+  {
+    obs::ScopedSpan span(stages_, "sfilter_build");
+    out.filter_s = filter_of(ids_, keys_.min_filter_items, out.params.fpr, salt_ ^ keys_.s_seed);
+    span.attr("items", n);
+    span.attr("bits", out.filter_s.bit_count());
+    span.attr("hashes", out.filter_s.hash_count());
+    span.attr("target_fpr", out.filter_s.target_fpr());
+  }
+  {
+    obs::ScopedSpan span(stages_, "iblt_build");
+    out.iblt_i = iblt::Iblt(out.params.iblt, salt_);
+    out.iblt_i.insert_all(sids_);
+    span.attr("items", sids_.size());
+    span.attr("cells", out.iblt_i.cell_count());
+    span.attr("k", out.iblt_i.hash_count());
+  }
   return out;
 }
 
@@ -135,7 +128,7 @@ GrapheneHost::Answer GrapheneHost::serve(const RequestSizing& request,
   std::vector<util::ByteView> passed;
   passed.reserve(n);
   {
-    const std::vector<std::uint8_t> hit = scan(filter_r, ids_, cfg_.pool);
+    const std::vector<std::uint8_t> hit = scan(filter_r, ids_);
     for (std::size_t i = 0; i < ids_.size(); ++i) {
       if (hit[i] != 0) {
         passed.emplace_back(ids_[i].data(), ids_[i].size());
@@ -178,9 +171,7 @@ GrapheneHost::Answer GrapheneHost::serve(const RequestSizing& request,
     }
     const double f_f =
         std::min(1.0, static_cast<double>(best_b) / static_cast<double>(denom));
-    out.filter_f.emplace(std::max(z_s, keys_.min_filter_items), f_f, salt_ ^ keys_.f_seed,
-                         cfg_.bloom_strategy);
-    out.filter_f->insert_batch(passed.data(), passed.size());
+    out.filter_f = filter_of(passed, keys_.min_filter_items, f_f, salt_ ^ keys_.f_seed);
     out.j_items = best_b + y_s;
     span.attr("z_s", z_s);
     span.attr("x_s", x_s);
@@ -243,22 +234,22 @@ void GrapheneReceiver::filter(std::uint64_t salt, std::uint64_t n,
   unresolved_.clear();
 
   obs::ScopedSpan span(stages_, "p1_candidates");
-  const std::uint64_t queries_before = filter_s.query_count();
-  const std::uint64_t hits_before = filter_s.hit_count();
-  // Membership runs through the batch scan; indexing stays serial and in
-  // `local` order, so which id of a colliding pair is indexed first does not
-  // depend on the pool.
-  const std::vector<std::uint8_t> hit = scan(filter_s, local, cfg_.pool);
+  // Indexing runs in `local` order, which decides which id of a colliding
+  // short-ID pair is indexed first.
+  const std::vector<std::uint8_t> hit = scan(filter_s, local);
+  std::uint64_t hits = 0;
   for (std::size_t i = 0; i < local.size(); ++i) {
-    if (hit[i] != 0) index(local[i]);
+    if (hit[i] == 0) continue;
+    ++hits;
+    index(local[i]);
   }
   z_ = candidates_.size();
   span.attr("m", local.size());
   span.attr("n", n);
   span.attr("z", z_);
   span.attr("target_fpr", filter_s.target_fpr());
-  span.attr("filter_queries", filter_s.query_count() - queries_before);
-  span.attr("filter_hits", filter_s.hit_count() - hits_before);
+  span.attr("filter_queries", local.size());
+  span.attr("filter_hits", hits);
 }
 
 Peel GrapheneReceiver::peel(const iblt::Iblt& iblt_i) {
@@ -312,10 +303,7 @@ bloom::BloomFilter GrapheneReceiver::request(std::uint64_t m) {
     span.attr("reversed", params2_.reversed ? 1 : 0);
   }
   obs::ScopedSpan span(stages_, "rfilter_build");
-  bloom::BloomFilter filter_r(std::max<std::uint64_t>(z, 1), params2_.fpr,
-                              salt_ ^ keys_.r_seed, cfg_.bloom_strategy);
-  const std::vector<util::ByteView> views = views_of(candidates_);
-  filter_r.insert_batch(views.data(), views.size());
+  bloom::BloomFilter filter_r = filter_of(candidates_, 1, params2_.fpr, salt_ ^ keys_.r_seed);
   span.attr("items", z);
   span.attr("bits", filter_r.bit_count());
   return filter_r;
@@ -328,7 +316,7 @@ Peel GrapheneReceiver::complete(const iblt::Iblt& iblt_j,
   // the missing items join.
   if (params2_.reversed && filter_f.has_value()) {
     const std::vector<Id> cand(candidates_.begin(), candidates_.end());
-    const std::vector<std::uint8_t> hit = scan(*filter_f, cand, cfg_.pool);
+    const std::vector<std::uint8_t> hit = scan(*filter_f, cand);
     for (std::size_t i = 0; i < cand.size(); ++i) {
       if (hit[i] == 0) candidates_.erase(cand[i]);
     }

@@ -102,7 +102,6 @@ ProtocolConfig ForensicCapture::config() const {
   cfg.keyed_short_ids = keyed_short_ids;
   cfg.near_equal_fpr = near_equal_fpr;
   cfg.enable_pingpong = enable_pingpong;
-  cfg.bloom_strategy = static_cast<bloom::HashStrategy>(bloom_strategy);
   return cfg;
 }
 
@@ -131,9 +130,9 @@ std::string ForensicCapture::to_json() const {
   number_to(o, near_equal_fpr);
   o += ",\"enable_pingpong\":";
   o += enable_pingpong ? "true" : "false";
-  o += ",\"bloom_strategy\":";
-  number_to(o, bloom_strategy);
-  o += "},\"mempool_b64\":\"";
+  // The engines build split-digest filters only; the key stays for v1
+  // readers.
+  o += ",\"bloom_strategy\":0},\"mempool_b64\":\"";
   o += util::base64_encode(encode_txns(mempool));
   o += '"';
   if (has_block) {
@@ -188,7 +187,9 @@ ForensicCapture ForensicCapture::from_json(std::string_view text) {
   cap.keyed_short_ids = cfg.at("keyed_short_ids").boolean;
   cap.near_equal_fpr = cfg.at("near_equal_fpr").number;
   cap.enable_pingpong = cfg.at("enable_pingpong").boolean;
-  cap.bloom_strategy = static_cast<std::uint8_t>(cfg.at("bloom_strategy").number);
+  if (cfg.at("bloom_strategy").number != 0.0) {
+    throw obs::json::ParseError("capture: bloom_strategy must be 0 (split digest)");
+  }
   cap.mempool =
       decode_txns(util::base64_decode(doc.at("mempool_b64").string), "mempool_b64");
   if (doc.contains("block")) {
@@ -232,7 +233,6 @@ ForensicCapture make_capture(std::string kind, std::string stage,
   cap.keyed_short_ids = cfg.keyed_short_ids;
   cap.near_equal_fpr = cfg.near_equal_fpr;
   cap.enable_pingpong = cfg.enable_pingpong;
-  cap.bloom_strategy = static_cast<std::uint8_t>(cfg.bloom_strategy);
   cap.mempool = mempool.transactions();
   if (obs::Registry* reg = obs::enabled(cfg.obs)) {
     cap.events = reg->recorder().events();

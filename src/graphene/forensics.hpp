@@ -54,14 +54,13 @@ struct ForensicCapture {
   std::uint64_t salt = 0;      ///< short-ID salt of the relayed block
   std::uint64_t claimed_m = 0; ///< receiver mempool count given to encode()
 
-  // ProtocolConfig scalars (the runtime pointers — obs/pool/param_cache —
-  // are environment, not protocol state, and are not captured).
+  // ProtocolConfig scalars (the runtime pointers — obs/param_cache — are
+  // environment, not protocol state, and are not captured).
   double beta = 239.0 / 240.0;
   std::uint32_t fail_denom = 240;
   bool keyed_short_ids = true;
   double near_equal_fpr = 0.1;
   bool enable_pingpong = true;
-  std::uint8_t bloom_strategy = 0;
 
   /// Receiver mempool snapshot (order-irrelevant; see header comment).
   std::vector<chain::Transaction> mempool;

@@ -39,9 +39,8 @@ MempoolSyncResult sync_mempools(chain::Mempool& sender_pool, chain::Mempool& rec
 
   GrapheneBlockMsg offer = sender.encode(receiver_pool.size()).msg;
 
-  // H: receiver transactions that fail S — provably absent from the sender.
-  // The filter pass is the chunked batch scan; collection stays in mempool
-  // order.
+  // H: receiver transactions that fail S — provably absent from the sender,
+  // collected in mempool order.
   std::vector<chain::Transaction> to_sender;
   {
     const std::vector<chain::Transaction>& txns = receiver_pool.transactions();
@@ -49,7 +48,7 @@ MempoolSyncResult sync_mempools(chain::Mempool& sender_pool, chain::Mempool& rec
     ids.reserve(txns.size());
     for (const chain::Transaction& tx : txns) ids.emplace_back(tx.id.data(), tx.id.size());
     std::vector<std::uint8_t> hit(ids.size());
-    bloom::contains_all(offer.filter_s, ids.data(), ids.size(), hit.data(), cfg.pool);
+    bloom::contains_all(offer.filter_s, ids.data(), ids.size(), hit.data());
     for (std::size_t i = 0; i < txns.size(); ++i) {
       if (hit[i] == 0) to_sender.push_back(txns[i]);
     }

@@ -11,17 +11,9 @@
 
 #include "iblt/iblt.hpp"
 
-namespace graphene::bloom {
-enum class HashStrategy : std::uint8_t;
-}  // namespace graphene::bloom
-
 namespace graphene::obs {
 class Registry;
 }  // namespace graphene::obs
-
-namespace graphene::util {
-class ThreadPool;
-}  // namespace graphene::util
 
 namespace graphene::iblt {
 class ParamCache;
@@ -56,24 +48,10 @@ struct ProtocolConfig {
   /// src/obs/). Null (the default) disables instrumentation at the cost of
   /// one branch per stage; not owned, must outlive the engines using it.
   obs::Registry* obs = nullptr;
-  /// Shared worker pool for parallel Algorithm 1 searches and the
-  /// simulator's trial fan-out (see docs/CONCURRENCY.md). Null runs
-  /// everything serially with identical results; not owned, must outlive
-  /// the engines using it. Share ONE pool per process — every engine
-  /// holding this config reaches the same workers.
-  util::ThreadPool* pool = nullptr;
   /// Shared memoization of param-table lookups; safe to share across
   /// concurrently-driven sessions. Null falls back to direct lookups; not
   /// owned, must outlive the engines using it.
   iblt::ParamCache* param_cache = nullptr;
-  /// Probe layout of the Bloom filters the engines build (S, R, F). The
-  /// default 0 is bloom::HashStrategy::kSplitDigest — the §6.3 wire format
-  /// every peer understands. bloom::HashStrategy::kBlocked confines each
-  /// item's k probes to one 64-byte block, the fastest layout for the
-  /// receiver's m-sized mempool scan, at a small constant-factor FPR
-  /// penalty (quantified in docs/PERFORMANCE.md); it rides a previously
-  /// invalid range of the strategy byte, so only upgraded peers parse it.
-  bloom::HashStrategy bloom_strategy = bloom::HashStrategy{0};
   /// Set-reconciliation backend for reconcile::Host/Client sessions. Both
   /// ends must agree (the driver rejects mismatched message types).
   ReconcileBackend reconcile_backend = ReconcileBackend::kGraphene;

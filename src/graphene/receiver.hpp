@@ -16,7 +16,7 @@
 // Receiver is the long-lived per-node object: it holds the mempool binding
 // and configuration and mints a fresh ReceiveSession per relay. Sessions
 // from one Receiver are independent, so distinct peers' relays can be
-// driven concurrently from pool threads.
+// driven concurrently from several threads.
 #pragma once
 
 #include <unordered_map>

@@ -13,7 +13,7 @@ namespace graphene::core {
 /// Result of one Protocol 1 encode: the wire message plus the parameters it
 /// was sized with. Returning both (instead of stashing the params on the
 /// Sender) keeps encode() a pure const call, so one Sender can serve many
-/// receivers from pool threads concurrently.
+/// receivers from several threads concurrently.
 struct EncodeResult {
   GrapheneBlockMsg msg;
   Protocol1Params params;

@@ -42,43 +42,9 @@ std::size_t ParamCache::bytes(std::uint64_t j, std::uint32_t fail_denom) {
   return Iblt::serialized_size_for(params(j, fail_denom).cells);
 }
 
-std::uint64_t ParamCache::search_key(std::uint64_t j, double p) noexcept {
-  // p lives in (0, 1]; one-part-per-million quantization keeps every rate the
-  // protocol actually uses (239/240, 0.95, ...) on a distinct key while
-  // folding float-noise spellings of the same target together.
-  const auto ppm = static_cast<std::uint64_t>(p * 1e6 + 0.5);
-  return (j << 21) | (ppm & ((1u << 21) - 1));
-}
-
-SearchResult ParamCache::search(std::uint64_t j, double p, util::Rng& rng,
-                                const SearchOptions& opts) {
-  const std::uint64_t k = search_key(j, p);
-  {
-    const util::ReaderLock lock(mu_);
-    const auto it = search_map_.find(k);
-    if (it != search_map_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  const SearchResult r = search_params(j, p, rng, opts);
-  {
-    const util::WriterLock lock(mu_);
-    search_map_.emplace(k, r);
-  }
-  return r;
-}
-
 std::size_t ParamCache::entries() const {
   const util::ReaderLock lock(mu_);
-  return map_.size() + search_map_.size();
-}
-
-void ParamCache::clear() {
-  const util::WriterLock lock(mu_);
-  map_.clear();
-  search_map_.clear();
+  return map_.size();
 }
 
 void ParamCache::export_stats(obs::Registry* reg) const {

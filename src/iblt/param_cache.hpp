@@ -1,9 +1,9 @@
 // Thread-safe memoization of param_table lookups.
 //
-// lookup_params is a linear scan over the shipped grid, and the b-optimization
-// loops in Sender::serve / SetReconciler::Host::serve plus the ternary
-// searches in core::optimize_protocol1/2 evaluate it hundreds of times per
-// block with heavy key reuse. A shared ParamCache turns those into one
+// lookup_params is a linear scan over the shipped grid, and the b search in
+// core::GrapheneHost::serve plus the ternary searches in
+// core::optimize_protocol1/2 evaluate it hundreds of times per block with
+// heavy key reuse. A shared ParamCache turns those into one
 // shared_mutex-guarded hash probe; keys are canonicalized with
 // snap_fail_denom so every spelling of the same (j, rate) shares one entry.
 //
@@ -23,7 +23,6 @@
 #include <unordered_map>
 
 #include "iblt/iblt.hpp"
-#include "iblt/param_search.hpp"
 #include "iblt/param_table.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
@@ -48,18 +47,6 @@ class ParamCache {
   /// the cached IbltParams, so both queries share one entry per key.
   [[nodiscard]] std::size_t bytes(std::uint64_t j, std::uint32_t fail_denom = 240);
 
-  /// Cached equivalent of search_params(j, p, rng, opts) — Algorithm 1 is
-  /// orders of magnitude more expensive than a table lookup, so its results
-  /// are memoized too, keyed on (j, p quantized to 1e-6). The full
-  /// SearchResult is stored: the `certified` flag survives cache hits, so a
-  /// point-estimate answer (trial cap hit before the Wilson CI separated)
-  /// stays visibly uncertified no matter how callers reach it. Callers
-  /// sharing one cache must use consistent SearchOptions; `rng` is consumed
-  /// only on a miss (racing misses may both consume — both store equivalent
-  /// results).
-  [[nodiscard]] SearchResult search(std::uint64_t j, double p, util::Rng& rng,
-                                    const SearchOptions& opts = {});
-
   /// Telemetry. Counters are monotonically increasing and approximate under
   /// concurrency (relaxed); entries() takes a shared lock.
   [[nodiscard]] std::uint64_t hits() const noexcept {
@@ -70,20 +57,15 @@ class ParamCache {
   }
   [[nodiscard]] std::size_t entries() const EXCLUDES(mu_);
 
-  /// Drops all entries; counters keep their values.
-  void clear() EXCLUDES(mu_);
-
   /// Publishes the hit/miss/entry counts as gauges in `reg`
   /// (graphene_param_cache_{hits,misses,entries}). No-op on null.
   void export_stats(obs::Registry* reg) const;
 
  private:
   static std::uint64_t key(std::uint64_t j, std::uint32_t fail_denom) noexcept;
-  static std::uint64_t search_key(std::uint64_t j, double p) noexcept;
 
   mutable util::SharedMutex mu_;
   std::unordered_map<std::uint64_t, IbltParams> map_ GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, SearchResult> search_map_ GUARDED_BY(mu_);
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
 };

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "iblt/param_cache.hpp"
-#include "util/thread_pool.hpp"
 
 namespace graphene::sim {
 
@@ -19,7 +18,6 @@ GrapheneRun run_impl(const Scenario& scenario, std::uint64_t salt,
 
   run.getdata_bytes = kGetdataBytes;
   const core::GrapheneBlockMsg msg = sender.encode(scenario.receiver_mempool.size()).msg;
-  run.bloom_strategy = static_cast<std::uint8_t>(msg.filter_s.strategy());
   run.bloom_s_bytes = msg.filter_s.serialized_size();
   run.iblt_i_bytes = msg.iblt_i.serialized_size();
 
@@ -94,8 +92,9 @@ void write_run_jsonl(std::ostream& out, const GrapheneRun& run, const Scenario& 
   w.boolean(run.used_repair);
   w.key("used_pingpong");
   w.boolean(run.used_pingpong);
+  // Kept for schema-2 readers: the engines build split-digest filters only.
   w.key("bloom_strategy");
-  w.number(static_cast<std::uint64_t>(run.bloom_strategy));
+  w.number(std::uint64_t{0});
   w.key("rounds");
   w.number(run.rounds());
 
@@ -188,35 +187,26 @@ TrialStats run_trials(const ScenarioSpec& spec, std::uint64_t trials, std::uint6
   if (shared.param_cache == nullptr) shared.param_cache = &local_cache;
 
   // Every trial derives its own RNG stream from (seed, trial index), so the
-  // scenario/salt draws are identical whether trials run serially, on a
-  // pool, or with JSONL capture enabled.
+  // scenario/salt draws are identical with or without JSONL capture.
   const util::Rng root(seed);
   std::vector<GrapheneRun> runs(trials);
-  if (runs_jsonl != nullptr) {
-    // JSONL capture stays serial: records append to one stream, and a fresh
-    // registry per run keeps each record's span sequence describing exactly
-    // one relay, which is what a runs.jsonl record promises.
-    for (std::uint64_t t = 0; t < trials; ++t) {
-      util::Rng trial_rng = root.split(t);
-      const Scenario scenario = chain::make_scenario(spec, trial_rng);
-      const std::uint64_t salt = trial_rng.next();
-      obs::Registry reg;
-      core::ProtocolConfig traced = shared;
-      traced.obs = &reg;
-      runs[t] = run_impl(scenario, salt, traced, protocol1_only);
-      write_run_jsonl(*runs_jsonl, runs[t], scenario, t, salt, reg);
-    }
-  } else {
-    util::parallel_for(shared.pool, trials, [&](std::uint64_t t) {
-      util::Rng trial_rng = root.split(t);
-      const Scenario scenario = chain::make_scenario(spec, trial_rng);
-      const std::uint64_t salt = trial_rng.next();
+  for (std::uint64_t t = 0; t < trials; ++t) {
+    util::Rng trial_rng = root.split(t);
+    const Scenario scenario = chain::make_scenario(spec, trial_rng);
+    const std::uint64_t salt = trial_rng.next();
+    if (runs_jsonl == nullptr) {
       runs[t] = run_impl(scenario, salt, shared, protocol1_only);
-    });
+      continue;
+    }
+    // A fresh registry per run keeps each record's span sequence describing
+    // exactly one relay, which is what a runs.jsonl record promises.
+    obs::Registry reg;
+    core::ProtocolConfig traced = shared;
+    traced.obs = &reg;
+    runs[t] = run_impl(scenario, salt, traced, protocol1_only);
+    write_run_jsonl(*runs_jsonl, runs[t], scenario, t, salt, reg);
   }
 
-  // Fold sequentially in trial order so the running means are bit-identical
-  // for every worker count.
   for (std::uint64_t t = 0; t < trials; ++t) {
     const GrapheneRun& run = runs[t];
     stats.p1_decode_failures += run.p1_decoded ? 0 : 1;

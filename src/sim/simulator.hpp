@@ -22,11 +22,6 @@ struct GrapheneRun {
   bool used_repair = false;
   bool used_pingpong = false;
 
-  /// Probe layout of filter S as actually sent (bloom::HashStrategy value);
-  /// distinguishes blocked-layout runs in the JSONL stream, since the FPR
-  /// penalty of blocking shows up in fpr_s_observed.
-  std::uint8_t bloom_strategy = 0;
-
   std::size_t getdata_bytes = 0;   ///< receiver's initial request (inv+count)
   std::size_t bloom_s_bytes = 0;   ///< Protocol 1 filter S
   std::size_t iblt_i_bytes = 0;    ///< Protocol 1 IBLT I
@@ -83,15 +78,14 @@ struct TrialStats {
 
 /// Repeats `spec` for `trials` independently-seeded runs.
 ///
-/// Each trial derives its RNG stream from (seed, trial index), and trials
-/// run across cfg.pool when one is set — results are identical for any
-/// worker count. cfg.param_cache is shared across the batch (a local cache
-/// is used when the caller didn't provide one).
+/// Each trial derives its RNG stream from (seed, trial index).
+/// cfg.param_cache is shared across the batch (a local cache is used when
+/// the caller didn't provide one).
 ///
-/// When `runs_jsonl` is non-null every run is executed serially with a
-/// fresh telemetry Registry and appended to the stream as one structured
-/// JSON record (see write_run_jsonl) — the machine-readable alternative to
-/// the benches' stdout tables.
+/// When `runs_jsonl` is non-null every run executes with a fresh telemetry
+/// Registry and is appended to the stream as one structured JSON record
+/// (see write_run_jsonl) — the machine-readable alternative to the benches'
+/// stdout tables.
 TrialStats run_trials(const ScenarioSpec& spec, std::uint64_t trials, std::uint64_t seed,
                       const core::ProtocolConfig& cfg = {}, bool protocol1_only = false,
                       std::ostream* runs_jsonl = nullptr);

@@ -1,6 +1,6 @@
 // Fixed-size worker pool plus a structured parallel-for, the concurrency
-// substrate behind Algorithm 1's trial batches and the simulator's Monte
-// Carlo loops.
+// substrate behind Algorithm 1's trial batches (iblt::SearchOptions::pool,
+// reached by bench_param_search_speed and gen_param_table).
 //
 // Design constraints (rationale in docs/CONCURRENCY.md):
 //
@@ -14,10 +14,8 @@
 //    so nested calls, zero-thread pools, and fully-busy pools all complete
 //    without deadlock.
 //
-//  * One pool per process is the intended shape. Sender, Receiver,
-//    SetReconciler, and the simulator all reach it through
-//    core::ProtocolConfig::pool; oversubscribing with one pool per
-//    subsystem defeats the point.
+//  * One pool per process is the intended shape; oversubscribing with one
+//    pool per subsystem defeats the point.
 #pragma once
 
 #include <condition_variable>

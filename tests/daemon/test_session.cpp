@@ -93,6 +93,20 @@ TEST(PeerSession, UnsupportedVersionIsRejected) {
   EXPECT_EQ(ErrorMsg::deserialize(reader).code, ErrorCode::kUnsupported);
 }
 
+TEST(PeerSession, UnknownBackendIsUnsupported) {
+  SessionRig rig;
+  HelloMsg hello;
+  hello.backend = 2;
+  hello.item_count = 10;
+  std::vector<net::Message> out;
+  const net::Message msg{net::MessageType::kDaemonHello, hello.serialize()};
+  EXPECT_FALSE(rig.session.on_bytes(kNow, net::encode_frame(msg), out));
+  EXPECT_EQ(rig.session.reason(), CloseReason::kProtocolError);
+  ASSERT_EQ(out.size(), 1u);
+  util::ByteReader reader(out[0].payload);
+  EXPECT_EQ(ErrorMsg::deserialize(reader).code, ErrorCode::kUnsupported);
+}
+
 TEST(PeerSession, TrailingBytesInHelloAreMalformed) {
   SessionRig rig;
   HelloMsg hello;

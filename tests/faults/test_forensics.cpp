@@ -139,6 +139,15 @@ TEST(ForensicsEnv, CaptureRoundTripsWithoutTelemetry) {
   EXPECT_TRUE(back.has_block);
   EXPECT_EQ(back.mempool.size(), s.receiver_mempool.size());
   EXPECT_EQ(back.block_txns.size(), s.block.tx_count());
+
+  // The v1 config keeps its bloom_strategy key, pinned to 0 (split digest):
+  // a capture naming any other layout cannot be replayed and is refused.
+  std::string json = cap.to_json();
+  const std::string key = "\"bloom_strategy\":0";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos);
+  json.replace(at, key.size(), "\"bloom_strategy\":2");
+  EXPECT_THROW((void)ForensicCapture::from_json(json), obs::json::ParseError);
 }
 
 #if GRAPHENE_OBS_ENABLED

@@ -3,19 +3,13 @@
 // SHA-256 of every serialized message of a full Protocol 1 → Protocol 2 →
 // repair relay, over two pinned scenarios: a normal exchange (receiver
 // missing a tenth of the block among a larger mempool) and the reversed
-// m ≈ n exchange of §3.3.2, which also pins filter F. Each runs once with
-// the default split-digest Bloom filters and once with the blocked layout.
-// (In the reversed scenario m = n, so filter S is the degenerate
-// match-everything filter and the block message is the same under both
-// layouts; the blocked filter S is pinned by the normal scenario.)
-// These bytes are the on-wire protocol: a refactor of the sender, receiver,
+// m ≈ n exchange of §3.3.2, which also pins filter F. These bytes are the on-wire protocol: a refactor of the sender, receiver,
 // Bloom filter or IBLT must reproduce them exactly.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <string>
 
-#include "bloom/bloom_filter.hpp"
 #include "chain/workload.hpp"
 #include "graphene/receiver.hpp"
 #include "graphene/sender.hpp"
@@ -37,12 +31,10 @@ using RelayPins = std::array<std::string, 5>;
 
 /// Relays one block of a fixed-seed scenario through every round, asserting
 /// the path it must take, and returns the pins of the messages it sent.
-RelayPins relay_pins(const chain::ScenarioSpec& spec, bool reversed,
-                     bloom::HashStrategy strategy) {
+RelayPins relay_pins(const chain::ScenarioSpec& spec, bool reversed) {
   util::Rng rng(1);
   const chain::Scenario s = chain::make_scenario(spec, rng);
-  ProtocolConfig cfg;
-  cfg.bloom_strategy = strategy;
+  const ProtocolConfig cfg;
   const Sender sender(s.block, 7919, cfg);
   ReceiveSession session(s.receiver_mempool, cfg);
   RelayPins pins;
@@ -93,7 +85,7 @@ TEST(BlockGoldenWire, NormalExchangePinsHold) {
       "bc7efb9cf607920964f0e23230237bae6b7e84fbe4976c5c0d11605ad36b8818",
       "85ccdf10ae8dbcf92c64b2d823f95540d8d0ec1f6905a2b1c719c83f4b1bbff3",
   };
-  EXPECT_EQ(relay_pins(normal_spec(), false, bloom::HashStrategy::kSplitDigest), want);
+  EXPECT_EQ(relay_pins(normal_spec(), false), want);
 }
 
 TEST(BlockGoldenWire, ReversedExchangePinsHold) {
@@ -104,29 +96,7 @@ TEST(BlockGoldenWire, ReversedExchangePinsHold) {
       "e0ecf54f81ee03a3b0e655d6d5d316f6a0baca66c19ad183e226557cd9e8f9ca",
       "028ca32fb7ebe2d9178ca65086ab3c2a353e4763735eb051bed6555ec4ba2199",
   };
-  EXPECT_EQ(relay_pins(reversed_spec(), true, bloom::HashStrategy::kSplitDigest), want);
-}
-
-TEST(BlockGoldenWire, BlockedBloomNormalExchangePinsHold) {
-  const RelayPins want = {
-      "4d468ca5c50f104fa4963abea28a962d616e33b29f88e161ad8683805021b10a",
-      "ffbccfef240bd04c00f5e83c95780482c9e43de1f70b6de7fbe5507452be7f1a",
-      "df5f59550e4b3a9157ee944db68878d1779fe5f1f21dc8d1152222027da8ced3",
-      "87641d2c86ae846b8c61890f7e74f885114b22c450e332fea67e5c03168894e3",
-      "56d11f3b1361fa590060e74e06bbeb4046382e1171ce8ee42b5d846e0c3930cf",
-  };
-  EXPECT_EQ(relay_pins(normal_spec(), false, bloom::HashStrategy::kBlocked), want);
-}
-
-TEST(BlockGoldenWire, BlockedBloomReversedExchangePinsHold) {
-  const RelayPins want = {
-      "4577ff5f1550323e08dbb4378f92f55a970dc614eff3768e89a114bc9c35abb1",
-      "70b05ad665be8c29d78322564d2047c5e838965ae302383430ce664684fcf472",
-      "2a030a42df8a86584cbfae541bcaf2a3f2795a79a5f8633846510796eb899667",
-      "85619cfb654e02bca114747928cfa818082031792115b053ed03c09955753e0f",
-      "42880e578a3eb5af5aabcbbdc738c92cba637f04db08f5f5d1671f8df90d7781",
-  };
-  EXPECT_EQ(relay_pins(reversed_spec(), true, bloom::HashStrategy::kBlocked), want);
+  EXPECT_EQ(relay_pins(reversed_spec(), true), want);
 }
 
 }  // namespace

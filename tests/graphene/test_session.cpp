@@ -82,10 +82,10 @@ TEST(ReceiveSessionApi, SessionsFromOneReceiverAreIndependent) {
 }
 
 TEST(ReceiveSessionApi, ConcurrentSessionsAcrossPoolThreads) {
-  // TSan target for the tentpole claim: one Sender and one Receiver driven
-  // against many peers at once. encode() is const with no mutable state and
-  // every relay gets its own session, so this must be race-free — with the
-  // shared ParamCache and pool plumbed through the config as in production.
+  // TSan target: one Sender and one Receiver driven against many peers at
+  // once from a ThreadPool's workers. encode() is const with no mutable
+  // state and every relay gets its own session, so this must be race-free,
+  // with the shared ParamCache plumbed through the config as in production.
   const chain::Scenario s = desync_scenario(3);
   util::ThreadPool pool(4);
   iblt::ParamCache cache;

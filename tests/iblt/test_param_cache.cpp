@@ -51,17 +51,6 @@ TEST(ParamCache, CanonicalizesFailDenom) {
   EXPECT_EQ(snap_fail_denom(1000000), 2400u);  // beyond grid: strictest shipped
 }
 
-TEST(ParamCache, ClearDropsEntriesKeepsCounters) {
-  ParamCache cache;
-  (void)cache.params(10);
-  (void)cache.params(10);
-  cache.clear();
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.hits(), 1u);
-  (void)cache.params(10);
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
 TEST(ParamCache, NullCacheHelpersFallBackToDirect) {
   const IbltParams direct = lookup_params(77, 240);
   const IbltParams via = cached_params(nullptr, 77, 240);
@@ -72,73 +61,6 @@ TEST(ParamCache, NullCacheHelpersFallBackToDirect) {
   ParamCache cache;
   EXPECT_EQ(cached_params(&cache, 77, 240).cells, direct.cells);
   EXPECT_EQ(cache.entries(), 1u);
-}
-
-TEST(ParamCache, SearchMemoizesFullResult) {
-  ParamCache cache;
-  util::Rng rng(1);
-  const SearchResult first = cache.search(20, 0.95, rng);
-  EXPECT_EQ(cache.misses(), 1u);
-  ASSERT_GT(first.params.cells, 0u);
-
-  // Hit path: identical result without touching the rng.
-  util::Rng untouched(99);
-  const std::uint64_t probe = util::Rng(99).next();
-  const SearchResult second = cache.search(20, 0.95, untouched);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(untouched.next(), probe) << "cache hit must not consume the caller's rng";
-  EXPECT_EQ(second.params.k, first.params.k);
-  EXPECT_EQ(second.params.cells, first.params.cells);
-  EXPECT_EQ(second.certified, first.certified);
-  EXPECT_EQ(second.decode_rate, first.decode_rate);
-
-  // Distinct (j, p) keys do not collide.
-  (void)cache.search(20, 0.99, rng);
-  (void)cache.search(21, 0.95, rng);
-  EXPECT_EQ(cache.misses(), 3u);
-}
-
-TEST(ParamCache, UncertifiedFlagSurvivesCacheHits) {
-  // Force the point-estimate path: a trial cap this small cannot separate
-  // the Wilson CI from p, so Algorithm 1 must answer certified=false — and
-  // the cache must keep saying so on every subsequent hit, not just the
-  // first (miss) computation.
-  ParamCache cache;
-  SearchOptions opts;
-  opts.max_trials = 8;
-  opts.batch = 4;
-  util::Rng rng(7);
-  const SearchResult miss = cache.search(50, 239.0 / 240.0, rng, opts);
-  EXPECT_FALSE(miss.certified);
-
-  for (int i = 0; i < 3; ++i) {
-    const SearchResult hit = cache.search(50, 239.0 / 240.0, rng, opts);
-    EXPECT_FALSE(hit.certified) << "hit " << i << " laundered the certified flag";
-    EXPECT_EQ(hit.params.cells, miss.params.cells);
-  }
-  EXPECT_EQ(cache.hits(), 3u);
-
-  // A comfortable budget at a steep point of the decode curve (p = 0.5, so
-  // every binary-search decision separates fast) certifies normally.
-  SearchOptions generous;
-  generous.max_trials = 20000;
-  generous.batch = 64;
-  util::Rng cert_rng(10);
-  const SearchResult ok = cache.search(25, 0.5, cert_rng, generous);
-  EXPECT_TRUE(ok.certified);
-}
-
-TEST(ParamCache, SearchAndLookupEntriesCoexist) {
-  ParamCache cache;
-  util::Rng rng(3);
-  (void)cache.params(50, 240);
-  (void)cache.search(50, 0.95, rng);
-  EXPECT_EQ(cache.entries(), 2u);
-  cache.clear();
-  EXPECT_EQ(cache.entries(), 0u);
-  // Post-clear searches recompute (miss), not replay stale results.
-  (void)cache.search(50, 0.95, rng);
-  EXPECT_EQ(cache.misses(), 3u);
 }
 
 TEST(ParamCache, ExportStatsPublishesGauges) {

@@ -114,7 +114,7 @@ void expect_scatter_identical(const T& value) {
 
 TEST(ZeroCopyWrite, SerializeIntoMatchesSerializeForEveryType) {
   expect_scatter_identical(make_bloom(bloom::HashStrategy::kSplitDigest));
-  expect_scatter_identical(make_bloom(bloom::HashStrategy::kBlocked));
+  expect_scatter_identical(make_bloom(bloom::HashStrategy::kRehash));
   expect_scatter_identical(make_iblt());
   {
     const std::vector<util::Bytes> digests = {util::Bytes(32, 0x11),

@@ -64,6 +64,9 @@ TEST(RunsJsonlSchema, EveryRecordCarriesTheContractKeys) {
     const double expected_rounds = 1.0 + (v.at("used_protocol2").boolean ? 1.0 : 0.0) +
                                    (v.at("used_repair").boolean ? 1.0 : 0.0);
     EXPECT_DOUBLE_EQ(v.at("rounds").number, expected_rounds);
+    // Kept for schema-2 readers; the engines build split-digest filters only.
+    expect_number(v, "bloom_strategy");
+    EXPECT_EQ(v.at("bloom_strategy").number, 0.0);
 
     ASSERT_TRUE(v.contains("bytes"));
     const obs::json::Value& bytes = v.at("bytes");

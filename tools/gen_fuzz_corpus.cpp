@@ -57,10 +57,8 @@ util::Bytes prefix_byte(std::uint8_t b, const util::Bytes& rest) {
   return out;
 }
 
-bloom::BloomFilter sample_filter(util::Rng& rng, std::uint64_t items, double fpr,
-                                 bloom::HashStrategy strategy =
-                                     bloom::HashStrategy::kSplitDigest) {
-  bloom::BloomFilter f(items, fpr, rng.next(), strategy);
+bloom::BloomFilter sample_filter(util::Rng& rng, std::uint64_t items, double fpr) {
+  bloom::BloomFilter f(items, fpr, rng.next());
   for (std::uint64_t i = 0; i < items; ++i) {
     const auto id = chain::make_random_transaction(rng).id;
     f.insert(util::ByteView(id.data(), id.size()));
@@ -120,13 +118,6 @@ int main(int argc, char** argv) {
          sample_iblt(rng, 4, items / 4 + 8, items / 10 + 2).serialize());
   }
   emit("fuzz_bloom_filter", "seed-degenerate", bloom::BloomFilter(0, 1.0).serialize());
-  // Blocked-layout headers (strategy byte 0xC0|k) at both scales the
-  // bounded deserializer branches on, so the fuzzer starts from valid
-  // whole-block filters and mutates toward the header edge cases.
-  emit("fuzz_bloom_filter", "seed-blocked-small",
-       sample_filter(rng, 30, 0.02, bloom::HashStrategy::kBlocked).serialize());
-  emit("fuzz_bloom_filter", "seed-blocked-large",
-       sample_filter(rng, 4000, 0.005, bloom::HashStrategy::kBlocked).serialize());
 
   {
     std::vector<util::Bytes> digests;
@@ -158,9 +149,7 @@ int main(int argc, char** argv) {
     core::GrapheneBlockMsg blk;
     blk.n = n;
     blk.shortid_salt = rng.next();
-    blk.filter_s = sample_filter(rng, n, 0.005,
-                                 n % 2 == 0 ? bloom::HashStrategy::kBlocked
-                                            : bloom::HashStrategy::kSplitDigest);
+    blk.filter_s = sample_filter(rng, n, 0.005);
     blk.iblt_i = sample_iblt(rng, 4, n / 5 + 8, n / 20 + 2);
     emit("fuzz_graphene_block", std::string("seed-") + tag, blk.serialize());
 
@@ -295,8 +284,6 @@ int main(int argc, char** argv) {
       emit("fuzz_wire_types", name, prefix_byte(route, body));
     };
     seed("seed-bloom", 0, sample_filter(wt_rng, 60, 0.02).serialize());
-    seed("seed-bloom-blocked", 0,
-         sample_filter(wt_rng, 60, 0.02, bloom::HashStrategy::kBlocked).serialize());
     {
       std::vector<util::Bytes> digests;
       for (int i = 0; i < 40; ++i) {
