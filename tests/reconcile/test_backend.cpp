@@ -1,9 +1,11 @@
 // The reconciliation backend seam: golden wire pins proving the Graphene
-// messages survived the refactor byte-for-byte, the backend-agnostic driver
-// loop, the rateless backend end-to-end, and the DigestHasher fix.
+// messages and the rateless coded-symbol stream survive refactors
+// byte-for-byte, the backend-agnostic driver loop, the rateless backend
+// end-to-end, and the DigestHasher fix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "graphene/errors.hpp"
@@ -122,6 +124,79 @@ TEST(BackendGoldenWire, ReversedPathScenarioPinsHoldThroughFetch) {
   const Outcome fin = client.complete_fetch(fresp);
   EXPECT_EQ(fin.status, Outcome::Status::kComplete);
   EXPECT_EQ(fin.host_set, host_items);
+}
+
+// The rateless stream, pinned the same way: one session of a 2,400-item host
+// set against a client that lacks 100 of its items and holds 100 of its own
+// (sync_rateless's (100, 100) cell). Every RatelessChunk and RatelessNeed
+// payload is pinned by its SHA-256, in exchange order. A stand-alone decoder
+// fed the same symbols in the client's order pins its symbol count, its cell
+// updates and the digests it recovers, sorted and in recovery order.
+TEST(BackendGoldenWire, RatelessStreamPinsHold) {
+  const ItemSet host_items = pinned_items(0xd001, 2400);
+  const std::vector<ItemDigest> host_sorted = sorted_of(host_items);
+  ItemSet client_items(host_sorted.begin() + 100, host_sorted.end());
+  const ItemSet client_only = pinned_items(0xd002, 100);
+  client_items.insert(client_only.begin(), client_only.end());
+  constexpr std::uint64_t kSalt = 0x5a17e55;
+
+  Host host(host_items, kSalt, rateless_cfg());
+  Client client(client_items, rateless_cfg());
+  iblt::RatelessDecoder decoder(kSalt);
+  for (const ItemDigest& d : client_items) decoder.add_local(d);
+
+  std::vector<std::string> pins;
+  WireMsg msg = host.open(client_items.size());
+  Outcome out;
+  for (int round = 0; round < 16; ++round) {
+    pins.push_back(pin(msg.payload));
+    util::ByteReader reader{util::ByteView(msg.payload)};
+    const RatelessChunk chunk = RatelessChunk::deserialize(reader);
+    for (std::size_t i = 0; i < chunk.symbols.size() && !decoder.decoded(); ++i) {
+      if (chunk.start + i == decoder.received()) decoder.add_symbol(chunk.symbols[i]);
+    }
+    out = client.absorb_wire(msg);
+    if (out.status != Outcome::Status::kNeedsMoreSymbols) break;
+    const WireMsg need = client.next_request();
+    pins.push_back(pin(need.payload));
+    msg = host.serve_wire(need);
+  }
+  ASSERT_EQ(out.status, Outcome::Status::kComplete);
+  EXPECT_EQ(out.host_set, host_items);
+  // Chunks and needs alternate: 6 chunks of 16, 16, 32, 64, 128 and 256
+  // symbols, the client's need for each after the first.
+  EXPECT_EQ(pins, (std::vector<std::string>{
+                      "f0a693eda6980ad21ff6923b05c7bf3b757cf7cf07a2126f80ea4d5190a247c1",
+                      "430c0c4e4652189800774c572e360ae56f0245079e763c995751ba15ba25c454",
+                      "0e215f544990c73b163caf9ebdc41ef0b21876157fc87201a448c96f88346795",
+                      "6c179f21e6f62b629055d8ab40f454ed02e48b68563913473b857d3638e23b28",
+                      "3817266d9224c108b1f4836e7ef86ea33fc6b181346b4e1a3f182b64c7ec49b0",
+                      "3330e5ba53cb09ab97dd287ad8ba30380b88a5aca467b6c231b0a46f261c16e1",
+                      "2c5c696e0f1d544d0ac70023c17e333be1289d297fa4b193c9331780df0866ca",
+                      "af472cf2977dbfccc45851e12525627fc9ecc03f274f108a865b18a672f38ba6",
+                      "7b917cd67a2e1bd78de361abfe02a175133c44426bea30dfa74d2360d1d47048",
+                      "525afd70d0b9fe9797b8886f27ca1a6e2e8d5ebe8cc466357d9c7ac0b0c56267",
+                      "b6125828ca2f9adde93c95913df857ec5c80cddf6db71eec2a980b9269b73840",
+                  }));
+
+  ASSERT_TRUE(decoder.decoded());
+  EXPECT_EQ(decoder.received(), 263u);
+  EXPECT_EQ(decoder.update_ops(), 26804u);
+  std::vector<ItemDigest> positives = decoder.positives();
+  std::vector<ItemDigest> negatives = decoder.negatives();
+  util::Bytes recovery_order;
+  for (const std::vector<ItemDigest>* side : {&positives, &negatives}) {
+    for (const ItemDigest& d : *side) {
+      recovery_order.insert(recovery_order.end(), d.begin(), d.end());
+    }
+  }
+  EXPECT_EQ(pin(recovery_order),
+            "583b7afef4a0406969810f42f223671d3a6e876578340866a79aba87389d1aaf");
+  std::sort(positives.begin(), positives.end());
+  std::sort(negatives.begin(), negatives.end());
+  EXPECT_EQ(positives,
+            std::vector<ItemDigest>(host_sorted.begin(), host_sorted.begin() + 100));
+  EXPECT_EQ(negatives, sorted_of(client_only));
 }
 
 // --- The backend-agnostic driver -------------------------------------------
