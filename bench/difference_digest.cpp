@@ -37,7 +37,7 @@ int main() {
         dd_total.add(static_cast<double>(dd.total_bytes()));
         dd_ok += dd.success ? 1 : 0;
 
-        const sim::GrapheneRun run = sim::run_graphene(s, rng.next());
+        const sim::GrapheneRun run = sim::run_graphene(s, rng.next(), sim::paper_config());
         graphene_bytes.add(static_cast<double>(run.encoding_bytes()));
       }
       table.add_row(

@@ -16,8 +16,8 @@ int main() {
   const std::unique_ptr<std::ofstream> runs_jsonl = sim::open_runs_jsonl_from_env();
   std::cout << "=== Fig. 16: Protocol 2 decode failure, with/without ping-pong ===\n\n";
 
-  core::ProtocolConfig with_pp;
-  core::ProtocolConfig without_pp;
+  const core::ProtocolConfig with_pp = sim::paper_config();
+  core::ProtocolConfig without_pp = sim::paper_config();
   without_pp.enable_pingpong = false;
 
   for (const std::uint64_t n : {200ULL, 2000ULL}) {

@@ -26,8 +26,8 @@ int main() {
       spec.extra_txns = n;
       spec.block_fraction_in_mempool = frac;
       const sim::TrialStats stats = sim::run_trials(
-          spec, trials, 0xf16017 + n + static_cast<std::uint64_t>(frac * 100), {},
-          false, runs_jsonl.get());
+          spec, trials, 0xf16017 + n + static_cast<std::uint64_t>(frac * 100),
+          sim::paper_config(), false, runs_jsonl.get());
 
       // Compact Blocks: base encoding + index request for missing txns.
       const auto missing = static_cast<std::uint64_t>((1.0 - frac) * static_cast<double>(n));

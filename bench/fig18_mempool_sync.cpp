@@ -10,6 +10,7 @@
 #include "graphene/mempool_sync.hpp"
 #include "sim/metrics.hpp"
 #include "sim/scenario.hpp"
+#include "sim/simulator.hpp"
 #include "sim/table.hpp"
 
 int main() {
@@ -32,7 +33,8 @@ int main() {
       const auto common = static_cast<std::uint64_t>(frac * static_cast<double>(n));
       for (std::uint64_t t = 0; t < trials; ++t) {
         chain::MempoolPair pair = chain::make_mempool_pair(n, common, rng);
-        const core::MempoolSyncResult r = core::sync_mempools(pair.a, pair.b, rng.next());
+        const core::MempoolSyncResult r =
+            core::sync_mempools(pair.a, pair.b, rng.next(), sim::paper_config());
         failures += r.success ? 0 : 1;
         graphene_bytes.add(static_cast<double>(r.graphene_bytes));
       }

@@ -1,6 +1,7 @@
 // Network-wide ablation (the §1 motivation, quantified): block propagation
 // time and total bandwidth over a 30-peer random graph for each relay
-// protocol, across block sizes.
+// protocol, across block sizes. Graphene relays size Protocol 2 for the
+// link's bandwidth × RTT.
 #include <iostream>
 
 #include "p2p/propagation.hpp"
@@ -15,7 +16,8 @@ int main() {
 
   std::cout << "=== Network propagation: bandwidth & latency by protocol ===\n";
   std::cout << "30 peers, degree 8, 1 MB/s links, 50 ms latency, 99.5% mempool "
-               "coverage; trials per point: "
+               "coverage; a relay of r round trips takes (2r - 1) latencies; Graphene "
+               "prices a round trip at the link's 100,000 B; trials per point: "
             << trials << "\n\n";
 
   for (const std::uint64_t n : {200ULL, 1000ULL, 4000ULL}) {

@@ -97,7 +97,11 @@ std::uint16_t RelayDaemon::listen(const std::string& host, std::uint16_t port) {
     ::close(fd);
     raise_errno("daemon: bind");
   }
-  if (::listen(fd, 512) < 0) {
+  // The kernel caps the backlog at net.core.somaxconn, so asking for more is
+  // safe. A literal, because libc's SOMAXCONN is 128 on older glibc and on
+  // musl. A shorter queue overflows when a thousand peers connect at once,
+  // and each dropped SYN waits about a second for its retransmit.
+  if (::listen(fd, 4096) < 0) {
     ::close(fd);
     raise_errno("daemon: listen");
   }

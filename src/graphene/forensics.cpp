@@ -1,6 +1,7 @@
 #include "graphene/forensics.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 
@@ -74,8 +75,16 @@ std::uint64_t hex_u64(const std::string& hex) {
   return v;
 }
 
+/// A count stored as a JSON number. A double holds every integer up to 2^53
+/// exactly; a negative, fractional, non-finite or larger value was not
+/// written by to_json, and converting it would be undefined.
 std::uint64_t u64_field(const obs::json::Value& obj, const char* key) {
-  return static_cast<std::uint64_t>(obj.at(key).number);
+  const double v = obj.at(key).number;
+  if (!(v >= 0.0 && v <= 0x1p53 && v == std::floor(v))) {
+    throw obs::json::ParseError(std::string("capture: ") + key +
+                                " must be an integer in [0, 2^53]");
+  }
+  return static_cast<std::uint64_t>(v);
 }
 
 const char* status_code_label(int code) {
@@ -102,6 +111,7 @@ ProtocolConfig ForensicCapture::config() const {
   cfg.keyed_short_ids = keyed_short_ids;
   cfg.near_equal_fpr = near_equal_fpr;
   cfg.enable_pingpong = enable_pingpong;
+  cfg.round_trip_bytes = round_trip_bytes;
   return cfg;
 }
 
@@ -130,6 +140,8 @@ std::string ForensicCapture::to_json() const {
   number_to(o, near_equal_fpr);
   o += ",\"enable_pingpong\":";
   o += enable_pingpong ? "true" : "false";
+  o += ",\"round_trip_bytes\":";
+  number_to(o, static_cast<double>(round_trip_bytes));
   // The engines build split-digest filters only; the key stays for v1
   // readers.
   o += ",\"bloom_strategy\":0},\"mempool_b64\":\"";
@@ -187,6 +199,8 @@ ForensicCapture ForensicCapture::from_json(std::string_view text) {
   cap.keyed_short_ids = cfg.at("keyed_short_ids").boolean;
   cap.near_equal_fpr = cfg.at("near_equal_fpr").number;
   cap.enable_pingpong = cfg.at("enable_pingpong").boolean;
+  cap.round_trip_bytes =
+      cfg.contains("round_trip_bytes") ? u64_field(cfg, "round_trip_bytes") : 0;
   if (cfg.at("bloom_strategy").number != 0.0) {
     throw obs::json::ParseError("capture: bloom_strategy must be 0 (split digest)");
   }
@@ -223,7 +237,7 @@ ForensicCapture ForensicCapture::from_json(std::string_view text) {
 
 ForensicCapture make_capture(std::string kind, std::string stage,
                              const chain::Mempool& mempool, const ProtocolConfig& cfg,
-                             std::uint64_t salt) {
+                             std::uint64_t salt, std::uint64_t first_seq) {
   ForensicCapture cap;
   cap.kind = std::move(kind);
   cap.stage = std::move(stage);
@@ -233,9 +247,12 @@ ForensicCapture make_capture(std::string kind, std::string stage,
   cap.keyed_short_ids = cfg.keyed_short_ids;
   cap.near_equal_fpr = cfg.near_equal_fpr;
   cap.enable_pingpong = cfg.enable_pingpong;
+  cap.round_trip_bytes = cfg.round_trip_bytes;
   cap.mempool = mempool.transactions();
   if (obs::Registry* reg = obs::enabled(cfg.obs)) {
-    cap.events = reg->recorder().events();
+    for (obs::FlightEvent& e : reg->recorder().events()) {
+      if (e.seq >= first_seq) cap.events.push_back(std::move(e));
+    }
   }
   return cap;
 }
@@ -405,6 +422,11 @@ ReplayReport replay_capture(const ForensicCapture& cap) {
           break;
         }
         case obs::FlightEventKind::kError: {
+          // A receiver that raised in build_request sent nothing, so its
+          // error event is the only trace of the call: make it again.
+          if (err_stage.empty() && e.label == "build_request") {
+            (void)session.build_request();
+          }
           if (err_stage != e.label) {
             rep.outcome_match = false;
             rep.notes.push_back("recorded ProtocolError at " + e.label + ", replay " +

@@ -61,6 +61,9 @@ struct ForensicCapture {
   bool keyed_short_ids = true;
   double near_equal_fpr = 0.1;
   bool enable_pingpong = true;
+  /// Captures written before the key existed load as 0, the byte objective
+  /// they were recorded under.
+  std::uint64_t round_trip_bytes = ProtocolConfig{}.round_trip_bytes;
 
   /// Receiver mempool snapshot (order-irrelevant; see header comment).
   std::vector<chain::Transaction> mempool;
@@ -87,11 +90,15 @@ struct ForensicCapture {
 
 /// Builds a capture from the live session environment: copies the mempool,
 /// the config scalars, and — when `cfg.obs` is attached — the flight
-/// recorder's current event log.
+/// recorder's events numbered `first_seq` or later. A session passes the
+/// recorder's total_recorded() from its start, so a registry shared by
+/// sessions run one after another yields captures of one session each
+/// (sessions that run at the same time still interleave).
 [[nodiscard]] ForensicCapture make_capture(std::string kind, std::string stage,
                                            const chain::Mempool& mempool,
                                            const ProtocolConfig& cfg,
-                                           std::uint64_t salt);
+                                           std::uint64_t salt,
+                                           std::uint64_t first_seq = 0);
 
 /// Attaches the sender's block, enabling full-loop replay.
 void attach_block(ForensicCapture& cap, const chain::Block& block,

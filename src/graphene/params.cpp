@@ -1,6 +1,7 @@
 #include "graphene/params.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -29,7 +30,24 @@ std::vector<std::uint64_t> candidate_grid(std::uint64_t limit) {
   return out;
 }
 
+/// 2^(−j/8) for j = 0..7, the steps of the f_R grid within one octave. They
+/// are spelled out so that the grid, and the request bytes built from it, do
+/// not depend on the platform's exp2.
+constexpr std::array<double, 8> kEighthOctaves = {
+    1.0,                0.9170040432046712, 0.8408964152537145, 0.7711054127039704,
+    0.7071067811865476, 0.6484197773255048, 0.5946035575013605, 0.5452538663326288};
+
+/// The f_R grid ends at 2^−40 (40 hashes per item). The completion scan
+/// stops far above it unless round_trip_bytes dwarfs every filter.
+constexpr int kFprSteps = 8 * 40;
+
 }  // namespace
+
+double repair_probability(double fpr_r, std::uint64_t missing) noexcept {
+  if (missing == 0 || fpr_r <= 0.0) return 0.0;
+  if (fpr_r >= 1.0) return 1.0;
+  return -std::expm1(static_cast<double>(missing) * std::log1p(-fpr_r));
+}
 
 double eq3_continuous_a(std::uint64_t n, double tau) noexcept {
   constexpr double kLn2Sq = 0.6931471805599453 * 0.6931471805599453;
@@ -109,14 +127,50 @@ Protocol2Params optimize_protocol2(std::uint64_t z, std::uint64_t m, std::uint64
     return best;
   }
 
-  auto evaluate = [&](std::uint64_t b) -> Protocol2Params {
+  // J covers b of R's false positives plus S's y*; R is sized for z.
+  const auto priced = [&](double fpr, std::uint64_t b) {
     Protocol2Params p = best;
-    p.b = std::clamp<std::uint64_t>(b, 1, missing);
-    p.fpr = std::min(1.0, static_cast<double>(p.b) / static_cast<double>(missing));
+    p.fpr = fpr;
+    p.b = b;
     p.iblt = iblt::cached_params(cfg.param_cache, p.b + p.y_star, cfg.fail_denom);
     p.bloom_bytes = bloom::serialized_bytes(z, p.fpr);
     p.iblt_bytes = iblt::Iblt::serialized_size_for(p.iblt.cells);
     return p;
+  };
+
+  if (cfg.round_trip_bytes > 0) {
+    // Completion objective: a missing transaction that passes R falsely is
+    // in neither the answer nor the receiver's pool, so it costs the repair
+    // round. Each f_R on the grid gets the β-assured bound on those false
+    // positives as its b (no more than n − x* can occur).
+    const double trip = static_cast<double>(cfg.round_trip_bytes);
+    const auto at = [&](double fpr) {
+      return priced(fpr, std::min(bound_a_star(fpr * static_cast<double>(missing), cfg.beta),
+                                  missing));
+    };
+    const auto cost = [&](const Protocol2Params& p) {
+      return static_cast<double>(p.total_bytes()) + repair_probability(p.fpr, missing) * trip;
+    };
+    Protocol2Params chosen = at(1.0);
+    double chosen_cost = cost(chosen);
+    for (int k = 1; k <= kFprSteps; ++k) {
+      const Protocol2Params p =
+          at(std::ldexp(kEighthOctaves[static_cast<std::size_t>(k % 8)], -(k / 8)));
+      // |R| only grows as f_R falls and is a lower bound on the cost, so no
+      // point further down the grid can win.
+      if (static_cast<double>(p.bloom_bytes) >= chosen_cost) break;
+      if (const double c = cost(p); c < chosen_cost) {
+        chosen = p;
+        chosen_cost = c;
+      }
+    }
+    return chosen;
+  }
+
+  const auto evaluate = [&](std::uint64_t b) {
+    const std::uint64_t clamped = std::clamp<std::uint64_t>(b, 1, missing);
+    return priced(
+        std::min(1.0, static_cast<double>(clamped) / static_cast<double>(missing)), clamped);
   };
 
   best = evaluate(1);

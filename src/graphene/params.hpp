@@ -1,10 +1,12 @@
-// Size-optimal parameter selection for both protocols (§3.3.1, §3.3.2).
+// Parameter selection for both protocols (§3.3.1, §3.3.2).
 //
 // The optimizers minimize the *serialized* byte size of Bloom filter + IBLT
 // using ceiling-accurate discrete size functions — the paper notes (§3.3.1)
 // that the continuous closed form (Eq. 3) can land up to 20% above the true
 // minimum for a < 100, so we sweep the small-a region exactly and use a
-// geometric grid + local refinement beyond it.
+// geometric grid + local refinement beyond it. Protocol 2 adds the price of
+// the repair round trip to its byte count unless
+// ProtocolConfig::round_trip_bytes is 0 (the paper's objective).
 #pragma once
 
 #include <cstdint>
@@ -41,6 +43,13 @@ struct ProtocolConfig {
   /// FPR pinned by the receiver in the m ≈ n fallback (§3.3.2, tested
   /// efficient for 0.001–0.2).
   double near_equal_fpr = 0.1;
+  /// What one more round trip costs, in bytes: the link's bandwidth × RTT.
+  /// On Protocol 2's normal path the receiver picks f_R to minimize
+  /// |R| + |J| + P(repair) · round_trip_bytes, so a missing transaction
+  /// rarely slips through R and forces the repair round. 0 selects the
+  /// paper's objective, |R| + |J| alone. The default is 10 Mbit/s × 100 ms,
+  /// which equals 1 Gbit/s × 1 ms.
+  std::uint64_t round_trip_bytes = 125'000;
   /// Joint decoding of I and J when J alone leaves a 2-core (§4.2). Off only
   /// for the Fig. 16 ablation.
   bool enable_pingpong = true;
@@ -77,8 +86,8 @@ struct Protocol1Params {
 
 /// Chosen Protocol 2 parameters (receiver side, step 2).
 struct Protocol2Params {
-  double fpr = 1.0;             ///< f_R = b/(n−x*)
-  std::uint64_t b = 1;          ///< expected false positives through R
+  double fpr = 1.0;             ///< f_R; b/(n−x*) under the byte objective
+  std::uint64_t b = 1;          ///< false positives through R that J covers
   std::uint64_t x_star = 0;     ///< Theorem 2 lower bound on true positives
   std::uint64_t y_star = 1;     ///< Theorem 3 upper bound on S's false positives
   iblt::IbltParams iblt{};      ///< IBLT J sized for b + y_star
@@ -92,11 +101,22 @@ struct Protocol2Params {
 [[nodiscard]] Protocol1Params optimize_protocol1(std::uint64_t n, std::uint64_t m,
                                                  const ProtocolConfig& cfg = {});
 
-/// Minimizes |R| + |J| over b (Protocol 2). `z` is the receiver's candidate
-/// set size, `f_s` the FPR of the Protocol 1 filter actually received.
+/// Protocol 2 step 2. `z` is the receiver's candidate set size, `f_s` the
+/// FPR of the Protocol 1 filter actually received. With
+/// cfg.round_trip_bytes = 0 it minimizes |R| + |J| over b, the expected
+/// false positives through R (f_R = b/(n−x*)). Otherwise it scans f_R down a
+/// grid of eight steps per octave and minimizes |R| + |J| +
+/// repair_probability(f_R, n−x*) · round_trip_bytes, with b the β-assured
+/// bound on R's false positives (Theorem 1, at most n−x*). J is sized for
+/// b + y* either way.
 [[nodiscard]] Protocol2Params optimize_protocol2(std::uint64_t z, std::uint64_t m,
                                                  std::uint64_t n, double f_s,
                                                  const ProtocolConfig& cfg = {});
+
+/// Chance that at least one of `missing` transactions passes a filter R of
+/// FPR `fpr_r`, which the receiver then has to fetch in a repair round:
+/// 1 − (1 − f_R)^missing.
+[[nodiscard]] double repair_probability(double fpr_r, std::uint64_t missing) noexcept;
 
 /// Continuous-approximation optimum a = n / (8 r τ ln² 2) (Eq. 3); exposed
 /// for tests that check the discrete search brackets it.

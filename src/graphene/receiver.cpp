@@ -28,7 +28,11 @@ const char* status_label(ReceiveStatus status) noexcept { return to_string(statu
 }  // namespace
 
 ReceiveSession::ReceiveSession(const chain::Mempool& mempool, ProtocolConfig cfg)
-    : mempool_(&mempool), cfg_(cfg), engine_(kBlockKeys, cfg, obs::enabled(cfg.obs)) {}
+    : mempool_(&mempool), cfg_(cfg), engine_(kBlockKeys, cfg, obs::enabled(cfg.obs)) {
+  if (obs::Registry* reg = obs::enabled(cfg_.obs)) {
+    first_event_ = reg->recorder().total_recorded();
+  }
+}
 
 Receiver::Receiver(const chain::Mempool& mempool, ProtocolConfig cfg)
     : mempool_(&mempool), cfg_(cfg) {}
@@ -128,7 +132,7 @@ void ReceiveSession::raise(const char* stage, const char* what) const {
 
 void ReceiveSession::dump_failure(const char* kind, const char* stage) const {
   if (obs::Registry* reg = obs::enabled(cfg_.obs); reg != nullptr && capture_enabled()) {
-    ForensicCapture cap = make_capture(kind, stage, *mempool_, cfg_, salt_);
+    ForensicCapture cap = make_capture(kind, stage, *mempool_, cfg_, salt_, first_event_);
     cap.has_error = true;
     cap.error = error_context();
     if (maybe_dump_capture(cap).has_value()) {

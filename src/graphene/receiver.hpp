@@ -101,6 +101,9 @@ class ReceiveSession {
   const chain::Mempool* mempool_;
   ProtocolConfig cfg_;
   GrapheneReceiver engine_;
+  /// The flight recorder's total_recorded() when this session started: its
+  /// captures keep only the events from here on.
+  std::uint64_t first_event_ = 0;
 
   // From the block message (valid after receive_block).
   chain::BlockHeader header_{};

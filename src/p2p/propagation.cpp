@@ -53,11 +53,13 @@ RelayOutcome relay_once(const chain::Block& block, const chain::Mempool& mempool
       const baselines::CompactBlocksResult r =
           baselines::run_compact_blocks(block, mempool, rng.next());
       out.bytes = r.total_bytes();
+      out.rounds += r.needed_roundtrip ? 1 : 0;
       return out;
     }
     case RelayProtocol::kXthin: {
       const baselines::XthinResult r = baselines::run_xthin(block, mempool);
       if (!r.success) {
+        out.rounds += 1;
         out.decode_failed = true;
         out.fallback_bytes = block.full_block_bytes();
         out.bytes = r.encoding_bytes() + out.fallback_bytes;
@@ -69,6 +71,7 @@ RelayOutcome relay_once(const chain::Block& block, const chain::Mempool& mempool
     }
     case RelayProtocol::kGraphene: {
       core::ProtocolConfig pcfg;
+      pcfg.round_trip_bytes = config.link.round_trip_bytes();
       pcfg.obs = config.obs;
       core::Sender sender(block, rng.next(), pcfg);
       core::ReceiveSession receiver(mempool, pcfg);
@@ -100,7 +103,9 @@ RelayOutcome relay_once(const chain::Block& block, const chain::Mempool& mempool
         ro = receiver.complete_repair(rep_resp);
       }
       if (ro.status != core::ReceiveStatus::kDecoded) {
-        // Fall back to a full block — the deployed behavior on decode failure.
+        // Fall back to a full block — the deployed behavior on decode
+        // failure, one more request and reply.
+        out.rounds += 1;
         out.decode_failed = true;
         out.fallback_bytes = block.full_block_bytes();
         out.bytes += block.full_block_bytes();
@@ -176,8 +181,10 @@ PropagationResult propagate_block(const chain::Block& block, const Topology& top
         reg->histogram("graphene_p2p_relay_bytes").observe(relay.bytes);
         reg->histogram("graphene_p2p_relay_rounds").observe(relay.rounds);
       }
-      const double arrival = now + config.link.latency_s +
-                             static_cast<double>(relay.bytes) / config.link.bandwidth_bps;
+      // Each round trip beyond the first adds a latency each way.
+      const double arrival =
+          now + static_cast<double>(2 * relay.rounds - 1) * config.link.latency_s +
+          static_cast<double>(relay.bytes) / config.link.bandwidth_bps;
       queue.push(Event{arrival, from, to});
     }
   };

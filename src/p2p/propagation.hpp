@@ -4,10 +4,13 @@
 // bottleneck for propagating blocks larger than 20KB, and delays grow
 // linearly with block size"): a miner announces a block; every peer that
 // completes reception relays onward. Per-link transfer time is
-// latency + bytes/bandwidth, where bytes come from running the *actual*
-// relay protocol (Graphene, Compact Blocks, XThin, or full blocks) against
-// the receiving peer's mempool. Outputs: time to reach 50%/99% of peers and
-// total network bytes — the quantities that drive fork rates and the
+// (2r − 1) · latency + bytes/bandwidth, where r is the relay's round trips
+// (one more each for Protocol 2, the repair round, Compact Blocks'
+// getblocktxn and a full-block fallback) and bytes come from running the
+// *actual* relay protocol (Graphene, Compact Blocks, XThin, or full blocks)
+// against the receiving peer's mempool. Graphene relays price a round trip
+// at the link's round_trip_bytes(). Outputs: time to reach 50%/99% of peers
+// and total network bytes — the quantities that drive fork rates and the
 // maximum sustainable block size.
 #pragma once
 
@@ -36,6 +39,11 @@ enum class RelayProtocol : std::uint8_t {
 struct LinkModel {
   double latency_s = 0.05;            ///< one-way propagation delay
   double bandwidth_bps = 8e6 / 8.0;   ///< 1 MB/s per link (bytes per second)
+
+  /// Bytes the link carries in one round trip: bandwidth × 2 · latency.
+  [[nodiscard]] std::uint64_t round_trip_bytes() const noexcept {
+    return static_cast<std::uint64_t>(bandwidth_bps * 2.0 * latency_s);
+  }
 };
 
 struct PropagationConfig {

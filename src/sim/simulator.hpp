@@ -48,6 +48,16 @@ struct GrapheneRun {
   }
 };
 
+/// The configuration the paper's figures were measured under: Protocol 2
+/// minimizes |R| + |J| alone (§3.3.2), with no price on the repair round
+/// trip. The benches that run Protocol 2's normal path pass it so that their
+/// tables stay the paper's.
+[[nodiscard]] inline core::ProtocolConfig paper_config() {
+  core::ProtocolConfig cfg;
+  cfg.round_trip_bytes = 0;
+  return cfg;
+}
+
 /// Fixed model cost for the receiver's step-2 getdata (inv hash + mempool
 /// count); matches the small constant the deployed protocol sends.
 inline constexpr std::size_t kGetdataBytes = 37;

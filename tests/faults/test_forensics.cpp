@@ -139,6 +139,25 @@ TEST(ForensicsEnv, CaptureRoundTripsWithoutTelemetry) {
   EXPECT_TRUE(back.has_block);
   EXPECT_EQ(back.mempool.size(), s.receiver_mempool.size());
   EXPECT_EQ(back.block_txns.size(), s.block.tx_count());
+  EXPECT_EQ(back.round_trip_bytes, cfg.round_trip_bytes);
+  EXPECT_EQ(back.config().round_trip_bytes, cfg.round_trip_bytes);
+
+  // A capture written before the config recorded round_trip_bytes ran under
+  // the byte objective, and loads as 0.
+  std::string legacy = cap.to_json();
+  const std::string rtb = ",\"round_trip_bytes\":125000";
+  const std::size_t rtb_at = legacy.find(rtb);
+  ASSERT_NE(rtb_at, std::string::npos);
+  legacy.erase(rtb_at, rtb.size());
+  EXPECT_EQ(ForensicCapture::from_json(legacy).round_trip_bytes, 0u);
+
+  // A count the writer could not have produced is refused at load, before
+  // it reaches a conversion or the optimizer.
+  for (const char* bad : {"-1", "0.5", "1e300", "9007199254740994"}) {
+    std::string json = cap.to_json();
+    json.replace(rtb_at, rtb.size(), std::string(",\"round_trip_bytes\":") + bad);
+    EXPECT_THROW((void)ForensicCapture::from_json(json), obs::json::ParseError) << bad;
+  }
 
   // The v1 config keeps its bloom_strategy key, pinned to 0 (split digest):
   // a capture naming any other layout cannot be replayed and is refused.
@@ -238,6 +257,56 @@ TEST(Forensics, ProtocolErrorIsCountedTracedAndCaptured) {
   EXPECT_EQ(cap.stage, "build_request");
   EXPECT_TRUE(cap.has_error);
   EXPECT_FALSE(cap.error.have_block_msg);
+}
+
+TEST(Forensics, SharedRegistryCaptureHoldsOnlyItsOwnSession) {
+  // Two sessions, one after the other, on one registry. The first relay
+  // decodes and leaves its events in the shared flight recorder; the second
+  // session is driven out of order. Its protocol_error capture must replay
+  // to the same error, which it cannot if it carries the first relay's
+  // events too.
+  ScopedCaptureDir capture_dir;
+  util::Rng rng(0x2e55);
+  chain::ScenarioSpec spec;
+  spec.block_txns = 120;
+  spec.extra_txns = 200;
+  spec.block_fraction_in_mempool = 0.9;
+  const chain::Scenario s = chain::make_scenario(spec, rng);
+  obs::Registry reg;
+  ProtocolConfig cfg;
+  cfg.obs = &reg;
+  {
+    Sender sender(s.block, /*salt=*/3);
+    ReceiveSession first(s.receiver_mempool, cfg);
+    ReceiveOutcome out = first.receive_block(sender.encode(s.m).msg);
+    if (out.status == ReceiveStatus::kNeedsProtocol2) {
+      out = first.complete(sender.serve(first.build_request()));
+    }
+    if (out.status == ReceiveStatus::kNeedsRepair) {
+      out = first.complete_repair(sender.serve_repair(first.build_repair()));
+    }
+    ASSERT_EQ(out.status, ReceiveStatus::kDecoded);
+  }
+  const std::uint64_t first_events = reg.recorder().total_recorded();
+  ASSERT_GT(first_events, 0u);
+  ASSERT_TRUE(capture_dir.drain_new().empty());
+
+  ReceiveSession second(s.receiver_mempool, cfg);
+  EXPECT_THROW((void)second.build_request(), ProtocolError);
+  const std::vector<fs::path> files = capture_dir.drain_new();
+  ASSERT_EQ(files.size(), 1u);
+  const ForensicCapture cap = load_capture(files[0]);
+  EXPECT_EQ(cap.kind, "protocol_error");
+  ASSERT_EQ(cap.events.size(), 1u);
+  EXPECT_EQ(cap.events[0].seq, first_events);
+  EXPECT_EQ(cap.events[0].kind, obs::FlightEventKind::kError);
+
+  const ReplayReport rep = replay_capture(cap);
+  std::string notes;
+  for (const std::string& n : rep.notes) notes += n + "; ";
+  EXPECT_TRUE(rep.ok()) << notes;
+  EXPECT_EQ(rep.recorded_outcome, "error:build_request");
+  EXPECT_EQ(rep.replayed_outcome, "error:build_request");
 }
 
 TEST(Forensics, SenderRejectionIsRecorded) {
@@ -399,6 +468,9 @@ End run_with_forensics(const testkit::GenCase& c, const testkit::FaultSpec& faul
   obs::Registry reg;
   ProtocolConfig cfg;
   cfg.obs = &reg;
+  // The byte objective: its repair rounds give the faulty link more frames
+  // to break.
+  cfg.round_trip_bytes = 0;
   // The sender runs without telemetry so the capture is strictly the
   // receiver's view — receiver-only replay then has no sender-side events
   // whose regeneration could depend on what the faulty link delivered.

@@ -1,6 +1,6 @@
 // ProtocolConfig knobs: β-assurance level, IBLT target rate, short-ID
-// keying, and ping-pong — each must steer sizes/behavior the way the
-// analysis says.
+// keying, ping-pong and the price of a round trip — each must steer
+// sizes/behavior the way the analysis says.
 #include <gtest/gtest.h>
 
 #include "graphene/params.hpp"
@@ -106,6 +106,46 @@ TEST(ConfigVariants, NearEqualFprRangeFromPaperAllWork) {
       out = session.complete_repair(sender.serve_repair(session.build_repair()));
     }
     EXPECT_EQ(out.status, ReceiveStatus::kDecoded) << "fpr_R=" << fpr;
+  }
+}
+
+TEST(ConfigVariants, RoundTripBytesSteersTheRepairRound) {
+  // Relays of blocks missing a tenth of their transactions decode at every
+  // price of a round trip. Under the byte objective (0) nearly all of them
+  // also take the repair round; priced at a real link, none does; an absurd
+  // price drives f_R toward the bottom of its grid and still decodes.
+  struct Want {
+    std::uint64_t trip;
+    int min_repairs;
+    int max_repairs;
+  };
+  for (const Want& want : {Want{0, 8, 10}, Want{125'000, 0, 0},
+                           Want{1'000'000'000'000, 0, 0}}) {
+    ProtocolConfig cfg;
+    cfg.round_trip_bytes = want.trip;
+    util::Rng rng(9);
+    int decoded = 0;
+    int repairs = 0;
+    for (int t = 0; t < 10; ++t) {
+      chain::ScenarioSpec spec;
+      spec.block_txns = 300;
+      spec.extra_txns = 600;
+      spec.block_fraction_in_mempool = 0.9;
+      const chain::Scenario s = chain::make_scenario(spec, rng);
+      Sender sender(s.block, rng.next(), cfg);
+      ReceiveSession session = Receiver(s.receiver_mempool, cfg).session();
+      ReceiveOutcome out = session.receive_block(sender.encode(s.m).msg);
+      ASSERT_EQ(out.status, ReceiveStatus::kNeedsProtocol2);
+      out = session.complete(sender.serve(session.build_request()));
+      if (out.status == ReceiveStatus::kNeedsRepair) {
+        ++repairs;
+        out = session.complete_repair(sender.serve_repair(session.build_repair()));
+      }
+      decoded += out.status == ReceiveStatus::kDecoded ? 1 : 0;
+    }
+    EXPECT_EQ(decoded, 10) << "round_trip_bytes=" << want.trip;
+    EXPECT_GE(repairs, want.min_repairs) << "round_trip_bytes=" << want.trip;
+    EXPECT_LE(repairs, want.max_repairs) << "round_trip_bytes=" << want.trip;
   }
 }
 

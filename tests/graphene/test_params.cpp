@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "bloom/bloom_filter.hpp"
 #include "bloom/bloom_math.hpp"
 #include "graphene/bounds.hpp"
 #include "iblt/param_table.hpp"
+#include "util/stats.hpp"
 
 namespace graphene::core {
 namespace {
@@ -81,7 +85,8 @@ TEST(OptimizeProtocol1, Eq3ContinuousApproximationIsInTheRightRegime) {
 
 TEST(OptimizeProtocol2, NormalPathProducesConsistentParams) {
   // z = 150 of m = 500 passed S at FPR 0.05; block n = 200.
-  const ProtocolConfig cfg;
+  ProtocolConfig cfg;
+  cfg.round_trip_bytes = 0;  // the paper's byte objective: f_R = b/(n−x*)
   const Protocol2Params p = optimize_protocol2(150, 500, 200, 0.05, cfg);
   EXPECT_FALSE(p.reversed);
   EXPECT_LE(p.x_star, 150u);
@@ -107,7 +112,8 @@ TEST(OptimizeProtocol2, IbltSizedForBPlusYStar) {
 }
 
 TEST(OptimizeProtocol2, MatchesBruteForceOverB) {
-  const ProtocolConfig cfg;
+  ProtocolConfig cfg;
+  cfg.round_trip_bytes = 0;  // the paper's byte objective
   const std::uint64_t z = 150, m = 500, n = 200;
   const double f_s = 0.05;
   const Protocol2Params p = optimize_protocol2(z, m, n, f_s, cfg);
@@ -123,6 +129,112 @@ TEST(OptimizeProtocol2, MatchesBruteForceOverB) {
     best = std::min(best, total);
   }
   EXPECT_LE(p.total_bytes(), best + best / 50);
+}
+
+/// The Protocol 2 inputs of perfbench's relay_block relays that miss 100 of
+/// their 2,000 transactions: m = 20,000, z = 1,912, and f_s the expected FPR
+/// of the filter S that Protocol 1 builds for them.
+struct RelayBlockShape {
+  std::uint64_t z = 1912, m = 20000, n = 2000;
+  double f_s = 0.0;
+  RelayBlockShape() {
+    const bloom::BloomFilter s(n, optimize_protocol1(n, m).fpr, 0);
+    f_s = bloom::expected_fpr(s.bit_count(), s.hash_count(), n);
+  }
+};
+
+/// Pr[more than b of `missing` items pass a filter of FPR f].
+double tail_above(std::uint64_t b, std::uint64_t missing, double f) {
+  return -std::expm1(util::log_binomial_cdf(b, missing, f));
+}
+
+TEST(OptimizeProtocol2, CompletionObjectiveMakesRepairRareAtRelayBlockSizes) {
+  const RelayBlockShape s;
+  const ProtocolConfig cfg;
+  ASSERT_GT(cfg.round_trip_bytes, 0u);
+  const Protocol2Params p = optimize_protocol2(s.z, s.m, s.n, s.f_s, cfg);
+  ASSERT_FALSE(p.reversed);
+  const std::uint64_t missing = s.n - p.x_star;
+  // b is Theorem 1's bound on R's false positives among the n − x* missing
+  // transactions, and the binomial tail beyond it stays within 1 − β.
+  EXPECT_EQ(p.b, std::min(bound_a_star(p.fpr * static_cast<double>(missing), cfg.beta),
+                          missing));
+  EXPECT_LE(tail_above(p.b, missing, p.fpr), 1.0 - cfg.beta);
+  EXPECT_LE(repair_probability(p.fpr, missing), 0.01);
+  EXPECT_EQ(p.iblt.cells, iblt::lookup_params(p.b + p.y_star, cfg.fail_denom).cells);
+
+  // The byte objective on the same inputs: b = 23 expected false positives,
+  // f_R ≈ 0.19, and a repair round is all but certain.
+  ProtocolConfig bytes_only = cfg;
+  bytes_only.round_trip_bytes = 0;
+  const Protocol2Params q = optimize_protocol2(s.z, s.m, s.n, s.f_s, bytes_only);
+  EXPECT_EQ(q.x_star, p.x_star);
+  EXPECT_EQ(q.y_star, p.y_star);
+  EXPECT_EQ(q.b, 23u);
+  EXPECT_NEAR(q.fpr, 0.1885, 5e-4);
+  EXPECT_GT(repair_probability(q.fpr, missing), 0.99);
+  EXPECT_LT(q.total_bytes(), p.total_bytes());
+}
+
+TEST(OptimizeProtocol2, CompletionSearchFindsTheGridMinimum) {
+  // The scan stops once |R| alone costs more than the best point so far;
+  // pricing every point of the grid must not find a cheaper one.
+  const RelayBlockShape s;
+  for (const std::uint64_t trip : {1000ULL, 125'000ULL, 10'000'000ULL}) {
+    ProtocolConfig cfg;
+    cfg.round_trip_bytes = trip;
+    const Protocol2Params p = optimize_protocol2(s.z, s.m, s.n, s.f_s, cfg);
+    const std::uint64_t missing = s.n - p.x_star;
+    const auto cost = [&](double fpr, std::uint64_t b) {
+      const std::size_t bytes =
+          bloom::serialized_bytes(s.z, fpr) +
+          iblt::Iblt::serialized_size_for(
+              iblt::lookup_params(b + p.y_star, cfg.fail_denom).cells);
+      return static_cast<double>(bytes) +
+             repair_probability(fpr, missing) * static_cast<double>(trip);
+    };
+    const double chosen = cost(p.fpr, p.b);
+    for (int k = 0; k <= 8 * 40; ++k) {
+      const double f = std::exp2(-k / 8.0);
+      const std::uint64_t b =
+          std::min(bound_a_star(f * static_cast<double>(missing), cfg.beta), missing);
+      // One byte of slack: exp2 may round f a ulp away from the library's
+      // grid, which can move a filter across a byte boundary.
+      EXPECT_LE(chosen, cost(f, b) + 1.0) << "trip=" << trip << " k=" << k;
+    }
+  }
+}
+
+TEST(OptimizeProtocol2, RaisingRoundTripBytesNeverRaisesRepairChance) {
+  const RelayBlockShape relay;
+  struct Shape {
+    std::uint64_t z, m, n;
+    double f_s;
+  };
+  for (const Shape& s : {Shape{relay.z, relay.m, relay.n, relay.f_s},
+                         Shape{150, 500, 200, 0.05}, Shape{300, 1000, 400, 0.02},
+                         Shape{60, 5000, 100, 0.002}}) {
+    double previous = 1.0;
+    for (const std::uint64_t trip :
+         {1ULL, 100ULL, 1000ULL, 10'000ULL, 100'000ULL, 125'000ULL, 1'000'000ULL,
+          100'000'000ULL, 10'000'000'000ULL}) {
+      ProtocolConfig cfg;
+      cfg.round_trip_bytes = trip;
+      const Protocol2Params p = optimize_protocol2(s.z, s.m, s.n, s.f_s, cfg);
+      ASSERT_FALSE(p.reversed);
+      const double chance = repair_probability(p.fpr, s.n - p.x_star);
+      EXPECT_LE(chance, previous) << "z=" << s.z << " n=" << s.n << " trip=" << trip;
+      previous = chance;
+    }
+  }
+}
+
+TEST(OptimizeProtocol2, RepairProbabilityEdges) {
+  EXPECT_EQ(repair_probability(0.5, 0), 0.0);
+  EXPECT_EQ(repair_probability(1.0, 3), 1.0);
+  EXPECT_NEAR(repair_probability(0.5, 2), 0.75, 1e-15);
+  // Small f_R: 1 − (1 − f)^k ≈ k·f without cancellation.
+  EXPECT_NEAR(repair_probability(1e-12, 1000), 1e-9, 1e-18);
 }
 
 }  // namespace

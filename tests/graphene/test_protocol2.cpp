@@ -179,9 +179,11 @@ TEST(Protocol2, RepairRoundKeepsPingPongFlag) {
   // A block that ping-pong rescued and that then needed the repair round
   // must still report used_pingpong on its final outcome. fail_denom = 2
   // sizes J to fail about half the time, so a short seed search finds such
-  // a relay.
+  // a relay. The byte objective keeps f_R high enough that most relays need
+  // the repair round.
   ProtocolConfig cfg;
   cfg.fail_denom = 2;
+  cfg.round_trip_bytes = 0;
   chain::ScenarioSpec spec;
   spec.block_txns = 300;
   spec.extra_txns = 600;

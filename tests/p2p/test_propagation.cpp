@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "chain/workload.hpp"
 
 namespace graphene::p2p {
@@ -94,6 +96,55 @@ TEST(Propagation, LatencyScalesWithBandwidth) {
   const PropagationResult rfast = propagate_block(block, topo, fast, ra);
   const PropagationResult rslow = propagate_block(block, topo, slow, rb);
   EXPECT_GT(rslow.t99_s, rfast.t99_s);
+}
+
+TEST(Propagation, EachRoundTripAddsTwoLatencies) {
+  // A relay of r round trips lands after 2r − 1 one-way latencies plus its
+  // bytes over the bandwidth. On the default link (1 MB/s, 50 ms) a peer
+  // missing a tenth of the block needs Protocol 2 (Graphene) or getblocktxn
+  // (Compact Blocks). A peer holding none of it makes XThin's filter pass a
+  // missing transaction, and the relay falls back to the full block, one
+  // more trip. A link without latency prices a round trip at 0 bytes, so
+  // Graphene sizes R for bytes alone and also takes the repair round.
+  util::Rng rng(6);
+  const chain::Block block = make_block(2000, rng);
+  const Topology topo = Topology::clique(2);
+  struct Case {
+    RelayProtocol protocol;
+    double coverage;
+    double latency_s;
+    std::uint64_t rounds;
+    std::size_t fallbacks;
+  };
+  for (const Case& c : {Case{RelayProtocol::kGraphene, 0.9, 0.05, 2, 0},
+                        Case{RelayProtocol::kGraphene, 0.9, 0.0, 3, 0},
+                        Case{RelayProtocol::kCompactBlocks, 0.9, 0.05, 2, 0},
+                        Case{RelayProtocol::kFullBlocks, 0.9, 0.05, 1, 0},
+                        Case{RelayProtocol::kXthin, 0.0, 0.05, 2, 1}}) {
+    PropagationConfig cfg;
+    cfg.protocol = c.protocol;
+    cfg.mempool_coverage = c.coverage;
+    cfg.link.latency_s = c.latency_s;
+    util::Rng r(8);
+    const PropagationResult res = propagate_block(block, topo, cfg, r);
+    const std::string what =
+        std::string(protocol_name(c.protocol)) + " at " + std::to_string(c.latency_s) + " s";
+    ASSERT_EQ(res.relays, 1u) << what;
+    EXPECT_EQ(res.rounds, c.rounds) << what;
+    EXPECT_EQ(res.decode_failures, c.fallbacks) << what;
+    EXPECT_NEAR(res.t99_s,
+                static_cast<double>(2 * c.rounds - 1) * c.latency_s +
+                    static_cast<double>(res.total_bytes) / cfg.link.bandwidth_bps,
+                1e-9)
+        << what;
+  }
+}
+
+TEST(Propagation, LinkRoundTripBytes) {
+  LinkModel link;
+  link.latency_s = 0.05;
+  link.bandwidth_bps = 1e6;
+  EXPECT_EQ(link.round_trip_bytes(), 100'000u);
 }
 
 TEST(Propagation, ProtocolNamesAreDistinct) {
