@@ -12,11 +12,12 @@
 // realistic difference.
 //
 // Five more sections:
-//   kernels     — the SHA-256 compress kernel timed portable-vs-best-ISA over
-//                 1 MiB via kernels_for(), reported as bytes/s + speedup;
+//   kernels     — the SHA-256 compress timed on the portable body and on the
+//                 best body this CPU runs over 1 MiB, reported as bytes/s +
+//                 speedup;
 //   merkle      — chain::merkle_root over a block's 2,000 ids on the portable
-//                 SHA-256 body and on the one auto-dispatch picks, with a
-//                 root cross-check;
+//                 SHA-256 body and on the best one, swapped in through
+//                 util::set_sha256_compress, with a root cross-check;
 //   served_iblt — the IBLT at the size a relay builds: 2,000 keys into 80
 //                 and 240 cells with insert_all, then subtract and decode of
 //                 a 30-key difference;
@@ -30,7 +31,7 @@
 //                 GrapheneBlockMsg, with a byte-identity cross-check.
 //
 // Every variant's results are cross-checked (hit counts per variant, cell
-// bytes across build paths, kernel outputs portable-vs-SIMD, coded symbols
+// bytes across build paths, compress outputs across bodies, coded symbols
 // and decoder recoveries against the heap replica, decoded differences) and
 // the process exits nonzero on any divergence, so CI smoke runs double as a
 // parity gate.
@@ -64,7 +65,7 @@
 #include "obs/json.hpp"
 #include "util/hash.hpp"
 #include "util/random.hpp"
-#include "util/simd/simd.hpp"
+#include "util/sha256.hpp"
 
 namespace {
 
@@ -308,37 +309,47 @@ ScaleResult run_scale(std::uint64_t m, int reps) {
   return res;
 }
 
-// --- Per-kernel portable-vs-SIMD micro-benchmarks --------------------------
+// --- SHA-256 compress on each body -------------------------------------------
 
-namespace simd = util::simd;
+/// "portable" or "sha-ni": sha256_compress_best() is one of the two.
+const char* body_name(util::Sha256Compress body) {
+  return body == &util::sha256_compress_portable ? "portable" : "sha-ni";
+}
+
+/// The body util::Sha256 runs now; the hook swaps it out and straight back.
+util::Sha256Compress active_body() {
+  const util::Sha256Compress active = util::set_sha256_compress(&util::sha256_compress_portable);
+  util::set_sha256_compress(active);
+  return active;
+}
 
 struct KernelResult {
   std::string kernel;   ///< e.g. "sha256_compress"
-  std::string variant;  ///< the ISA name: "portable" or "sha-ni"
+  std::string variant;  ///< the body: "portable" or "sha-ni"
   double ms = 0;
   double bytes_per_sec = 0;
   double speedup = 1.0;  ///< this variant's throughput over portable
 };
 
-/// Times one kernel once per variant over the same inputs and cross-checks
-/// the outputs; appends a KernelResult per variant (portable first).
+/// Times one kernel once per body over the same inputs and cross-checks the
+/// outputs; appends a KernelResult per body (portable first).
 template <typename Fn>
 void bench_kernel(std::vector<KernelResult>& out, const char* name,
                   double bytes_per_pass, int reps, Fn&& run_variant) {
-  const simd::Isa best = simd::detected_isa();
+  const util::Sha256Compress best = util::sha256_compress_best();
   double portable_ms = 0;
-  for (const simd::Isa isa : {simd::Isa::kPortable, best}) {
+  for (const util::Sha256Compress body : {&util::sha256_compress_portable, best}) {
     std::uint64_t sink = 0;
     KernelResult r;
     r.kernel = name;
-    r.variant = simd::isa_name(isa);
-    r.ms = best_ms(reps, &sink, [&] { return run_variant(simd::kernels_for(isa)); });
+    r.variant = body_name(body);
+    r.ms = best_ms(reps, &sink, [&] { return run_variant(body); });
     r.bytes_per_sec = bytes_per_pass / (r.ms / 1e3);
-    if (isa == simd::Isa::kPortable) portable_ms = r.ms;
+    if (body == &util::sha256_compress_portable) portable_ms = r.ms;
     r.speedup = portable_ms / r.ms;
     out.push_back(r);
-    // No vector ISA on this host: the portable row stands alone.
-    if (best == simd::Isa::kPortable) break;
+    // No SHA extensions on this host: the portable row stands alone.
+    if (best == &util::sha256_compress_portable) break;
   }
 }
 
@@ -354,12 +365,12 @@ std::vector<KernelResult> run_kernel_benches(int reps) {
   rng.fill(msg);
   std::optional<std::array<std::uint32_t, 8>> sha_portable;
   bench_kernel(out, "sha256_compress", static_cast<double>(n) * passes, reps,
-               [&](const simd::Kernels& k) {
+               [&](util::Sha256Compress compress) {
                  std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
                                                        0xa54ff53a, 0x510e527f, 0x9b05688c,
                                                        0x1f83d9ab, 0x5be0cd19};
                  for (int p = 0; p < passes; ++p) {
-                   k.sha256_compress(state.data(), msg.data(), n / 64);
+                   compress(state.data(), msg.data(), n / 64);
                  }
                  if (!sha_portable) sha_portable = state;
                  check(state == *sha_portable, "sha256_compress output diverged");
@@ -372,7 +383,7 @@ std::vector<KernelResult> run_kernel_benches(int reps) {
 
 struct MerkleResult {
   std::size_t leaves = 0;
-  std::string variant;  ///< the auto-dispatched body: "sha-ni" or "portable"
+  std::string variant;  ///< the best body: "sha-ni" or "portable"
   double portable_ms = 0;
   double active_ms = 0;
   double speedup = 1.0;
@@ -382,14 +393,16 @@ struct MerkleResult {
 MerkleResult run_merkle_bench(int reps) {
   MerkleResult res;
   res.leaves = 2000;
-  res.variant = simd::isa_name(simd::detected_isa());
+  res.variant = body_name(util::sha256_compress_best());
   const std::vector<chain::TxId> ids = random_ids(res.leaves, 0x3e1c1e);
   const int roots_per_rep = 16;
   chain::TxId roots[2] = {};
   double ms[2] = {};
-  const simd::Isa isas[2] = {simd::Isa::kPortable, simd::detected_isa()};
+  const util::Sha256Compress bodies[2] = {&util::sha256_compress_portable,
+                                          util::sha256_compress_best()};
+  const util::Sha256Compress original = util::set_sha256_compress(bodies[0]);
   for (int v = 0; v < 2; ++v) {
-    const simd::ScopedIsaOverride force(isas[v]);
+    util::set_sha256_compress(bodies[v]);
     std::uint64_t sink = 0;
     ms[v] = best_ms(reps, &sink, [&] {
               for (int i = 0; i < roots_per_rep; ++i) roots[v] = chain::merkle_root(ids);
@@ -397,6 +410,7 @@ MerkleResult run_merkle_bench(int reps) {
             }) /
             roots_per_rep;
   }
+  util::set_sha256_compress(original);
   check(roots[0] == roots[1], "merkle_root diverged between SHA-256 bodies");
   res.portable_ms = ms[0];
   res.active_ms = ms[1];
@@ -783,9 +797,8 @@ int main() {
                                           ? std::vector<std::uint64_t>{10'000, 50'000}
                                           : std::vector<std::uint64_t>{10'000, 100'000,
                                                                        1'000'000};
-  std::printf("simd: detected %s, active %s\n",
-              simd::isa_name(simd::detected_isa()),
-              simd::isa_name(simd::active_isa()));
+  std::printf("simd: detected %s, active %s\n", body_name(util::sha256_compress_best()),
+              body_name(active_body()));
   const std::vector<KernelResult> kernels = run_kernel_benches(reps);
   for (const KernelResult& k : kernels) {
     std::printf("  kernel %-16s %-8s %9.3f ms  %8.2f MB/s  (%.2fx)\n",
@@ -842,7 +855,7 @@ int main() {
   w.key("fast");
   w.boolean(fast);
   w.key("simd_isa");
-  w.string(simd::isa_name(simd::detected_isa()));
+  w.string(body_name(util::sha256_compress_best()));
   w.key("kernels");
   w.begin_array();
   for (const KernelResult& k : kernels) {

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   if (outcome.status == core::ReceiveStatus::kNeedsRepair) {
     const core::RepairRequestMsg rep = session.build_repair();
     channel.send(net::Direction::kReceiverToSender,
-                 net::Message{net::MessageType::kGetData, rep.serialize()});
+                 net::Message{net::MessageType::kGetBlockTxn, rep.serialize()});
     const core::RepairResponseMsg rep_resp = sender.serve_repair(rep);
     channel.send(net::Direction::kSenderToReceiver,
                  net::Message{net::MessageType::kBlockTxn, rep_resp.serialize()});

@@ -64,9 +64,6 @@ struct ProtocolConfig {
   /// Set-reconciliation backend for reconcile::Host/Client sessions. Both
   /// ends must agree (the driver rejects mismatched message types).
   ReconcileBackend reconcile_backend = ReconcileBackend::kGraphene;
-  /// Coded symbols in the first RatelessChunk; later chunks double. The
-  /// stream is rateless, so this only tunes round trips vs. overshoot.
-  std::uint32_t rateless_initial_symbols = 16;
   /// Hard ceiling on message round trips in one reconcile session; the
   /// driver aborts (kFailed) beyond it so no backend can loop forever.
   std::uint32_t reconcile_round_cap = 64;

@@ -15,6 +15,11 @@ using detail::parse_payload;
 using detail::record_decode;
 using detail::record_msg;
 
+/// Coded symbols in the first RatelessChunk, and the fewest a later
+/// RatelessNeed asks for; later requests double the stream. The stream is
+/// rateless, so this only tunes round trips against overshoot.
+constexpr std::uint64_t kInitialSymbols = 16;
+
 }  // namespace
 
 // --- wire formats -----------------------------------------------------------
@@ -113,8 +118,7 @@ WireMsg RatelessHostBackend::open(std::uint64_t client_count) {
   // milking the stream for free CPU hits a typed error in bounded work.
   stream_budget_ = std::max(stream_budget_,
                             8 * (encoder_.item_count() + client_count) + 1024);
-  const std::uint64_t count = std::max<std::uint64_t>(1, cfg_.rateless_initial_symbols);
-  return {net::MessageType::kRatelessChunk, chunk_for(0, count).serialize()};
+  return {net::MessageType::kRatelessChunk, chunk_for(0, kInitialSymbols).serialize()};
 }
 
 WireMsg RatelessHostBackend::serve_wire(const WireMsg& request) {
@@ -221,9 +225,8 @@ WireMsg RatelessClientBackend::next_request() {
   need.next_index = decoder_->received();
   // Double the stream each round (ask for as many symbols as we have
   // consumed) so a large difference converges in O(log d) round trips.
-  need.count = std::clamp<std::uint64_t>(
-      std::max<std::uint64_t>(cfg_.rateless_initial_symbols, decoder_->received()), 1,
-      util::wire::kMaxRatelessChunkSymbols);
+  need.count = std::min<std::uint64_t>(std::max(kInitialSymbols, decoder_->received()),
+                                       util::wire::kMaxRatelessChunkSymbols);
   record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "rlneed", need,
              {{"next_index", static_cast<double>(need.next_index)},
               {"count", static_cast<double>(need.count)}});

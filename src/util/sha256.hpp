@@ -2,12 +2,13 @@
 //
 // The blockchain substrate derives transaction IDs and Merkle roots from
 // SHA-256, mirroring Bitcoin's double-SHA256 convention. Implemented here so
-// the library carries no external dependencies. The compression function is
-// the util::simd sha256_compress slot: SHA-NI where the CPU has it, the
-// portable body otherwise.
+// the library carries no external dependencies. The compression function has
+// two bodies, SHA-NI and portable; Sha256 runs the one it picks on first use
+// (see set_sha256_compress below).
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "util/bytes.hpp"
@@ -44,5 +45,26 @@ class Sha256 {
 
 /// Bitcoin-style double SHA-256.
 [[nodiscard]] Sha256Digest sha256d(ByteView data) noexcept;
+
+/// SHA-256 compression (FIPS 180-4 §6.2.2): folds n_blocks consecutive
+/// 64-byte message blocks, in order, into the eight-word hash state.
+/// `blocks` need not be aligned; n_blocks = 0 leaves the state unchanged.
+using Sha256Compress = void (*)(std::uint32_t state[8], const std::uint8_t* blocks,
+                                std::size_t n_blocks);
+
+/// The portable body: the reference every other body matches bit for bit.
+void sha256_compress_portable(std::uint32_t state[8], const std::uint8_t* blocks,
+                              std::size_t n_blocks);
+
+/// The fastest body this CPU runs: SHA-NI when it reports SHA and SSE4.1,
+/// the portable body otherwise. Ignores GRAPHENE_SIMD.
+[[nodiscard]] Sha256Compress sha256_compress_best() noexcept;
+
+/// Sha256's active body is picked once, on first use: the portable body when
+/// GRAPHENE_SIMD is `off` or `portable`, sha256_compress_best() otherwise.
+/// Test and bench hook: makes Sha256 run `body` from now on and returns the
+/// body it ran before. The bodies agree bit for bit, so a swap never changes
+/// a digest, not even one being computed on another thread.
+Sha256Compress set_sha256_compress(Sha256Compress body) noexcept;
 
 }  // namespace graphene::util

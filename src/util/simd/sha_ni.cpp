@@ -1,6 +1,6 @@
 // SHA-256 compression on the x86 SHA extensions. This translation unit is
 // the only code compiled with -msha -msse4.1 (see src/CMakeLists.txt); it
-// must never execute unless dispatch.cpp confirmed
+// must never execute unless util/sha256.cpp's probe confirmed
 // __builtin_cpu_supports("sha") and ("sse4.1"), so nothing here may leak
 // into a header or be called at static-init time.
 //
@@ -9,13 +9,13 @@
 // the low two lanes of its third operand. SHA256MSG1 and SHA256MSG2 extend
 // the message schedule four words at a time.
 
-#include "util/simd/kernels.hpp"
+#include "util/simd/sha_ni.hpp"
 
 #if defined(GRAPHENE_SIMD_X86)
 
 #include <immintrin.h>
 
-namespace graphene::util::simd::detail {
+namespace graphene::util::detail {
 namespace {
 
 /// Rounds t..t+3, given the schedule words W[t..t+3].
@@ -33,6 +33,8 @@ inline __m128i next_quad(__m128i w16, __m128i w12, __m128i w8, __m128i w4) {
       _mm_add_epi32(_mm_sha256msg1_epu32(w16, w12), _mm_alignr_epi8(w4, w8, 4));
   return _mm_sha256msg2_epu32(partial, w4);
 }
+
+}  // namespace
 
 void sha256_compress_sha_ni(std::uint32_t state[8], const std::uint8_t* blocks,
                             std::size_t n_blocks) {
@@ -80,15 +82,6 @@ void sha256_compress_sha_ni(std::uint32_t state[8], const std::uint8_t* blocks,
                    _mm_shuffle_epi32(_mm_unpacklo_epi64(cdgh, abef), 0x1b));
 }
 
-}  // namespace
-
-const Kernels& sha_ni_kernels() noexcept {
-  static constexpr Kernels kTable{
-      &sha256_compress_sha_ni,
-  };
-  return kTable;
-}
-
-}  // namespace graphene::util::simd::detail
+}  // namespace graphene::util::detail
 
 #endif  // GRAPHENE_SIMD_X86

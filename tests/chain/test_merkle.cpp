@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/random.hpp"
-#include "util/simd/simd.hpp"
+#include "util/sha256.hpp"
 
 namespace graphene::chain {
 namespace {
@@ -57,21 +57,20 @@ TEST(Merkle, DeterministicAcrossCalls) {
   EXPECT_EQ(merkle_root(ids), merkle_root(ids));
 }
 
-// The root goes through the dispatched SHA-256 compress: every tree shape
-// from 1 to 65 leaves (odd levels included) must give the same root on the
-// portable body and on the body this CPU selects.
+// The root goes through Sha256's compress body: every tree shape from 1 to
+// 65 leaves (odd levels included) must give the same root on the portable
+// body and on the best body this CPU runs.
 TEST(Merkle, RootIdenticalAcrossSha256Bodies) {
-  namespace simd = util::simd;
+  const util::Sha256Compress original =
+      util::set_sha256_compress(&util::sha256_compress_portable);
   for (std::size_t n = 1; n <= 65; ++n) {
     const auto ids = random_ids(n, 1000 + n);
-    TxId portable{};
-    {
-      const simd::ScopedIsaOverride force(simd::Isa::kPortable);
-      portable = merkle_root(ids);
-    }
-    const simd::ScopedIsaOverride force(simd::detected_isa());
+    util::set_sha256_compress(&util::sha256_compress_portable);
+    const TxId portable = merkle_root(ids);
+    util::set_sha256_compress(util::sha256_compress_best());
     EXPECT_EQ(merkle_root(ids), portable) << n << " leaves";
   }
+  util::set_sha256_compress(original);
 }
 
 class MerkleSizeSweep : public ::testing::TestWithParam<std::size_t> {};

@@ -46,7 +46,7 @@ core::ReceiveOutcome relay_over_wire(const chain::Scenario& s, std::uint64_t sal
   if (out.status == core::ReceiveStatus::kNeedsRepair) {
     const auto req = roundtrip(receiver.build_repair(),
                                net::Direction::kReceiverToSender,
-                               net::MessageType::kGetData);
+                               net::MessageType::kGetBlockTxn);
     out = receiver.complete_repair(roundtrip(sender.serve_repair(req),
                                              net::Direction::kSenderToReceiver,
                                              net::MessageType::kBlockTxn));

@@ -262,7 +262,6 @@ TEST(BackendDriver, WireDriverMatchesTypedGrapheneFlow) {
 TEST(BackendDriver, RoundCapBoundsTheLoop) {
   core::ProtocolConfig cfg = rateless_cfg();
   cfg.reconcile_round_cap = 1;  // one message only: offer/chunk then stop
-  cfg.rateless_initial_symbols = 1;
   util::Rng rng(22);
   const ItemSet host_items = pinned_items(rng.next(), 400);
   const ItemSet client_items = pinned_items(rng.next(), 400);

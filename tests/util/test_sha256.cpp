@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <iterator>
 #include <string>
+#include <string_view>
 
 #include "util/hex.hpp"
 
@@ -103,6 +105,19 @@ TEST(Sha256, DoubleHashMatchesComposition) {
   const auto once = sha256(ByteView(payload));
   const auto composed = sha256(ByteView(once.data(), once.size()));
   EXPECT_EQ(sha256d(ByteView(payload)), composed);
+}
+
+// GRAPHENE_SIMD=off or portable pins the portable body; unset or any other
+// value runs the best one. ctest runs this as the environment has it and once
+// more as Sha256.BodyFollowsSimdPin.simd_off, so both branches are covered.
+TEST(Sha256, BodyFollowsSimdPin) {
+  const char* env = std::getenv("GRAPHENE_SIMD");
+  const bool pinned =
+      env != nullptr && (std::string_view(env) == "off" || std::string_view(env) == "portable");
+  const Sha256Compress active = set_sha256_compress(&sha256_compress_portable);
+  set_sha256_compress(active);
+  EXPECT_EQ(active, pinned ? &sha256_compress_portable : sha256_compress_best())
+      << "GRAPHENE_SIMD=" << (env != nullptr ? env : "(unset)");
 }
 
 }  // namespace

@@ -15,10 +15,10 @@ FIRST-CLASS — things no AST check can express, enforced everywhere:
   confined-intrinsics: vector-intrinsic headers (<immintrin.h>,
      <x86intrin.h>, <arm_neon.h>) and raw intrinsic calls (_mm*/_mm256*/
      _mm512*/vld1q*-family identifiers) are allowed only under
-     src/util/simd/. Everything else routes through util::simd::active()
-     so the capability check in dispatch.cpp is the single gate deciding
-     whether a vector instruction can execute — an intrinsic anywhere else
-     can SIGILL on an older CPU before dispatch ever runs.
+     src/util/simd/. Everything else calls the SHA-256 body through
+     util::Sha256, so the CPU probe in util/sha256.cpp is the single gate
+     deciding whether a vector instruction can execute — an intrinsic
+     anywhere else can SIGILL on an older CPU before the probe ever runs.
 
 FALLBACK — regex approximations of the graphene-* clang-tidy checks in
 tools/tidy-plugin/. On toolchains that can build and load the plugin, the
@@ -180,7 +180,7 @@ def lint_file(rel: Path, text=None, fallback=True):
 
     findings.extend(lint_nolint_hygiene(lines))
 
-    # First-class: intrinsics stay behind the runtime dispatch boundary.
+    # First-class: intrinsics stay behind the CPU probe in util/sha256.cpp.
     in_simd = rel.parts[:3] == ("src", "util", "simd")
     if not in_simd:
         in_block = False
@@ -199,15 +199,15 @@ def lint_file(rel: Path, text=None, fallback=True):
             if RE_INTRINSIC_HEADER.search(code):
                 findings.append(
                     (lineno, "confined-intrinsics",
-                     "vector-intrinsic header outside src/util/simd/ — add a "
-                     "kernel there and call util::simd::active()")
+                     "vector-intrinsic header outside src/util/simd/ — put the "
+                     "body there, behind the CPU probe in util/sha256.cpp")
                 )
             elif RE_INTRINSIC_CALL.search(code):
                 findings.append(
                     (lineno, "confined-intrinsics",
                      "raw vector intrinsic outside src/util/simd/ — it can "
-                     "execute before the CPU capability check; route through "
-                     "util::simd::active()")
+                     "execute before the CPU capability check; put it behind "
+                     "the probe in util/sha256.cpp")
                 )
 
     if not fallback:
