@@ -29,61 +29,59 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(scenario.n), 100.0 * fraction,
               static_cast<unsigned long long>(scenario.m));
 
-  core::Sender sender(scenario.block, rng.next());
+  // The paper's byte objective: Protocol 2 sizes R for the fewest bytes, not
+  // for the fewest round trips, so a few missing transactions slip past R and
+  // the relay shows the repair round too. The default prices a round trip
+  // and all but never repairs.
+  core::ProtocolConfig cfg;
+  cfg.round_trip_bytes = 0;
+  const core::Sender sender(scenario.block, rng.next(), cfg);
   // One Receiver per node; one session per relayed block. Sessions are
   // independent, so a node can drive several (one per peer) concurrently.
-  core::Receiver receiver(scenario.receiver_mempool);
+  core::Receiver receiver(scenario.receiver_mempool, cfg);
   core::ReceiveSession session = receiver.session();
+  const core::Relay relay = core::relay_block(sender, session, scenario.m);
+
   net::Channel channel;
-
-  // Protocol 1 attempt.
-  const core::GrapheneBlockMsg block_msg = sender.encode(scenario.m).msg;
   channel.send(net::Direction::kSenderToReceiver,
-               net::Message{net::MessageType::kGrapheneBlock, block_msg.serialize()});
-  core::ReceiveOutcome outcome = session.receive_block(block_msg);
-  std::printf("protocol 1: %s\n",
-              outcome.status == core::ReceiveStatus::kDecoded ? "decoded" : "needs protocol 2");
+               net::Message{net::MessageType::kGrapheneBlock, relay.block.serialize()});
+  std::printf("protocol 1: %s\n", relay.request ? "needs protocol 2"
+                                                : core::to_string(relay.outcome.status));
 
-  // Protocol 2 recovery.
-  if (outcome.status == core::ReceiveStatus::kNeedsProtocol2) {
-    const core::GrapheneRequestMsg req = session.build_request();
+  if (relay.request) {
+    const core::GrapheneRequestMsg& req = *relay.request;
+    const core::GrapheneResponseMsg& resp = *relay.response;
     channel.send(net::Direction::kReceiverToSender,
                  net::Message{net::MessageType::kGrapheneRequest, req.serialize()});
+    channel.send(net::Direction::kSenderToReceiver,
+                 net::Message{net::MessageType::kGrapheneResponse, resp.serialize()});
     std::printf("protocol 2 request: filter R = %zu B (b=%llu, y*=%llu%s)\n",
                 req.filter_r.serialized_size(), static_cast<unsigned long long>(req.b),
                 static_cast<unsigned long long>(req.y_star),
                 req.reversed ? ", m~n reversed path" : "");
-
-    const core::GrapheneResponseMsg resp = sender.serve(req);
-    channel.send(net::Direction::kSenderToReceiver,
-                 net::Message{net::MessageType::kGrapheneResponse, resp.serialize()});
     std::printf("protocol 2 response: %zu missing txns (%zu B), IBLT J = %zu B\n",
-                resp.missing.size(), resp.missing_tx_bytes(),
-                resp.iblt_j.serialized_size());
-
-    outcome = session.complete(resp);
-    if (outcome.used_pingpong) std::printf("ping-pong decoding engaged (section 4.2)\n");
+                resp.missing.size(), resp.missing_tx_bytes(), resp.iblt_j.serialized_size());
+    if (relay.outcome.used_pingpong) std::printf("ping-pong decoding engaged (section 4.2)\n");
   }
 
-  // Short-ID repair round, if some block transactions are still unknown.
-  if (outcome.status == core::ReceiveStatus::kNeedsRepair) {
-    const core::RepairRequestMsg rep = session.build_repair();
+  // Short-ID repair round, if some block transactions were still unknown.
+  if (relay.repair_request) {
+    const core::RepairResponseMsg& repaired = *relay.repair_response;
     channel.send(net::Direction::kReceiverToSender,
-                 net::Message{net::MessageType::kGetBlockTxn, rep.serialize()});
-    const core::RepairResponseMsg rep_resp = sender.serve_repair(rep);
+                 net::Message{net::MessageType::kGetBlockTxn,
+                              relay.repair_request->serialize()});
     channel.send(net::Direction::kSenderToReceiver,
-                 net::Message{net::MessageType::kBlockTxn, rep_resp.serialize()});
+                 net::Message{net::MessageType::kBlockTxn, repaired.serialize()});
     std::printf("repair round: fetched %zu transactions by short ID\n",
-                rep_resp.txns.size());
-    outcome = session.complete_repair(rep_resp);
+                repaired.txns.size());
   }
 
-  if (outcome.status != core::ReceiveStatus::kDecoded) {
+  if (relay.outcome.status != core::ReceiveStatus::kDecoded) {
     std::printf("FAILED to decode (expected at most ~1/240 of runs)\n");
     return 1;
   }
-  std::printf("\ndecoded %zu transactions; Merkle root %s\n", outcome.block_ids.size(),
-              outcome.merkle_ok ? "VALID" : "invalid");
+  std::printf("\ndecoded %zu transactions; Merkle root %s\n", relay.outcome.block_ids.size(),
+              relay.outcome.merkle_ok ? "VALID" : "invalid");
 
   std::printf("\nwire summary:\n");
   for (const auto& [type, bytes] : channel.payload_by_type()) {

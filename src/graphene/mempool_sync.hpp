@@ -2,10 +2,10 @@
 // transaction pools using the block-relay machinery with the sender's whole
 // mempool standing in for the block.
 //
-// Extra step relative to block relay: the receiver tracks H — her
-// transactions that fail the sender's filter S (plus IBLT negatives), which
-// the sender certainly lacks — and ships them back, completing the union in
-// both directions.
+// Extra step relative to block relay: once the relay decodes, the receiver
+// knows the sender's exact set and ships back every transaction of its own
+// outside it. That is H, its transactions that fail the sender's filter S,
+// plus those that passed S falsely, completing the union in both directions.
 #pragma once
 
 #include "chain/mempool.hpp"

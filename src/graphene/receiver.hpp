@@ -9,6 +9,10 @@
 //   complete       → Decoded | NeedsRepair | Failed  (step 5, + ping-pong)
 //   build_repair / complete_repair                   (short-ID fetch round)
 //
+// relay_block() runs that sequence in process against a Sender and returns
+// every message it exchanged; the step methods remain for callers that carry
+// the messages over a link.
+//
 // Ping-pong decoding (§4.2) engages automatically in complete(): when J ⊖ J′
 // leaves a 2-core, the receiver rebuilds I′ over the updated candidate set
 // and decodes both differences jointly.
@@ -19,6 +23,7 @@
 // driven concurrently from several threads.
 #pragma once
 
+#include <optional>
 #include <unordered_map>
 
 #include "chain/mempool.hpp"
@@ -28,6 +33,8 @@
 #include "graphene/params.hpp"
 
 namespace graphene::core {
+
+class Sender;
 
 enum class ReceiveStatus : std::uint8_t {
   kDecoded,         ///< block recovered and Merkle-validated
@@ -77,8 +84,8 @@ class ReceiveSession {
   /// All transactions recovered for the block (valid after kDecoded).
   [[nodiscard]] std::vector<chain::Transaction> block_transactions() const;
 
-  /// Parameters chosen by build_request() — exposed for the benchmarks that
-  /// decompose message sizes (Fig. 17).
+  /// Parameters chosen by build_request(), which tests check against the
+  /// request they were written into.
   [[nodiscard]] const Protocol2Params& request_params() const noexcept {
     return engine_.params();
   }
@@ -116,10 +123,7 @@ class ReceiveSession {
 };
 
 /// Long-lived per-node receiver: binds a mempool + config and mints
-/// ReceiveSessions. One session decodes one relayed block; drive the
-/// returned object directly. (The former pass-through protocol methods that
-/// serialized every relay through one implicit session were removed — call
-/// session() instead.)
+/// ReceiveSessions. One session decodes one relayed block.
 class Receiver {
  public:
   explicit Receiver(const chain::Mempool& mempool, ProtocolConfig cfg = {});
@@ -134,5 +138,24 @@ class Receiver {
   const chain::Mempool* mempool_;
   ProtocolConfig cfg_;
 };
+
+/// Every message of one in-process block relay, as its sender built it, and
+/// the receiver's final outcome. A message is absent when the relay ended
+/// before its round.
+struct Relay {
+  GrapheneBlockMsg block;
+  std::optional<GrapheneRequestMsg> request;
+  std::optional<GrapheneResponseMsg> response;
+  std::optional<RepairRequestMsg> repair_request;
+  std::optional<RepairResponseMsg> repair_response;
+  ReceiveOutcome outcome;
+};
+
+/// Relays `sender`'s block into `session` for a receiver that claims
+/// `claimed_m` mempool transactions: Protocol 1, then Protocol 2 on
+/// kNeedsProtocol2 and the repair round on kNeedsRepair. Stops at the first
+/// terminal outcome (kDecoded or kFailed).
+[[nodiscard]] Relay relay_block(const Sender& sender, ReceiveSession& session,
+                                std::uint64_t claimed_m);
 
 }  // namespace graphene::core

@@ -1,20 +1,11 @@
 #include "net/channel.hpp"
 
-#include "obs/obs.hpp"
-
 namespace graphene::net {
 
 const Message& Channel::send(Direction dir, Message msg) {
   const auto idx = static_cast<std::size_t>(dir);
   bytes_[idx] += msg.wire_size();
   payload_[idx] += msg.payload.size();
-  if (obs::Registry* reg = obs::enabled(reg_)) {
-    const obs::Labels labels{
-        {"msg", std::string(command_name(msg.type))},
-        {"dir", dir == Direction::kSenderToReceiver ? "s2r" : "r2s"}};
-    reg->histogram("net_message_bytes", labels).observe(msg.payload.size());
-    reg->counter("net_messages_total", labels).inc();
-  }
   log_.emplace_back(dir, std::move(msg));
   return log_.back().second;
 }

@@ -11,10 +11,6 @@
 
 #include "net/message.hpp"
 
-namespace graphene::obs {
-class Registry;
-}  // namespace graphene::obs
-
 namespace graphene::net {
 
 enum class Direction : std::uint8_t { kSenderToReceiver, kReceiverToSender };
@@ -42,16 +38,10 @@ class Channel {
 
   void reset();
 
-  /// Streams every subsequent send into per-type byte histograms
-  /// (`net_message_bytes{msg,dir}`) and a message counter on `reg`. Null
-  /// detaches. Not owned; must outlive the channel's sends.
-  void set_registry(obs::Registry* reg) noexcept { reg_ = reg; }
-
  private:
   std::vector<std::pair<Direction, Message>> log_;
   std::size_t bytes_[2] = {0, 0};
   std::size_t payload_[2] = {0, 0};
-  obs::Registry* reg_ = nullptr;
 };
 
 }  // namespace graphene::net

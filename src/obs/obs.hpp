@@ -17,6 +17,7 @@
 //   thm_bounds, rfilter_build                (ReceiveSession::build_request)
 //   p2_serve, p2_fallback                    (Sender::serve)
 //   p2_peel, pingpong                        (ReceiveSession::complete)
+//   repair_serve                             (Sender::serve_repair)
 //   repair                                   (ReceiveSession::complete_repair)
 //   error                                    (diagnostic context on throws)
 #pragma once

@@ -73,36 +73,29 @@ RelayOutcome relay_once(const chain::Block& block, const chain::Mempool& mempool
       core::ProtocolConfig pcfg;
       pcfg.round_trip_bytes = config.link.round_trip_bytes();
       pcfg.obs = config.obs;
-      core::Sender sender(block, rng.next(), pcfg);
-      core::ReceiveSession receiver(mempool, pcfg);
-      const core::GrapheneBlockMsg msg = sender.encode(mempool.size()).msg;
-      out.bloom_bytes += msg.filter_s.serialized_size();
-      out.iblt_bytes += msg.iblt_i.serialized_size();
-      out.bytes += msg.filter_s.serialized_size() + msg.iblt_i.serialized_size() +
-                   chain::BlockHeader::kWireSize;
-      core::ReceiveOutcome ro = receiver.receive_block(msg);
-      if (ro.status == core::ReceiveStatus::kNeedsProtocol2) {
+      const core::Sender sender(block, rng.next(), pcfg);
+      core::ReceiveSession session(mempool, pcfg);
+      const core::Relay relay = core::relay_block(sender, session, mempool.size());
+      out.bloom_bytes = relay.block.filter_s.serialized_size();
+      out.iblt_bytes = relay.block.iblt_i.serialized_size();
+      out.bytes = out.bloom_bytes + out.iblt_bytes + chain::BlockHeader::kWireSize;
+      if (relay.request) {
+        const core::GrapheneResponseMsg& resp = *relay.response;
         out.rounds += 1;
-        const core::GrapheneRequestMsg req = receiver.build_request();
-        out.bloom_bytes += req.filter_r.serialized_size();
-        out.bytes += req.serialize().size();
-        const core::GrapheneResponseMsg resp = sender.serve(req);
+        out.bloom_bytes += relay.request->filter_r.serialized_size();
         out.iblt_bytes += resp.iblt_j.serialized_size();
         if (resp.filter_f) out.bloom_bytes += resp.filter_f->serialized_size();
         out.missing_txn_bytes += resp.missing_tx_bytes();
-        out.bytes += resp.serialize().size();
-        ro = receiver.complete(resp);
+        out.bytes += relay.request->serialize().size() + resp.serialize().size();
       }
-      if (ro.status == core::ReceiveStatus::kNeedsRepair) {
+      if (relay.repair_request) {
         out.rounds += 1;
         out.used_repair = true;
-        const core::RepairRequestMsg rep = receiver.build_repair();
-        const core::RepairResponseMsg rep_resp = sender.serve_repair(rep);
-        out.repair_bytes += rep.serialize().size() + rep_resp.serialize().size();
-        out.bytes += rep.serialize().size() + rep_resp.serialize().size();
-        ro = receiver.complete_repair(rep_resp);
+        out.repair_bytes = relay.repair_request->serialize().size() +
+                           relay.repair_response->serialize().size();
+        out.bytes += out.repair_bytes;
       }
-      if (ro.status != core::ReceiveStatus::kDecoded) {
+      if (relay.outcome.status != core::ReceiveStatus::kDecoded) {
         // Fall back to a full block — the deployed behavior on decode
         // failure, one more request and reply.
         out.rounds += 1;

@@ -13,45 +13,39 @@ namespace {
 GrapheneRun run_impl(const Scenario& scenario, std::uint64_t salt,
                      const core::ProtocolConfig& cfg, bool protocol1_only) {
   GrapheneRun run;
-  core::Sender sender(scenario.block, salt, cfg);
-  core::ReceiveSession session(scenario.receiver_mempool, cfg);
-
   run.getdata_bytes = kGetdataBytes;
-  const core::GrapheneBlockMsg msg = sender.encode(scenario.receiver_mempool.size()).msg;
-  run.bloom_s_bytes = msg.filter_s.serialized_size();
-  run.iblt_i_bytes = msg.iblt_i.serialized_size();
+  const core::Sender sender(scenario.block, salt, cfg);
+  core::ReceiveSession session(scenario.receiver_mempool, cfg);
+  const std::uint64_t m = scenario.receiver_mempool.size();
 
-  core::ReceiveOutcome out = session.receive_block(msg);
-  run.p1_decoded = out.status == core::ReceiveStatus::kDecoded;
-  if (run.p1_decoded || protocol1_only) {
+  if (protocol1_only) {
+    const core::GrapheneBlockMsg msg = sender.encode(m).msg;
+    run.bloom_s_bytes = msg.filter_s.serialized_size();
+    run.iblt_i_bytes = msg.iblt_i.serialized_size();
+    run.p1_decoded = session.receive_block(msg).status == core::ReceiveStatus::kDecoded;
     run.decoded = run.p1_decoded;
     return run;
   }
 
-  if (out.status == core::ReceiveStatus::kNeedsProtocol2) {
+  const core::Relay relay = core::relay_block(sender, session, m);
+  run.bloom_s_bytes = relay.block.filter_s.serialized_size();
+  run.iblt_i_bytes = relay.block.iblt_i.serialized_size();
+  run.decoded = relay.outcome.status == core::ReceiveStatus::kDecoded;
+  run.p1_decoded = run.decoded && !relay.request;
+  run.used_pingpong = relay.outcome.used_pingpong;
+  if (relay.request) {
+    const core::GrapheneResponseMsg& resp = *relay.response;
     run.used_protocol2 = true;
-    const core::GrapheneRequestMsg req = session.build_request();
-    run.bloom_r_bytes = req.filter_r.serialized_size();
-
-    const core::GrapheneResponseMsg resp = sender.serve(req);
+    run.bloom_r_bytes = relay.request->filter_r.serialized_size();
     run.iblt_j_bytes = resp.iblt_j.serialized_size();
     if (resp.filter_f) run.bloom_f_bytes = resp.filter_f->serialized_size();
     run.missing_txn_bytes += resp.missing_tx_bytes();
-
-    out = session.complete(resp);
   }
-
-  if (out.status == core::ReceiveStatus::kNeedsRepair) {
+  if (relay.repair_request) {
     run.used_repair = true;
-    const core::RepairRequestMsg rep = session.build_repair();
-    run.repair_bytes += rep.serialize().size();
-    const core::RepairResponseMsg rep_resp = sender.serve_repair(rep);
-    run.missing_txn_bytes += rep_resp.serialize().size();
-    out = session.complete_repair(rep_resp);
+    run.repair_bytes += relay.repair_request->serialize().size();
+    run.missing_txn_bytes += relay.repair_response->serialize().size();
   }
-
-  run.used_pingpong = out.used_pingpong;
-  run.decoded = out.status == core::ReceiveStatus::kDecoded;
   return run;
 }
 

@@ -278,14 +278,7 @@ TEST(Forensics, SharedRegistryCaptureHoldsOnlyItsOwnSession) {
   {
     Sender sender(s.block, /*salt=*/3);
     ReceiveSession first(s.receiver_mempool, cfg);
-    ReceiveOutcome out = first.receive_block(sender.encode(s.m).msg);
-    if (out.status == ReceiveStatus::kNeedsProtocol2) {
-      out = first.complete(sender.serve(first.build_request()));
-    }
-    if (out.status == ReceiveStatus::kNeedsRepair) {
-      out = first.complete_repair(sender.serve_repair(first.build_repair()));
-    }
-    ASSERT_EQ(out.status, ReceiveStatus::kDecoded);
+    ASSERT_EQ(relay_block(sender, first, s.m).outcome.status, ReceiveStatus::kDecoded);
   }
   const std::uint64_t first_events = reg.recorder().total_recorded();
   ASSERT_GT(first_events, 0u);

@@ -49,14 +49,8 @@ TEST_P(BetaSweep, ProtocolDecodesAcrossAssuranceLevels) {
     const chain::Scenario s = chain::make_scenario(spec, rng);
     Sender sender(s.block, rng.next(), cfg);
     ReceiveSession session = Receiver(s.receiver_mempool, cfg).session();
-    ReceiveOutcome out = session.receive_block(sender.encode(s.m).msg);
-    if (out.status == ReceiveStatus::kNeedsProtocol2) {
-      out = session.complete(sender.serve(session.build_request()));
-    }
-    if (out.status == ReceiveStatus::kNeedsRepair) {
-      out = session.complete_repair(sender.serve_repair(session.build_repair()));
-    }
-    decoded += out.status == ReceiveStatus::kDecoded ? 1 : 0;
+    const Relay relay = relay_block(sender, session, s.m);
+    decoded += relay.outcome.status == ReceiveStatus::kDecoded ? 1 : 0;
   }
   // Lower β means more Protocol 1 retries land in Protocol 2, but the full
   // pipeline still converges.
@@ -99,13 +93,9 @@ TEST(ConfigVariants, NearEqualFprRangeFromPaperAllWork) {
     ASSERT_EQ(s.m, s.n);
     Sender sender(s.block, rng.next(), cfg);
     ReceiveSession session = Receiver(s.receiver_mempool, cfg).session();
-    ReceiveOutcome out = session.receive_block(sender.encode(s.m).msg);
-    ASSERT_EQ(out.status, ReceiveStatus::kNeedsProtocol2) << fpr;
-    out = session.complete(sender.serve(session.build_request()));
-    if (out.status == ReceiveStatus::kNeedsRepair) {
-      out = session.complete_repair(sender.serve_repair(session.build_repair()));
-    }
-    EXPECT_EQ(out.status, ReceiveStatus::kDecoded) << "fpr_R=" << fpr;
+    const Relay relay = relay_block(sender, session, s.m);
+    ASSERT_TRUE(relay.request.has_value()) << fpr;
+    EXPECT_EQ(relay.outcome.status, ReceiveStatus::kDecoded) << "fpr_R=" << fpr;
   }
 }
 
@@ -134,14 +124,10 @@ TEST(ConfigVariants, RoundTripBytesSteersTheRepairRound) {
       const chain::Scenario s = chain::make_scenario(spec, rng);
       Sender sender(s.block, rng.next(), cfg);
       ReceiveSession session = Receiver(s.receiver_mempool, cfg).session();
-      ReceiveOutcome out = session.receive_block(sender.encode(s.m).msg);
-      ASSERT_EQ(out.status, ReceiveStatus::kNeedsProtocol2);
-      out = session.complete(sender.serve(session.build_request()));
-      if (out.status == ReceiveStatus::kNeedsRepair) {
-        ++repairs;
-        out = session.complete_repair(sender.serve_repair(session.build_repair()));
-      }
-      decoded += out.status == ReceiveStatus::kDecoded ? 1 : 0;
+      const Relay relay = relay_block(sender, session, s.m);
+      ASSERT_TRUE(relay.request.has_value());
+      repairs += relay.repair_request ? 1 : 0;
+      decoded += relay.outcome.status == ReceiveStatus::kDecoded ? 1 : 0;
     }
     EXPECT_EQ(decoded, 10) << "round_trip_bytes=" << want.trip;
     EXPECT_GE(repairs, want.min_repairs) << "round_trip_bytes=" << want.trip;

@@ -5,7 +5,8 @@
 // the block among a larger mempool) and the reversed m ≈ n exchange of
 // §3.3.2, which also pins filter F. Under the paper's byte objective
 // (round_trip_bytes = 0) both relays also take the repair round; under the
-// default completion objective the normal exchange decodes without it.
+// default completion objective the normal exchange decodes without it. A
+// third relay holds the whole block and ends after Protocol 1's message.
 // These bytes are the on-wire protocol: a refactor of the sender, receiver,
 // Bloom filter or IBLT must reproduce them exactly.
 #include <gtest/gtest.h>
@@ -29,48 +30,35 @@ std::string pin(const util::Bytes& wire) {
   return util::to_hex(util::ByteView(h.data(), h.size()));
 }
 
-/// Pins of one relay, in wire order: block, request, response and, when the
-/// relay takes the repair round, repair request and repair response.
+/// Pins of one relay, in wire order: block and, when the relay runs
+/// Protocol 2, request and response and, when it also takes the repair
+/// round, repair request and repair response.
 using RelayPins = std::vector<std::string>;
 
-/// Which path a pinned relay must take.
-struct Path {
-  bool reversed = false;
-  bool repair = false;
-};
-
-/// Relays one block of a fixed-seed scenario under `cfg`, asserting the path
-/// it must take, and returns the pins of the messages it sent.
+/// Relays one block of a fixed-seed scenario under `cfg` and returns the pins
+/// of the messages it sent. A Protocol 2 round must take the reversed path
+/// exactly when `reversed` is set.
 RelayPins relay_pins(const chain::ScenarioSpec& spec, const ProtocolConfig& cfg,
-                     Path path) {
+                     bool reversed = false) {
   util::Rng rng(1);
   const chain::Scenario s = chain::make_scenario(spec, rng);
   const Sender sender(s.block, 7919, cfg);
   ReceiveSession session(s.receiver_mempool, cfg);
-  RelayPins pins;
+  const Relay relay = relay_block(sender, session, s.receiver_mempool.size());
+  EXPECT_EQ(relay.outcome.status, ReceiveStatus::kDecoded);
+  EXPECT_EQ(relay.outcome.block_ids, s.block.tx_ids());
 
-  const GrapheneBlockMsg block = sender.encode(s.receiver_mempool.size()).msg;
-  pins.push_back(pin(block.serialize()));
-  EXPECT_EQ(session.receive_block(block).status, ReceiveStatus::kNeedsProtocol2);
-
-  const GrapheneRequestMsg req = session.build_request();
-  EXPECT_EQ(req.reversed, path.reversed);
-  pins.push_back(pin(req.serialize()));
-  const GrapheneResponseMsg resp = sender.serve(req);
-  EXPECT_EQ(resp.filter_f.has_value(), path.reversed);
-  pins.push_back(pin(resp.serialize()));
-  ReceiveOutcome out = session.complete(resp);
-
-  if (path.repair) {
-    EXPECT_EQ(out.status, ReceiveStatus::kNeedsRepair);
-    const RepairRequestMsg repair = session.build_repair();
-    pins.push_back(pin(repair.serialize()));
-    const RepairResponseMsg repaired = sender.serve_repair(repair);
-    pins.push_back(pin(repaired.serialize()));
-    out = session.complete_repair(repaired);
+  RelayPins pins = {pin(relay.block.serialize())};
+  if (relay.request) {
+    EXPECT_EQ(relay.request->reversed, reversed);
+    EXPECT_EQ(relay.response->filter_f.has_value(), reversed);
+    pins.push_back(pin(relay.request->serialize()));
+    pins.push_back(pin(relay.response->serialize()));
   }
-  EXPECT_EQ(out.status, ReceiveStatus::kDecoded);
-  EXPECT_EQ(out.block_ids, s.block.tx_ids());
+  if (relay.repair_request) {
+    pins.push_back(pin(relay.repair_request->serialize()));
+    pins.push_back(pin(relay.repair_response->serialize()));
+  }
   return pins;
 }
 
@@ -98,9 +86,7 @@ TEST(BlockGoldenWire, NormalExchangePinsHold) {
       "bc7efb9cf607920964f0e23230237bae6b7e84fbe4976c5c0d11605ad36b8818",
       "85ccdf10ae8dbcf92c64b2d823f95540d8d0ec1f6905a2b1c719c83f4b1bbff3",
   };
-  EXPECT_EQ(
-      relay_pins(normal_spec(), sim::paper_config(), {.reversed = false, .repair = true}),
-      want);
+  EXPECT_EQ(relay_pins(normal_spec(), sim::paper_config()), want);
 }
 
 TEST(BlockGoldenWire, CompletionObjectiveExchangePinsHold) {
@@ -112,8 +98,18 @@ TEST(BlockGoldenWire, CompletionObjectiveExchangePinsHold) {
       "7f3915fffd35825b00773f24b616083a0596ba45fc65d3b5f2096dfd0710b0fa",
       "0abc2ca642e0f1258756322981e8075c2e928acc0bf22f08db53f2aa3f57e566",
   };
-  EXPECT_EQ(relay_pins(normal_spec(), ProtocolConfig{}, {.reversed = false, .repair = false}),
-            want);
+  EXPECT_EQ(relay_pins(normal_spec(), ProtocolConfig{}), want);
+}
+
+TEST(BlockGoldenWire, Protocol1ExchangePinHolds) {
+  // The normal scenario with the whole block in the mempool: Protocol 1
+  // decodes, so the relay sends no request, response or repair.
+  chain::ScenarioSpec spec = normal_spec();
+  spec.block_fraction_in_mempool = 1.0;
+  const RelayPins want = {
+      "960cbb35a3a134dd4932dbff9d7e6035e852a176b4012d3cbdf93a0134ac36a3",
+  };
+  EXPECT_EQ(relay_pins(spec, ProtocolConfig{}), want);
 }
 
 TEST(BlockGoldenWire, ReversedExchangePinsHold) {
@@ -124,8 +120,7 @@ TEST(BlockGoldenWire, ReversedExchangePinsHold) {
       "e0ecf54f81ee03a3b0e655d6d5d316f6a0baca66c19ad183e226557cd9e8f9ca",
       "028ca32fb7ebe2d9178ca65086ab3c2a353e4763735eb051bed6555ec4ba2199",
   };
-  EXPECT_EQ(relay_pins(reversed_spec(), ProtocolConfig{}, {.reversed = true, .repair = true}),
-            want);
+  EXPECT_EQ(relay_pins(reversed_spec(), ProtocolConfig{}, /*reversed=*/true), want);
 }
 
 }  // namespace

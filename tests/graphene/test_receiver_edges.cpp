@@ -108,14 +108,8 @@ TEST(ReceiverEdges, ReceiverUnderstatesMempoolCount) {
   const chain::Scenario s = chain::make_scenario(spec, rng);
   Sender sender(s.block, rng.next());
   ReceiveSession receiver = Receiver(s.receiver_mempool).session();
-  ReceiveOutcome out = receiver.receive_block(sender.encode(s.m / 2).msg);  // lie: m/2
-  if (out.status == ReceiveStatus::kNeedsProtocol2) {
-    out = receiver.complete(sender.serve(receiver.build_request()));
-  }
-  if (out.status == ReceiveStatus::kNeedsRepair) {
-    out = receiver.complete_repair(sender.serve_repair(receiver.build_repair()));
-  }
-  EXPECT_EQ(out.status, ReceiveStatus::kDecoded);
+  const Relay relay = relay_block(sender, receiver, s.m / 2);  // lie: m/2
+  EXPECT_EQ(relay.outcome.status, ReceiveStatus::kDecoded);
 }
 
 TEST(ReceiverEdges, SpamFilteredBlockRecoversViaProtocol2) {
@@ -133,15 +127,9 @@ TEST(ReceiverEdges, SpamFilteredBlockRecoversViaProtocol2) {
 
     Sender sender(s.block, rng.next());
     ReceiveSession receiver = Receiver(s.receiver_mempool).session();
-    ReceiveOutcome out = receiver.receive_block(sender.encode(s.m).msg);
-    EXPECT_NE(out.status, ReceiveStatus::kDecoded);  // missing low-fee txns
-    if (out.status == ReceiveStatus::kNeedsProtocol2) {
-      out = receiver.complete(sender.serve(receiver.build_request()));
-    }
-    if (out.status == ReceiveStatus::kNeedsRepair) {
-      out = receiver.complete_repair(sender.serve_repair(receiver.build_repair()));
-    }
-    decoded += out.status == ReceiveStatus::kDecoded ? 1 : 0;
+    const Relay relay = relay_block(sender, receiver, s.m);
+    EXPECT_TRUE(relay.request.has_value());  // missing low-fee txns
+    decoded += relay.outcome.status == ReceiveStatus::kDecoded ? 1 : 0;
   }
   EXPECT_GE(decoded, 9);
 }

@@ -88,14 +88,8 @@ TEST(Security, TruncatedCollisionInMempoolStillUsuallyDecodes) {
 
     Sender sender(s.block, rng.next(), cfg);
     ReceiveSession session = Receiver(s.receiver_mempool, cfg).session();
-    ReceiveOutcome out = session.receive_block(sender.encode(s.receiver_mempool.size()).msg);
-    if (out.status == ReceiveStatus::kNeedsProtocol2) {
-      out = session.complete(sender.serve(session.build_request()));
-    }
-    if (out.status == ReceiveStatus::kNeedsRepair) {
-      out = session.complete_repair(sender.serve_repair(session.build_repair()));
-    }
-    decoded += out.status == ReceiveStatus::kDecoded ? 1 : 0;
+    const Relay relay = relay_block(sender, session, s.receiver_mempool.size());
+    decoded += relay.outcome.status == ReceiveStatus::kDecoded ? 1 : 0;
   }
   EXPECT_GE(decoded, 1);
 }

@@ -24,25 +24,12 @@ chain::Scenario desync_scenario(std::uint64_t seed, double fraction = 0.8) {
   return chain::make_scenario(spec, rng);
 }
 
-/// Drives one session through Protocol 1 → 2 → repair against `sender`.
-ReceiveOutcome drive(ReceiveSession& session, const Sender& sender,
-                     const GrapheneBlockMsg& msg) {
-  ReceiveOutcome out = session.receive_block(msg);
-  if (out.status == ReceiveStatus::kNeedsProtocol2) {
-    out = session.complete(sender.serve(session.build_request()));
-  }
-  if (out.status == ReceiveStatus::kNeedsRepair) {
-    out = session.complete_repair(sender.serve_repair(session.build_repair()));
-  }
-  return out;
-}
-
 TEST(ReceiveSessionApi, SessionDrivesFullProtocol) {
   const chain::Scenario s = desync_scenario(1);
   Sender sender(s.block, 7);
   Receiver receiver(s.receiver_mempool);
   ReceiveSession session = receiver.session();
-  const ReceiveOutcome out = drive(session, sender, sender.encode(s.m).msg);
+  const ReceiveOutcome out = relay_block(sender, session, s.m).outcome;
   EXPECT_EQ(out.status, ReceiveStatus::kDecoded);
   EXPECT_TRUE(out.merkle_ok);
   EXPECT_EQ(session.block_transactions().size(), s.block.tx_count());
@@ -99,9 +86,8 @@ TEST(ReceiveSessionApi, ConcurrentSessionsAcrossPoolThreads) {
   std::atomic<std::uint64_t> decoded{0};
   util::parallel_for(&pool, kPeers, [&](std::uint64_t peer) {
     // Each peer claims a different mempool size, so encodes differ too.
-    const EncodeResult enc = sender.encode(s.m + peer);
     ReceiveSession session = receiver.session();
-    const ReceiveOutcome out = drive(session, sender, enc.msg);
+    const ReceiveOutcome out = relay_block(sender, session, s.m + peer).outcome;
     if (out.status == ReceiveStatus::kDecoded) {
       decoded.fetch_add(1, std::memory_order_relaxed);
     }

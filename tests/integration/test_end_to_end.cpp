@@ -185,9 +185,7 @@ TEST(EndToEnd, Protocol2RunEmitsRequestAndPeelSpans) {
   cfg.obs = &reg;
   core::Sender sender(s.block, 44, cfg);
   core::ReceiveSession receiver(s.receiver_mempool, cfg);
-  auto out = receiver.receive_block(sender.encode(s.receiver_mempool.size()).msg);
-  ASSERT_EQ(out.status, core::ReceiveStatus::kNeedsProtocol2);
-  out = receiver.complete(sender.serve(receiver.build_request()));
+  ASSERT_TRUE(core::relay_block(sender, receiver, s.receiver_mempool.size()).request);
 
   for (const char* stage : {"thm_bounds", "rfilter_build", "p2_serve", "p2_peel"}) {
     EXPECT_TRUE(reg.trace().find(stage)) << stage;
