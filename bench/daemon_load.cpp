@@ -10,8 +10,10 @@
 // or the daemon leaks a connection — the CI smoke leg doubles as the load
 // acceptance gate.
 //
-// One ParamCache and one obs::Registry are shared by the daemon and every
-// loadgen worker: Algorithm 1 runs once per set size, not once per session.
+// One ParamCache is shared by the daemon and every loadgen worker of both
+// legs: Algorithm 1 runs once per set size, not once per session. Each leg
+// gets an obs::Registry of its own, shared by its daemon and loadgen, so a
+// leg's histogram quantiles count only that leg's sessions.
 // Honors GRAPHENE_FAST=1 (128 peers instead of 1000) and GRAPHENE_DAEMON_PEERS.
 #include <sys/resource.h>
 
@@ -85,7 +87,6 @@ int main() {
   for (const reconcile::ItemDigest& d : random_set(rng, 30)) client_items.insert(d);
 
   iblt::ParamCache cache;
-  obs::Registry reg;
 
   std::printf("=== Relay daemon load: %llu peers x %llu sessions, %llu workers ===\n\n",
               static_cast<unsigned long long>(peers),
@@ -104,6 +105,7 @@ int main() {
   std::vector<BackendRun> runs;
   bool gate_ok = true;
   for (const BackendSpec& backend : backends) {
+    obs::Registry reg;
     daemon::DaemonOptions opts;
     opts.protocol.param_cache = &cache;
     opts.protocol.obs = &reg;

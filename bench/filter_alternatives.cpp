@@ -4,14 +4,14 @@
 //
 // Compares serialized sizes of Bloom, Cuckoo, and GCS encodings across the
 // FPR range Graphene actually uses, and recomputes Protocol 1's total with
-// each alternative substituted for S. Expected shape: Bloom wins at the
-// high FPRs Protocol 1 prefers; GCS/Cuckoo win at low FPR (where Compact
-// Block Filters and exact-ish digests live).
+// each alternative substituted for S. The Cuckoo and GCS columns come from
+// their size equations (bloom::cuckoo_serialized_bytes and
+// gcs_serialized_bytes, the updated Eq. 2); no such filter is built or sent.
+// Expected shape: Bloom wins at the high FPRs Protocol 1 prefers; GCS/Cuckoo
+// win at low FPR (where Compact Block Filters and exact-ish digests live).
 #include <iostream>
 
 #include "bloom/bloom_math.hpp"
-#include "bloom/cuckoo_filter.hpp"
-#include "bloom/golomb_set.hpp"
 #include "graphene/bounds.hpp"
 #include "graphene/params.hpp"
 #include "iblt/param_table.hpp"

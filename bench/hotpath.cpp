@@ -1,17 +1,17 @@
 // Data-plane hot-path timing: the receiver's mempool filter pass and the
 // IBLT build/subtract/decode pipeline, at mempool scales m ∈ {10k, 100k, 1M}.
 //
-// Three Bloom variants per scale:
+// Two Bloom variants per scale:
 //   seed scalar  — a faithful replica of the seed implementation (per-item
 //                  probe_positions with hardware `%`, one query at a time),
 //                  embedded here so the baseline can't drift;
-//   lib scalar   — today's BloomFilter::contains in a loop;
-//   batch        — bloom::contains_all, the scan the receiver runs.
+//   batch        — bloom::contains_all, the scan the receiver runs (a loop
+//                  over BloomFilter::contains).
 // And two IBLT builds: seed-replica scalar insert (per-probe seed mix and
 // hardware `%`) and the library's insert_all, plus subtract and decode of a
 // realistic difference.
 //
-// Five more sections:
+// Four more sections:
 //   kernels     — the SHA-256 compress timed on the portable body and on the
 //                 best body this CPU runs over 1 MiB, reported as bytes/s +
 //                 speedup;
@@ -25,10 +25,7 @@
 //                 2,400-item encoder drawing 427 symbols, and a decoder with
 //                 2,300 local items consuming them until the 100 host-only
 //                 items decode, each against a seed replica of the
-//                 binary-heap schedule it replaced, symbol by symbol;
-//   wire        — copy (encode_frame) vs zero-copy (begin_frame +
-//                 serialize_into + end_frame) framing of a realistic
-//                 GrapheneBlockMsg, with a byte-identity cross-check.
+//                 binary-heap schedule it replaced, symbol by symbol.
 //
 // Every variant's results are cross-checked (hit counts per variant, cell
 // bytes across build paths, compress outputs across bodies, coded symbols
@@ -57,10 +54,8 @@
 #include "bloom/bloom_math.hpp"
 #include "chain/merkle.hpp"
 #include "chain/transaction.hpp"
-#include "graphene/messages.hpp"
 #include "iblt/coded_symbol.hpp"
 #include "iblt/iblt.hpp"
-#include "net/frame.hpp"
 #include "obs/clock.hpp"
 #include "obs/json.hpp"
 #include "util/hash.hpp"
@@ -201,7 +196,7 @@ void check(bool ok, const char* what) {
 
 struct ScaleResult {
   std::uint64_t m = 0, n = 0;
-  double filter_seed_ms = 0, filter_lib_ms = 0, filter_batch_ms = 0;
+  double filter_seed_ms = 0, filter_batch_ms = 0;
   double iblt_seed_ms = 0, iblt_batch_ms = 0;
   double subtract_ms = 0, decode_ms = 0;
 };
@@ -230,15 +225,10 @@ ScaleResult run_scale(std::uint64_t m, int reps) {
             seed_filter.k == lib_filter.hash_count(),
         "seed replica and library sized differently");
 
-  std::uint64_t hits_seed = 0, hits_lib = 0, hits_batch = 0;
+  std::uint64_t hits_seed = 0, hits_batch = 0;
   res.filter_seed_ms = best_ms(reps, &hits_seed, [&] {
     std::uint64_t hits = 0;
     for (const chain::TxId& id : mempool) hits += seed_filter.contains(util::ByteView(id)) ? 1 : 0;
-    return hits;
-  });
-  res.filter_lib_ms = best_ms(reps, &hits_lib, [&] {
-    std::uint64_t hits = 0;
-    for (const chain::TxId& id : mempool) hits += lib_filter.contains(util::ByteView(id)) ? 1 : 0;
     return hits;
   });
   std::vector<std::uint8_t> out(m, 0);
@@ -248,8 +238,7 @@ ScaleResult run_scale(std::uint64_t m, int reps) {
     for (const std::uint8_t b : out) hits += b;
     return hits;
   });
-  check(hits_seed == hits_lib, "library scalar diverged from seed replica");
-  check(hits_lib == hits_batch, "contains_all diverged from scalar");
+  check(hits_seed == hits_batch, "contains_all diverged from seed replica");
 
   // --- IBLT build / subtract / decode ------------------------------------
   // Tables are sized to the full mempool, not the block, so at m = 1M the
@@ -729,64 +718,6 @@ ServedRatelessResult run_served_rateless_bench(int reps) {
   return r;
 }
 
-// --- Copy vs zero-copy wire serialization ----------------------------------
-
-struct WireResult {
-  std::size_t frame_bytes = 0;
-  double copy_ms = 0;       ///< encode_frame: payload buffer + append
-  double zero_copy_ms = 0;  ///< begin_frame + serialize_into + end_frame
-  double speedup = 1.0;
-};
-
-WireResult run_wire_bench(int reps) {
-  // A realistic Protocol-1 step-3 message at n = 2000: S sized for the
-  // receiver's mempool pass plus a small I — the frame the relay daemon
-  // serializes per peer per block.
-  const std::size_t n = 2000;
-  const std::vector<chain::TxId> ids = random_ids(n, 0xf4a3e);
-  core::GrapheneBlockMsg msg;
-  msg.n = n;
-  msg.shortid_salt = 0xfeedface;
-  msg.filter_s = bloom::BloomFilter(n, 0.005, 0xb10cf11e);
-  for (const chain::TxId& id : ids) msg.filter_s.insert(util::ByteView(id));
-  msg.iblt_i = iblt::Iblt(iblt::IbltParams{4, 60}, 0xb10cf11e);
-  for (const chain::TxId& id : ids) {
-    msg.iblt_i.insert(util::hash64(util::ByteView(id), 0xb10cf11e));
-  }
-
-  WireResult res;
-  const int frames_per_rep = 64;
-  std::uint64_t sink = 0;
-  util::Bytes copy_out;
-  res.copy_ms = best_ms(reps, &sink, [&] {
-    copy_out.clear();
-    for (int i = 0; i < frames_per_rep; ++i) {
-      const net::Message m{net::MessageType::kGrapheneBlock, msg.serialize()};
-      const util::Bytes frame = net::encode_frame(m);
-      copy_out.insert(copy_out.end(), frame.begin(), frame.end());
-    }
-    return static_cast<std::uint64_t>(copy_out.size());
-  });
-  util::Bytes zc_buf;
-  util::Bytes zc_out;
-  res.zero_copy_ms = best_ms(reps, &sink, [&] {
-    zc_buf.clear();
-    util::ByteWriter w(std::move(zc_buf));
-    for (int i = 0; i < frames_per_rep; ++i) {
-      const net::FramePatch p = net::begin_frame(w, net::MessageType::kGrapheneBlock);
-      msg.serialize_into(w);
-      net::end_frame(w, p);
-    }
-    zc_out = w.take();
-    zc_buf = util::Bytes();
-    return static_cast<std::uint64_t>(zc_out.size());
-  });
-  check(copy_out == zc_out, "zero-copy framing diverged from encode_frame");
-  res.frame_bytes = copy_out.size() / frames_per_rep;
-  res.speedup = res.copy_ms / res.zero_copy_ms;
-  return res;
-}
-
 }  // namespace
 
 int main() {
@@ -826,9 +757,6 @@ int main() {
               kRatelessHostItems - kRatelessHostOnly, kRatelessHostOnly,
               static_cast<unsigned long long>(rl.consumed), rl.decode_seed_us, rl.decode_us,
               rl.decode_seed_us / rl.decode_us);
-  const WireResult wire = run_wire_bench(reps);
-  std::printf("  wire frame %zu B   copy %9.3f ms | zero-copy %9.3f ms  (%.2fx)\n",
-              wire.frame_bytes, wire.copy_ms, wire.zero_copy_ms, wire.speedup);
 
   std::vector<ScaleResult> results;
   for (const std::uint64_t m : scales) {
@@ -836,10 +764,8 @@ int main() {
                 static_cast<unsigned long long>(m),
                 static_cast<unsigned long long>(m / 10), reps);
     const ScaleResult r = run_scale(m, reps);
-    std::printf("  filter pass   seed %9.2f ms | scalar %9.2f | batch %9.2f  "
-                "(%.2fx vs seed)\n",
-                r.filter_seed_ms, r.filter_lib_ms, r.filter_batch_ms,
-                r.filter_seed_ms / r.filter_batch_ms);
+    std::printf("  filter pass   seed %9.2f ms | batch %9.2f  (%.2fx vs seed)\n",
+                r.filter_seed_ms, r.filter_batch_ms, r.filter_seed_ms / r.filter_batch_ms);
     std::printf("  iblt build    seed %9.2f ms | batch %9.2f  (%.2fx vs seed)\n",
                 r.iblt_seed_ms, r.iblt_batch_ms, r.iblt_seed_ms / r.iblt_batch_ms);
     std::printf("  iblt subtract      %9.2f ms ; decode %9.3f ms\n", r.subtract_ms,
@@ -932,17 +858,6 @@ int main() {
   w.key("decode_speedup_vs_seed");
   w.number(rl.decode_seed_us / rl.decode_us);
   w.end_object();
-  w.key("wire");
-  w.begin_object();
-  w.key("frame_bytes");
-  w.number(static_cast<std::uint64_t>(wire.frame_bytes));
-  w.key("copy_ms");
-  w.number(wire.copy_ms);
-  w.key("zero_copy_ms");
-  w.number(wire.zero_copy_ms);
-  w.key("speedup");
-  w.number(wire.speedup);
-  w.end_object();
   w.key("scales");
   w.begin_array();
   for (const ScaleResult& r : results) {
@@ -953,8 +868,6 @@ int main() {
     w.number(r.n);
     w.key("filter_seed_ms");
     w.number(r.filter_seed_ms);
-    w.key("filter_scalar_ms");
-    w.number(r.filter_lib_ms);
     w.key("filter_batch_ms");
     w.number(r.filter_batch_ms);
     w.key("filter_speedup_vs_seed");

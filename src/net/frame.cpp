@@ -56,29 +56,6 @@ void encode_frame_into(util::Bytes& out, const Message& msg, std::uint64_t max_p
   out = w.take();
 }
 
-FramePatch begin_frame(util::ByteWriter& w, MessageType type) {
-  const FramePatch patch{w.size()};
-  append_envelope(w, type, 0, {0, 0, 0, 0});
-  return patch;
-}
-
-void end_frame(util::ByteWriter& w, const FramePatch& patch, std::uint64_t max_payload) {
-  const std::size_t payload_start = patch.envelope_start + kEnvelopeBytes;
-  if (payload_start > w.size()) {
-    throw util::DeserializeError("frame: end_frame before begin_frame");
-  }
-  const std::size_t payload_size = w.size() - payload_start;
-  if (payload_size > max_payload) {
-    throw util::DeserializeError("frame: payload " + std::to_string(payload_size) +
-                                 " exceeds cap " + std::to_string(max_payload));
-  }
-  const util::ByteView payload = w.view().subspan(payload_start);
-  const std::array<std::uint8_t, 4> sum = frame_checksum(payload);
-  const std::size_t len_at = patch.envelope_start + kFrameMagic.size() + kFrameCommandBytes;
-  w.patch_u32(len_at, static_cast<std::uint32_t>(payload_size));
-  w.patch_raw(len_at + 4, util::ByteView(sum.data(), sum.size()));
-}
-
 void FrameReader::absorb(util::ByteView data) {
   if (buf_.size() - pos_ + data.size() > buffer_ceiling(max_payload_)) {
     throw util::DeserializeError("frame: reader buffer overrun (caller kept absorbing "

@@ -53,24 +53,6 @@ static_assert(kEnvelopeBytes == 4 + kFrameCommandBytes + 4 + 4,
 void encode_frame_into(util::Bytes& out, const Message& msg,
                        std::uint64_t max_payload = util::wire::kMaxFramePayload);
 
-/// Scatter framing: begin_frame() writes the envelope with the length and
-/// checksum fields reserved, the caller serializes the payload straight into
-/// `w` (e.g. via the serialize_into() family), and end_frame() patches the
-/// envelope in place — no per-message payload buffer anywhere.
-///
-///   util::ByteWriter w(std::move(conn.out));
-///   const FramePatch p = net::begin_frame(w, MessageType::kIblt);
-///   table.serialize_into(w);
-///   net::end_frame(w, p);   // throws if the payload outgrew max_payload
-///   conn.out = w.take();
-struct FramePatch {
-  std::size_t envelope_start = 0;
-};
-
-[[nodiscard]] FramePatch begin_frame(util::ByteWriter& w, MessageType type);
-void end_frame(util::ByteWriter& w, const FramePatch& patch,
-               std::uint64_t max_payload = util::wire::kMaxFramePayload);
-
 /// Incremental frame decoder over a byte stream.
 ///
 ///   FrameReader reader;

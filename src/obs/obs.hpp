@@ -29,7 +29,6 @@
 #include "obs/clock.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 #include "obs/trace.hpp"
 
 namespace graphene::obs {

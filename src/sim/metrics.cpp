@@ -23,9 +23,4 @@ double Accumulator::ci95() const noexcept {
   return 1.96 * stddev() / std::sqrt(static_cast<double>(count_));
 }
 
-double RateCounter::rate() const noexcept {
-  if (trials_ == 0) return 0.0;
-  return static_cast<double>(successes_) / static_cast<double>(trials_);
-}
-
 }  // namespace graphene::sim

@@ -1,4 +1,4 @@
-// Small statistics accumulators for benches (means, 95% CIs, failure rates).
+// Small statistics accumulator for benches (means and 95% CIs).
 #pragma once
 
 #include <cstdint>
@@ -20,23 +20,6 @@ class Accumulator {
   std::uint64_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-};
-
-/// Bernoulli success counter with a Wilson 95% interval on the rate.
-class RateCounter {
- public:
-  void add(bool success) noexcept {
-    ++trials_;
-    successes_ += success ? 1 : 0;
-  }
-  [[nodiscard]] std::uint64_t trials() const noexcept { return trials_; }
-  [[nodiscard]] std::uint64_t successes() const noexcept { return successes_; }
-  [[nodiscard]] double rate() const noexcept;
-  [[nodiscard]] double failure_rate() const noexcept { return 1.0 - rate(); }
-
- private:
-  std::uint64_t trials_ = 0;
-  std::uint64_t successes_ = 0;
 };
 
 }  // namespace graphene::sim

@@ -34,9 +34,7 @@ class DeserializeError : public std::runtime_error {
   explicit DeserializeError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Little-endian byte writer: append-only, plus offset patching for
-/// length/checksum fields reserved before their value is known (scatter
-/// framing writes the payload first, then fixes the envelope in place).
+/// Little-endian, append-only byte writer.
 class ByteWriter {
  public:
   ByteWriter() = default;
@@ -78,26 +76,8 @@ class ByteWriter {
     }
   }
 
-  /// Overwrites 4 bytes at `offset` (little-endian) with `v`. The offset
-  /// must address already-written bytes.
-  void patch_u32(std::size_t offset, std::uint32_t v) {
-    check_patch(offset, 4);
-    for (std::size_t i = 0; i < 4; ++i) {
-      buf_[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-  }
-
-  /// Overwrites data.size() already-written bytes at `offset`.
-  void patch_raw(std::size_t offset, ByteView data) {
-    check_patch(offset, data.size());
-    if (!data.empty()) std::memcpy(buf_.data() + offset, data.data(), data.size());
-  }
-
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
   [[nodiscard]] const Bytes& bytes() const noexcept { return buf_; }
-  /// Non-owning view of everything written so far (e.g. to checksum a
-  /// payload region before patching its envelope).
-  [[nodiscard]] ByteView view() const noexcept { return buf_; }
   [[nodiscard]] Bytes take() noexcept { return std::move(buf_); }
 
  private:
@@ -105,12 +85,6 @@ class ByteWriter {
   void append_le(T v) {
     for (std::size_t i = 0; i < sizeof(T); ++i) {
       buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-
-  void check_patch(std::size_t offset, std::size_t len) const {
-    if (offset > buf_.size() || len > buf_.size() - offset) {
-      throw std::out_of_range("ByteWriter: patch beyond written bytes");
     }
   }
 
@@ -137,18 +111,6 @@ class ByteReader {
     pos_ += len;
     return out;
   }
-
-  /// Borrows `len` bytes in place — the zero-copy twin of raw(). The view
-  /// aliases the reader's underlying buffer (valid only while it lives).
-  ByteView raw_view(std::size_t len) {
-    require(len);
-    const ByteView v = data_.subspan(pos_, len);
-    pos_ += len;
-    return v;
-  }
-
-  /// Everything not yet consumed, borrowed in place.
-  [[nodiscard]] ByteView tail() const noexcept { return data_.subspan(pos_); }
 
   /// Reads `len` bytes into caller-provided storage.
   void raw_into(void* dst, std::size_t len) {

@@ -2,11 +2,11 @@
 //
 // Two strategies are provided:
 //
-//  * MixHasher — a splitmix64-style avalanche over (seed, input), used when
-//    the input is an arbitrary 64-bit word (IBLT cell indexing, hypergraph
-//    edge generation).
+//  * mix64 — the splitmix64 finalizer, used when the input is an arbitrary
+//    64-bit word (IBLT cell indexing, coded-symbol mapping, and util::Rng,
+//    which draws the hypergraph edges).
 //
-//  * split_txid_words — §6.3's optimization: a transaction ID is already a
+//  * split_digest_words — §6.3's optimization: a transaction ID is already a
 //    cryptographic hash, so instead of re-hashing it k times a client can
 //    slice the 32-byte ID into k words. bench_bloom_hashing quantifies the
 //    speedup over k-fold SipHash.
@@ -28,24 +28,6 @@ namespace graphene::util {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
-
-/// Derives the i-th hash of `item` under `seed` via double hashing
-/// (Kirsch–Mitzenmacher): h_i = h1 + i*h2, each drawn from mix64.
-class MixHasher {
- public:
-  explicit MixHasher(std::uint64_t seed) noexcept : seed_(seed) {}
-
-  [[nodiscard]] std::uint64_t operator()(std::uint64_t item, std::uint32_t i) const noexcept {
-    const std::uint64_t h1 = mix64(item ^ seed_);
-    const std::uint64_t h2 = mix64(item + 0x632be59bd9b4e019ULL + (seed_ << 1));
-    return h1 + static_cast<std::uint64_t>(i) * (h2 | 1);
-  }
-
-  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
-
- private:
-  std::uint64_t seed_;
-};
 
 /// Slices a 32-byte digest into four 64-bit little-endian words (§6.3).
 /// For k > 4 hash functions, callers extend with double hashing over the

@@ -47,8 +47,4 @@ struct Interval {
 /// log Pr[Bin(n, p) ≤ k] evaluated stably by summing pmf terms in log space.
 [[nodiscard]] double log_binomial_cdf(std::uint64_t k, std::uint64_t n, double p) noexcept;
 
-/// Mean of a Binomial(n, p) — trivially n*p, named for readability at call
-/// sites that mirror the paper's formulas.
-[[nodiscard]] inline double binomial_mean(double n, double p) noexcept { return n * p; }
-
 }  // namespace graphene::util

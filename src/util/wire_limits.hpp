@@ -26,13 +26,6 @@ inline constexpr std::uint64_t kMaxBloomBits = 1ULL << 32;
 /// paper stay under 10^4 cells even for mempool sync.
 inline constexpr std::uint64_t kMaxIbltCells = 1ULL << 24;
 
-/// Golomb-coded set: item count and coded bit length.
-inline constexpr std::uint64_t kMaxGolombItems = 1ULL << 28;
-inline constexpr std::uint64_t kMaxGolombBits = 1ULL << 35;
-
-/// Cuckoo filter bucket count (4 slots per bucket).
-inline constexpr std::uint64_t kMaxCuckooBuckets = 1ULL << 28;
-
 /// Announced transactions per block (`n` in grblk). Bitcoin-scale blocks
 /// carry ~10^4; the paper's largest experiments use 10^5.
 inline constexpr std::uint64_t kMaxBlockTxCount = 1ULL << 24;

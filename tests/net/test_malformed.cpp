@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "bloom/bloom_filter.hpp"
-#include "bloom/cuckoo_filter.hpp"
-#include "bloom/golomb_set.hpp"
 #include "chain/transaction.hpp"
 #include "graphene/messages.hpp"
 #include "iblt/iblt.hpp"
@@ -72,23 +70,6 @@ std::vector<WireCase> make_cases() {
       f.insert(util::ByteView(id.data(), id.size()));
     }
     cases.push_back({"BloomFilter", f.serialize(), parser<bloom::BloomFilter>()});
-  }
-  {
-    std::vector<util::Bytes> digests;
-    for (int i = 0; i < 40; ++i) {
-      const auto id = chain::make_random_transaction(rng).id;
-      digests.emplace_back(id.begin(), id.end());
-    }
-    cases.push_back({"GolombSet", bloom::GolombSet(digests, 0.01, rng.next()).serialize(),
-                     parser<bloom::GolombSet>()});
-  }
-  {
-    bloom::CuckooFilter f(64, 0.02, rng.next());
-    for (int i = 0; i < 50; ++i) {
-      const auto id = chain::make_random_transaction(rng).id;
-      f.insert(util::ByteView(id.data(), id.size()));
-    }
-    cases.push_back({"CuckooFilter", f.serialize(), parser<bloom::CuckooFilter>()});
   }
   {
     iblt::Iblt t(iblt::IbltParams{4, 40}, rng.next());

@@ -1,20 +1,18 @@
 // Scatter-serialization pins.
 //
-// The daemon send path writes every message with serialize_into() straight
-// into its send queue and frames it with begin_frame()/end_frame(). These
-// tests hold that path to the plain one: serialize_into() into a shared
-// writer is byte-identical to serialize()-and-concatenate for every wire
-// type, and scatter framing and encode_frame_into() produce exactly
-// encode_frame()'s bytes, including mid-buffer appends.
+// Wire types nest inside one another through serialize_into(), which
+// appends to a shared writer; the daemon frames each payload built by
+// serialize() with encode_frame_into(), straight onto its send queue. These
+// tests hold both to the plain path: serialize_into() into a shared writer
+// is byte-identical to serialize()-and-concatenate for every wire type, and
+// encode_frame_into() produces exactly encode_frame()'s bytes, including
+// mid-buffer appends.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include "bloom/bloom_filter.hpp"
-#include "bloom/cuckoo_filter.hpp"
-#include "bloom/golomb_set.hpp"
 #include "chain/block.hpp"
 #include "daemon/wire.hpp"
 #include "graphene/messages.hpp"
@@ -117,17 +115,6 @@ TEST(ZeroCopyWrite, SerializeIntoMatchesSerializeForEveryType) {
   expect_scatter_identical(make_bloom(bloom::HashStrategy::kRehash));
   expect_scatter_identical(make_iblt());
   {
-    const std::vector<util::Bytes> digests = {util::Bytes(32, 0x11),
-                                              util::Bytes(32, 0x22)};
-    expect_scatter_identical(bloom::GolombSet(digests, 0.01, 5));
-  }
-  {
-    bloom::CuckooFilter f(64, 0.02, 3);
-    util::Bytes id(32, 0x33);
-    f.insert(bv(id));
-    expect_scatter_identical(f);
-  }
-  {
     iblt::StrataEstimator est(77);
     expect_scatter_identical(est);
   }
@@ -208,20 +195,6 @@ TEST(ZeroCopyWrite, SerializeIntoMatchesSerializeForEveryType) {
   }
 }
 
-TEST(ZeroCopyWrite, ScatterFramingMatchesEncodeFrame) {
-  const core::GrapheneBlockMsg msg = make_block_msg();
-  net::Message wire;
-  wire.type = net::MessageType::kGrapheneBlock;
-  wire.payload = msg.serialize();
-  const util::Bytes want = net::encode_frame(wire);
-
-  util::ByteWriter w;
-  const net::FramePatch patch = net::begin_frame(w, net::MessageType::kGrapheneBlock);
-  msg.serialize_into(w);
-  net::end_frame(w, patch);
-  EXPECT_EQ(w.take(), want);
-}
-
 TEST(ZeroCopyWrite, EncodeFrameIntoAppendsInPlace) {
   net::Message a;
   a.type = net::MessageType::kDaemonHello;
@@ -240,37 +213,21 @@ TEST(ZeroCopyWrite, EncodeFrameIntoAppendsInPlace) {
   EXPECT_EQ(queue, want);
 }
 
-TEST(ZeroCopyWrite, EndFrameEnforcesPayloadCap) {
+TEST(ZeroCopyWrite, ByteWriterAdoptAndTake) {
   util::ByteWriter w;
-  const net::FramePatch patch = net::begin_frame(w, net::MessageType::kDaemonBye);
-  for (int i = 0; i < 100; ++i) w.u8(0);
-  EXPECT_THROW(net::end_frame(w, patch, /*max_payload=*/64), util::DeserializeError);
-}
-
-TEST(ZeroCopyWrite, ByteWriterPatchAndAdopt) {
-  util::ByteWriter w;
-  w.u32(0);
+  w.u32(0xa0b0c0d0);
   w.u64(0x1122334455667788ULL);
-  w.patch_u32(0, 0xa0b0c0d0);
   util::Bytes first = w.take();
-  {
-    util::ByteReader r(bv(first));
-    EXPECT_EQ(r.u32(), 0xa0b0c0d0);
-    EXPECT_EQ(r.u64(), 0x1122334455667788ULL);
-  }
 
   // Adopt-and-take must preserve the existing prefix.
   util::ByteWriter adopted(std::move(first));
   adopted.u8(0x5a);
   const util::Bytes out = adopted.take();
   ASSERT_EQ(out.size(), 13u);
-  EXPECT_EQ(out.back(), 0x5a);
-
-  // Out-of-range patches are a caller bug and must throw, not scribble.
-  util::ByteWriter bad;
-  bad.u8(1);
-  EXPECT_THROW(bad.patch_u32(0, 1), std::out_of_range);
-  EXPECT_THROW(bad.patch_raw(2, bv(out)), std::out_of_range);
+  util::ByteReader r(bv(out));
+  EXPECT_EQ(r.u32(), 0xa0b0c0d0);
+  EXPECT_EQ(r.u64(), 0x1122334455667788ULL);
+  EXPECT_EQ(r.u8(), 0x5a);
 }
 
 }  // namespace

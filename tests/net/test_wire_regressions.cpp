@@ -4,7 +4,7 @@
 //
 //   * length-field overflow — a varint near 2^64 made `(v + 7) / 8` wrap to
 //     a tiny payload check while `(v + 63) / 64` still drove a huge
-//     allocation (BloomFilter; the same shape existed in GolombSet);
+//     allocation (BloomFilter);
 //   * unbounded allocation — counts far beyond any real message reached
 //     reserve()/assign() before any buffer-size comparison;
 //   * non-canonical encodings — presence flags above 1 and zero-cell IBLTs
@@ -24,8 +24,6 @@
 #include <vector>
 
 #include "bloom/bloom_filter.hpp"
-#include "bloom/cuckoo_filter.hpp"
-#include "bloom/golomb_set.hpp"
 #include "graphene/errors.hpp"
 #include "graphene/forensics.hpp"
 #include "graphene/messages.hpp"
@@ -75,29 +73,6 @@ TEST(WireRegression, BloomFilterJustOverCapRejectedAndCapRoundTrips) {
   const util::Bytes ok = f.serialize();
   util::ByteReader r{util::ByteView(ok)};
   EXPECT_EQ(bloom::BloomFilter::deserialize(r).serialize(), ok);
-}
-
-// ---------------------------------------------------------------------------
-// GolombSet: the item count drove values.reserve(n) in decode_all() with no
-// relation to the coded stream, and a near-2^64 bit count had the same
-// (v+7)/8 wrap as the Bloom filter.
-TEST(WireRegression, GolombSetItemCountBeyondStreamRejected) {
-  util::Bytes wire;
-  wire.push_back(0xfe);  // 5-byte varint: n = 2^28 items (at the cap)
-  for (int i = 0; i < 4; ++i) wire.push_back(i == 3 ? 0x10 : 0x00);
-  wire.push_back(0x14);  // rice = 20 → every item needs ≥ 21 bits
-  put_u64(wire, 0);      // seed
-  wire.push_back(0x40);  // bit_count = 64: backs at most 3 items
-  put_u64(wire, 0);      // 8 payload bytes
-  expect_rejected<bloom::GolombSet>(wire, "item count unpayable by stream");
-}
-
-TEST(WireRegression, GolombSetHugeBitCountRejected) {
-  util::Bytes wire = {0x02, 0x14};  // n = 2, rice = 20
-  put_u64(wire, 0);                 // seed
-  wire.push_back(0xff);             // bit_count = 2^64 - 7 (wraps (v+7)/8)
-  put_u64(wire, std::numeric_limits<std::uint64_t>::max() - 6);
-  expect_rejected<bloom::GolombSet>(wire, "wrapping bit count");
 }
 
 // ---------------------------------------------------------------------------
@@ -191,17 +166,6 @@ TEST(WireRegression, IbltSubtractSurvivesInt32MinCellCount) {
             std::vector<std::int32_t>{std::numeric_limits<std::int32_t>::min() + 1});
   (void)hostile_minus_t.decode();
   (void)t_minus_hostile.decode();
-}
-
-// ---------------------------------------------------------------------------
-// CuckooFilter: bucket and stash counts reached assign()/resize() unbounded.
-TEST(WireRegression, CuckooFilterHugeBucketCountRejected) {
-  util::Bytes wire;
-  wire.push_back(0xfe);  // buckets = 2^30 (power of two, but over the 2^28 cap)
-  for (int i = 0; i < 4; ++i) wire.push_back(i == 3 ? 0x40 : 0x00);
-  wire.push_back(0x08);  // fp_bits = 8
-  put_u64(wire, 0);      // seed
-  expect_rejected<bloom::CuckooFilter>(wire, "bucket count over cap");
 }
 
 // ---------------------------------------------------------------------------

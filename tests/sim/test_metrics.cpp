@@ -31,19 +31,5 @@ TEST(Accumulator, CiShrinksWithSamples) {
   EXPECT_GT(small.ci95(), large.ci95());
 }
 
-TEST(RateCounter, TracksRate) {
-  RateCounter rc;
-  for (int i = 0; i < 100; ++i) rc.add(i < 75);
-  EXPECT_EQ(rc.trials(), 100u);
-  EXPECT_EQ(rc.successes(), 75u);
-  EXPECT_DOUBLE_EQ(rc.rate(), 0.75);
-  EXPECT_DOUBLE_EQ(rc.failure_rate(), 0.25);
-}
-
-TEST(RateCounter, EmptyIsZero) {
-  const RateCounter rc;
-  EXPECT_DOUBLE_EQ(rc.rate(), 0.0);
-}
-
 }  // namespace
 }  // namespace graphene::sim

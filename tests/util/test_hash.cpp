@@ -26,22 +26,6 @@ TEST(Mix64, DistinctInputsGiveDistinctOutputs) {
   EXPECT_EQ(outputs.size(), 10000u);
 }
 
-TEST(MixHasher, DifferentSeedsDecorrelate) {
-  const MixHasher h1(1), h2(2);
-  int same = 0;
-  for (std::uint64_t item = 0; item < 100; ++item) {
-    if (h1(item, 0) % 1000 == h2(item, 0) % 1000) ++same;
-  }
-  EXPECT_LT(same, 10);
-}
-
-TEST(MixHasher, IndexVariesProbe) {
-  const MixHasher h(7);
-  std::set<std::uint64_t> probes;
-  for (std::uint32_t i = 0; i < 8; ++i) probes.insert(h(42, i) % 4096);
-  EXPECT_GE(probes.size(), 7u);  // 8 probes, collisions unlikely in 4096 slots
-}
-
 TEST(SplitDigestWords, SplitsLittleEndian) {
   Bytes digest(32);
   for (std::size_t i = 0; i < 32; ++i) digest[i] = static_cast<std::uint8_t>(i);

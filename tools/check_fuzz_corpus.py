@@ -5,10 +5,14 @@ Runs the generator into a temporary directory, then requires:
 
   * every generated file to exist under the corpus root, byte for byte;
   * every checked-in file to be generated, or to be named `regression-*`
-    (a minimized fuzzer find kept on purpose, see docs/FUZZING.md).
+    (a minimized fuzzer find kept on purpose, see docs/FUZZING.md);
+  * every harness that fuzz/CMakeLists.txt declares with
+    `graphene_add_fuzzer(<name>)` to have a non-empty `<corpus>/<name>/`;
+  * every directory under the corpus root to name such a harness.
 
 A wire-format change that forgets to regenerate the corpus fails here, and
-so does a seed the generator no longer emits. Usage:
+so do a seed the generator no longer emits, a harness without a corpus and
+a corpus that outlived its harness. Usage:
 
     python3 tools/check_fuzz_corpus.py build/tools/gen_fuzz_corpus [fuzz/corpus]
 
@@ -19,17 +23,25 @@ stale seeds. Exits 1 with one line per stale, missing or unexpected file.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+FUZZ_CMAKE = REPO_ROOT / "fuzz" / "CMakeLists.txt"
 
 
 def files_under(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def declared_harnesses(cmake_lists: Path) -> set[str]:
+    text = cmake_lists.read_text(encoding="utf-8")
+    text = re.sub(r"#[^\n]*", "", text)  # a commented-out harness declares nothing
+    return set(re.findall(r"^\s*graphene_add_fuzzer\(\s*(\w+)\s*\)", text, re.M))
 
 
 def main(argv: list[str]) -> int:
@@ -53,14 +65,25 @@ def main(argv: list[str]) -> int:
         if name not in generated and not os.path.basename(name).startswith("regression-"):
             problems.append(f"unexpected: {name} is neither generated nor regression-*")
 
+    harnesses = declared_harnesses(FUZZ_CMAKE)
+    corpus_dirs = {p.name for p in corpus_root.iterdir() if p.is_dir()}
+    with_files = {name.split("/", 1)[0] for name in checked_in if "/" in name}
+    for name in sorted(harnesses - with_files):
+        problems.append(f"no corpus: harness {name} has no files under {name}/")
+    for name in sorted(corpus_dirs - harnesses):
+        problems.append(f"orphan: corpus directory {name}/ names no graphene_add_fuzzer "
+                        "harness in fuzz/CMakeLists.txt")
+
     for line in problems:
         print(f"check_fuzz_corpus: {line}", file=sys.stderr)
     if problems:
-        print("check_fuzz_corpus: regenerate with gen_fuzz_corpus <corpus-root>",
+        print("check_fuzz_corpus: regenerate with gen_fuzz_corpus <corpus-root>, and add "
+              "or delete the corpus directory of a harness that came or went",
               file=sys.stderr)
         return 1
     print(f"check_fuzz_corpus: {len(generated)} generated seeds match; "
-          f"{len(checked_in) - len(generated)} regression file(s) kept")
+          f"{len(checked_in) - len(generated)} regression file(s) kept; "
+          f"{len(harnesses)} harnesses, each with a corpus")
     return 0
 
 
