@@ -8,7 +8,11 @@
 // decode-failure Request/fetch path); the rateless backend must never use
 // one — continuation chunks are flow control, not repairs — and this bench
 // exits non-zero if any rateless cell fails or takes a repair round, so the
-// CI smoke leg doubles as the tentpole's acceptance gate.
+// CI smoke leg doubles as the tentpole's acceptance gate. It also exits
+// non-zero when the rateless round trips, averaged over one shared size's
+// cells, exceed kMaxMeanRatelessRoundTrips: chunks sized from the session's
+// own estimate of d finish in about 1.5, where a fixed doubling schedule
+// took 3.7.
 //
 // Prints ASCII tables and writes BENCH_backends.json (overwritten each run)
 // for CI artifact upload. Honors GRAPHENE_FAST=1 and GRAPHENE_TRIALS.
@@ -16,6 +20,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -28,6 +33,9 @@
 namespace {
 
 using namespace graphene;
+
+/// Most rateless round trips a shared size's cells may take on average.
+constexpr double kMaxMeanRatelessRoundTrips = 2.0;
 
 struct CellSpec {
   std::uint64_t shared;
@@ -124,17 +132,19 @@ int main() {
   util::Rng rng(0xbac7e7d);
   std::vector<CellResult> results;
   bool rateless_gate_ok = true;
+  bool round_trip_gate_ok = true;
 
   for (const std::uint64_t shared : shared_sizes) {
     sim::TablePrinter table({"x (host-only)", "y (client-only)", "backend", "bytes",
                              "symbols", "round trips", "repairs", "failures"});
+    double rateless_trips_sum = 0;
     for (const auto& d : divergences) {
       for (const Backend& b : backends) {
         const CellSpec spec{shared, d[0], d[1]};
         const CellResult cell = run_cell(b.id, b.name, spec, trials, rng);
-        if (b.id == core::ReconcileBackend::kRatelessIblt &&
-            (cell.failures != 0 || cell.repair_rounds != 0)) {
-          rateless_gate_ok = false;
+        if (b.id == core::ReconcileBackend::kRatelessIblt) {
+          if (cell.failures != 0 || cell.repair_rounds != 0) rateless_gate_ok = false;
+          rateless_trips_sum += cell.mean_round_trips;
         }
         table.add_row({std::to_string(spec.x), std::to_string(spec.y), cell.backend,
                        sim::format_bytes(cell.mean_bytes),
@@ -145,10 +155,14 @@ int main() {
         results.push_back(cell);
       }
     }
+    const double rateless_trips =
+        rateless_trips_sum / static_cast<double>(std::size(divergences));
+    if (rateless_trips > kMaxMeanRatelessRoundTrips) round_trip_gate_ok = false;
     std::printf("--- shared pool %llu items ---\n",
                 static_cast<unsigned long long>(shared));
     table.print(std::cout);
-    std::printf("\n");
+    std::printf("rateless round trips, mean over cells: %.2f (gate %.1f)\n\n",
+                rateless_trips, kMaxMeanRatelessRoundTrips);
   }
 
   std::ofstream json("BENCH_backends.json");
@@ -158,6 +172,8 @@ int main() {
   w.number(trials);
   w.key("rateless_zero_repair_gate");
   w.boolean(rateless_gate_ok);
+  w.key("rateless_round_trip_gate");
+  w.boolean(round_trip_gate_ok);
   w.key("cells");
   w.begin_array();
   for (const CellResult& cell : results) {
@@ -191,6 +207,13 @@ int main() {
     std::printf("GATE FAILED: rateless backend used a repair round or failed a cell\n");
     return 1;
   }
+  if (!round_trip_gate_ok) {
+    std::printf("GATE FAILED: rateless round trips averaged over %.1f at a shared size\n",
+                kMaxMeanRatelessRoundTrips);
+    return 1;
+  }
   std::printf("gate ok: rateless completed every cell with zero repair round trips\n");
+  std::printf("gate ok: rateless round trips averaged at most %.1f at every shared size\n",
+              kMaxMeanRatelessRoundTrips);
   return 0;
 }

@@ -55,7 +55,8 @@ class BloomFilter {
   /// Wire format: varint(bit count) | u8(k + strategy) | u64(seed) |
   /// ceil(bits/8) payload bytes. The strategy rides in the k byte's high
   /// bit (set = kRehash); k itself is the low 7 bits and must lie in 1..64.
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w`, where an enclosing message embeds it;
+  /// serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   [[nodiscard]] std::size_t serialized_size() const noexcept;

@@ -24,10 +24,9 @@ struct BlockHeader {
 
   static constexpr std::size_t kWireSize = 4 + 32 + 32 + 4 + 4 + 4;
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
-
+  /// Appends the wire encoding to `w`, where an enclosing message embeds it;
+  /// serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
-
   [[nodiscard]] util::Bytes serialize() const;
   static BlockHeader deserialize(util::ByteReader& reader);
 

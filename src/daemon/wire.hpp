@@ -27,8 +27,9 @@
 namespace graphene::daemon {
 
 /// Protocol version spoken by this daemon. A hello with any other version is
-/// rejected with ErrorCode::kUnsupported — no negotiation at version 1.
-inline constexpr std::uint32_t kDaemonProtocolVersion = 1;
+/// rejected with ErrorCode::kUnsupported; there is no negotiation. Version 2
+/// sends a RatelessChunk symbol's count as a CompactSize, not a u64.
+inline constexpr std::uint32_t kDaemonProtocolVersion = 2;
 
 /// Session open. `backend` mirrors core::ReconcileBackend's numeric values.
 /// Any byte parses; the session rejects an unknown one with
@@ -39,10 +40,8 @@ struct HelloMsg {
   std::uint8_t backend = 0;       ///< 0 = Graphene, 1 = rateless IBLT
   std::uint64_t item_count = 0;   ///< client's set size (host open() input)
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
-
+  /// Appends the wire encoding to `w`; serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
-
   [[nodiscard]] util::Bytes serialize() const;
   static HelloMsg deserialize(util::ByteReader& reader);
 };
@@ -52,10 +51,8 @@ struct ByeMsg {
   std::uint8_t ok = 0;          ///< 1 = set reconciled and certified, 0 = gave up
   std::uint32_t rounds = 0;     ///< client-counted message round trips
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
-
+  /// Appends the wire encoding to `w`; serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
-
   [[nodiscard]] util::Bytes serialize() const;
   static ByeMsg deserialize(util::ByteReader& reader);
 };
@@ -75,10 +72,8 @@ struct ErrorMsg {
   ErrorCode code = ErrorCode::kProtocol;
   std::string detail;  ///< bounded by util::wire::kMaxDaemonTextBytes
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
-
+  /// Appends the wire encoding to `w`; serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
-
   [[nodiscard]] util::Bytes serialize() const;
   static ErrorMsg deserialize(util::ByteReader& reader);
 };

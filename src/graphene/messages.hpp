@@ -23,10 +23,8 @@ struct GrapheneBlockMsg {
   bloom::BloomFilter filter_s;
   iblt::Iblt iblt_i;
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
-
+  /// Appends the wire encoding to `w`; serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
-
   [[nodiscard]] util::Bytes serialize() const;
   static GrapheneBlockMsg deserialize(util::ByteReader& reader);
 };
@@ -41,10 +39,8 @@ struct GrapheneRequestMsg {
   bool reversed = false;
   bloom::BloomFilter filter_r;
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
-
+  /// Appends the wire encoding to `w`; serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
-
   [[nodiscard]] util::Bytes serialize() const;
   static GrapheneRequestMsg deserialize(util::ByteReader& reader);
 };
@@ -56,10 +52,8 @@ struct GrapheneResponseMsg {
   iblt::Iblt iblt_j;
   std::optional<bloom::BloomFilter> filter_f;
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
-
+  /// Appends the wire encoding to `w`; serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
-
   [[nodiscard]] util::Bytes serialize() const;
   static GrapheneResponseMsg deserialize(util::ByteReader& reader);
 
@@ -72,7 +66,7 @@ struct GrapheneResponseMsg {
 /// receiver decoded from an IBLT but holds no transaction for.
 struct RepairRequestMsg {
   std::vector<std::uint64_t> short_ids;
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w`; serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static RepairRequestMsg deserialize(util::ByteReader& reader);
@@ -80,7 +74,7 @@ struct RepairRequestMsg {
 
 struct RepairResponseMsg {
   std::vector<chain::Transaction> txns;
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w`; serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static RepairResponseMsg deserialize(util::ByteReader& reader);

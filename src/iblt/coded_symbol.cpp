@@ -15,6 +15,10 @@ namespace {
 constexpr std::uint64_t kCheckDomain = 0x9e3779b97f4a7c15ULL;
 constexpr std::uint64_t kMapDomain = 0xc2b2ae3d27d4eb4fULL;
 
+// First cell difference_estimate() reads: below it the mapper's density
+// departs from 1/(1 + i/2) by enough to swamp the variance it measures.
+constexpr std::uint64_t kEstimateFirstCell = 8;
+
 // Largest gap the mapper will take in one step. Honest gaps fit easily
 // (they are < 2^32 · idx); the clamp only matters for keeping the
 // double→uint64 conversion well defined.
@@ -124,6 +128,24 @@ void RatelessDecoder::add_symbol(const CodedSymbol& symbol) {
   enqueue_if_candidate(index);
   peel();
   if (over_budget()) malformed_ = true;
+}
+
+double RatelessDecoder::difference_estimate(
+    std::int64_t host_minus_local) const noexcept {
+  const auto found_pos = static_cast<double>(positives_.size());
+  const auto found_neg = static_cast<double>(negatives_.size());
+  const double s = static_cast<double>(host_minus_local) - (found_pos - found_neg);
+  double sum = 0;
+  for (std::size_t i = kEstimateFirstCell; i < cells_.size(); ++i) {
+    const double rho = 1.0 / (1.0 + static_cast<double>(i) / 2.0);
+    const double dev = static_cast<double>(cells_[i].count) - s * rho;
+    sum += dev * dev / (rho * (1.0 - rho));
+  }
+  const double residual =
+      cells_.size() > kEstimateFirstCell
+          ? sum / static_cast<double>(cells_.size() - kEstimateFirstCell)
+          : 0.0;
+  return found_pos + found_neg + residual;
 }
 
 void RatelessDecoder::touch_cell(std::uint64_t index, const Digest32& digest,

@@ -39,8 +39,10 @@ struct CodedSymbol {
   std::uint64_t check = 0;
   std::int64_t count = 0;
 
-  /// Serialized bytes: i64 count | u64 check | 32-byte sum.
-  static constexpr std::size_t kWireBytes = 48;
+  /// Fewest serialized bytes: CompactSize count | u64 check | 32-byte sum,
+  /// with a one-byte count. A host's count lies in [0, host_count], so on
+  /// the wire it takes 1–5 bytes.
+  static constexpr std::size_t kMinWireBytes = 41;
 
   // The digest is folded and tested as four 64-bit words, not 32 bytes: GCC
   // at -O2 turns a byte loop into 32 one-byte XORs, which the rateless
@@ -238,6 +240,19 @@ class RatelessDecoder {
     return negatives_;
   }
   [[nodiscard]] std::uint64_t received() const noexcept { return received_; }
+
+  /// Estimate of the symmetric difference d from the consumed prefix, given
+  /// |host set| − |local set|; free, since it reads only the residual cells.
+  /// A residual cell holds only the unrecovered difference, and IndexMapper
+  /// puts an item in cell i with probability ρ_i = 1/(1 + i/2). So with
+  /// s = host_minus_local − (|positives| − |negatives|) and d_u unrecovered
+  /// items, E[count_i] = s·ρ_i and Var[count_i] = d_u·ρ_i(1 − ρ_i); the
+  /// estimate is the items recovered plus the mean over cells i ≥ 8 of
+  /// (count_i − s·ρ_i)² / (ρ_i(1 − ρ_i)). The mapper's first steps depart
+  /// from ρ_i (ρ_1 is 0.64, not 2/3), so earlier cells are left out. With
+  /// no such cell yet it is the items recovered.
+  [[nodiscard]] double difference_estimate(std::int64_t host_minus_local) const noexcept;
+
   /// Cell updates performed so far — the decoder's total work, for telemetry
   /// and the malformed-stream budget.
   [[nodiscard]] std::uint64_t update_ops() const noexcept { return ops_; }

@@ -84,7 +84,8 @@ class Iblt {
   [[nodiscard]] bool empty() const noexcept;
 
   /// Wire format: varint(cells) | u8(k) | u64(seed) | cells × 16 bytes.
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w`, where an enclosing message embeds it;
+  /// serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   [[nodiscard]] std::size_t serialized_size() const noexcept;

@@ -38,10 +38,8 @@ struct Offer {
   bloom::BloomFilter filter;      ///< S over the full digests
   iblt::Iblt correction;          ///< I over the short IDs
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
-
+  /// Appends the wire encoding to `w`; serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
-
   [[nodiscard]] util::Bytes serialize() const;
   static Offer deserialize(util::ByteReader& reader);
   [[nodiscard]] std::size_t serialized_size() const noexcept;
@@ -56,10 +54,8 @@ struct Request {
   bool reversed = false;
   bloom::BloomFilter filter;  ///< R over the client's candidate digests
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
-
+  /// Appends the wire encoding to `w`; serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
-
   [[nodiscard]] util::Bytes serialize() const;
   static Request deserialize(util::ByteReader& reader);
 };
@@ -70,10 +66,8 @@ struct Response {
   iblt::Iblt correction;
   std::optional<bloom::BloomFilter> compensation;  ///< F, reversed path only
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
-
+  /// Appends the wire encoding to `w`; serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
-
   [[nodiscard]] util::Bytes serialize() const;
   static Response deserialize(util::ByteReader& reader);
 };
@@ -82,7 +76,7 @@ struct Response {
 /// a digest (they were hidden by R's false positives).
 struct FetchRequest {
   std::vector<std::uint64_t> short_ids;
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w`; serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static FetchRequest deserialize(util::ByteReader& reader);
@@ -90,7 +84,7 @@ struct FetchRequest {
 
 struct FetchResponse {
   std::vector<ItemDigest> items;
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
+  /// Appends the wire encoding to `w`; serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static FetchResponse deserialize(util::ByteReader& reader);

@@ -1,6 +1,7 @@
 #include "reconcile/rateless_backend.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "graphene/errors.hpp"
 #include "reconcile/flight.hpp"
@@ -15,10 +16,27 @@ using detail::parse_payload;
 using detail::record_decode;
 using detail::record_msg;
 
-/// Coded symbols in the first RatelessChunk, and the fewest a later
-/// RatelessNeed asks for; later requests double the stream. The stream is
-/// rateless, so this only tunes round trips against overshoot.
-constexpr std::uint64_t kInitialSymbols = 16;
+/// Fewest coded symbols in the first RatelessChunk. |host − client| raises
+/// it, since a client consumes at least d symbols before it decodes. 48
+/// symbols are about 2 KB, 1.6% of a 125,000-byte round trip, so a first
+/// chunk that overshoots a small d costs less than a second trip.
+constexpr std::uint64_t kInitialSymbols = 48;
+
+/// A RatelessNeed asks for enough symbols that the stream reaches
+/// kRequestFactor·d̂ + kRequestSlack (d̂ the client's estimate of d). A
+/// difference decodes after ~1.35·d symbols, so 1.6·d̂ covers most of the
+/// tail in one more round trip.
+constexpr double kRequestFactor = 1.6;
+constexpr double kRequestSlack = 16;
+
+/// Fewest symbols a RatelessNeed asks for, and half the stream consumed if
+/// that is more: a low or hostile estimate still grows the stream
+/// geometrically, so d is reached in O(log d) round trips.
+constexpr std::uint64_t kMinRequestSymbols = 16;
+
+[[nodiscard]] std::uint64_t abs_diff(std::uint64_t a, std::uint64_t b) noexcept {
+  return a > b ? a - b : b - a;
+}
 
 }  // namespace
 
@@ -31,7 +49,7 @@ void RatelessChunk::serialize_into(util::ByteWriter& w) const {
   w.u64(set_checksum);
   util::write_varint(w, symbols.size());
   for (const iblt::CodedSymbol& s : symbols) {
-    w.u64(static_cast<std::uint64_t>(s.count));
+    util::write_varint(w, static_cast<std::uint64_t>(s.count));
     w.u64(s.check);
     w.raw(util::ByteView(s.sum.data(), s.sum.size()));
   }
@@ -54,12 +72,14 @@ RatelessChunk RatelessChunk::deserialize(util::ByteReader& reader) {
   const std::uint64_t count =
       util::read_varint_bounded(reader, util::wire::kMaxRatelessChunkSymbols,
                                 "reconcile::RatelessChunk symbols");
-  if (count > reader.remaining() / iblt::CodedSymbol::kWireBytes) {
+  if (count > reader.remaining() / iblt::CodedSymbol::kMinWireBytes) {
     throw util::DeserializeError("reconcile::RatelessChunk: symbol count exceeds buffer");
   }
   c.symbols.resize(count);
   for (iblt::CodedSymbol& s : c.symbols) {
-    s.count = static_cast<std::int64_t>(reader.u64());
+    // An honest host's symbol holds between none and all of its items.
+    s.count = static_cast<std::int64_t>(util::read_varint_bounded(
+        reader, c.host_count, "reconcile::RatelessChunk symbol count"));
     s.check = reader.u64();
     reader.raw_into(s.sum.data(), s.sum.size());
   }
@@ -118,7 +138,12 @@ WireMsg RatelessHostBackend::open(std::uint64_t client_count) {
   // milking the stream for free CPU hits a typed error in bounded work.
   stream_budget_ = std::max(stream_budget_,
                             8 * (encoder_.item_count() + client_count) + 1024);
-  return {net::MessageType::kRatelessChunk, chunk_for(0, kInitialSymbols).serialize()};
+  // |host − client| is a lower bound on d, and the client consumes at least
+  // d symbols, so none of these goes unread. A hello may claim 2^40 items.
+  const std::uint64_t count =
+      std::min({std::max(kInitialSymbols, abs_diff(encoder_.item_count(), client_count)),
+                util::wire::kMaxRatelessChunkSymbols, stream_budget_});
+  return {net::MessageType::kRatelessChunk, chunk_for(0, count).serialize()};
 }
 
 WireMsg RatelessHostBackend::serve_wire(const WireMsg& request) {
@@ -195,7 +220,12 @@ Outcome RatelessClientBackend::absorb_wire(const WireMsg& msg) {
     if (decoder_->malformed()) return fail();
     if (decoder_->decoded()) break;
   }
-  if (decoder_->received() > symbol_budget()) return fail();
+  // Past the budget the stream is hostile; at it, undecoded, there is
+  // nothing left to ask for.
+  if (decoder_->received() > symbol_budget() ||
+      (!decoder_->decoded() && decoder_->received() == symbol_budget())) {
+    return fail();
+  }
 
   Outcome out;
   out.symbols_consumed = decoder_->received();
@@ -221,12 +251,28 @@ WireMsg RatelessClientBackend::next_request() {
   if (failed_ || !started_) {
     throw std::logic_error("reconcile: rateless next_request() without an open stream");
   }
+  const std::uint64_t received = decoder_->received();
+  // Size the next chunk from what the session already holds: |h − c| bounds
+  // d from below, and the residual cells estimate it (RatelessDecoder::
+  // difference_estimate). Both sets are bounded by wire limits far below
+  // 2^63, so their difference fits an int64.
+  const auto host_minus_local = static_cast<std::int64_t>(host_count_) -
+                                static_cast<std::int64_t>(items_->size());
+  const double d_hat =
+      std::max(decoder_->difference_estimate(host_minus_local),
+               static_cast<double>(abs_diff(host_count_, items_->size())));
+  const double want =
+      std::max(std::ceil(kRequestFactor * d_hat + kRequestSlack) -
+                   static_cast<double>(received),
+               static_cast<double>(std::max(kMinRequestSymbols, received / 2)));
+  // absorb_wire() fails the session before the budget is spent, so at least
+  // one symbol remains; the clamp also keeps a hostile estimate's double
+  // inside the integer range.
+  const std::uint64_t cap =
+      std::min(symbol_budget() - received, util::wire::kMaxRatelessChunkSymbols);
   RatelessNeed need;
-  need.next_index = decoder_->received();
-  // Double the stream each round (ask for as many symbols as we have
-  // consumed) so a large difference converges in O(log d) round trips.
-  need.count = std::min<std::uint64_t>(std::max(kInitialSymbols, decoder_->received()),
-                                       util::wire::kMaxRatelessChunkSymbols);
+  need.next_index = received;
+  need.count = want < static_cast<double>(cap) ? static_cast<std::uint64_t>(want) : cap;
   record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "rlneed", need,
              {{"next_index", static_cast<double>(need.next_index)},
               {"count", static_cast<double>(need.count)}});

@@ -13,6 +13,14 @@
 //                   repeated, so any chunk can start or resume a session)
 //   RatelessNeed  — client → host: "send `count` symbols from `next_index`"
 //
+// Chunks are sized from what each side already knows, not by a fixed ratio.
+// The host's first chunk is max(48, |host_count − client_count|) symbols,
+// since |h − c| bounds d from below. Each request then asks for enough to
+// bring the stream to 1.6·d̂ + 16, where d̂ is the larger of |h − c| and the
+// decoder's estimate of d from its residual cells, and never for fewer than
+// max(16, half the stream consumed). Most sessions end after one request.
+// A symbol's count goes on the wire as a CompactSize bounded by host_count.
+//
 // Chunks are bounded by util::wire_limits and fuzz-covered
 // (fuzz/fuzz_rateless_chunk.cpp); symbol spans re-serve idempotently from a
 // host-side cache, so duplicated or re-requested chunks are byte-identical.
@@ -36,10 +44,8 @@ struct RatelessChunk {
   std::uint64_t set_checksum = 0;  ///< xor of per-item checksums over the host set
   std::vector<iblt::CodedSymbol> symbols;
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
-
+  /// Appends the wire encoding to `w`; serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
-
   [[nodiscard]] util::Bytes serialize() const;
   static RatelessChunk deserialize(util::ByteReader& reader);
 };
@@ -49,10 +55,8 @@ struct RatelessNeed {
   std::uint64_t next_index = 0;  ///< first symbol index not yet consumed
   std::uint64_t count = 0;       ///< symbols wanted in the next chunk
 
-  /// Appends the wire encoding to `w` (scatter form of serialize()).
-
+  /// Appends the wire encoding to `w`; serialize() returns it on its own.
   void serialize_into(util::ByteWriter& w) const;
-
   [[nodiscard]] util::Bytes serialize() const;
   static RatelessNeed deserialize(util::ByteReader& reader);
 };
@@ -90,11 +94,13 @@ class RatelessClientBackend final : public ClientBackend {
   [[nodiscard]] Outcome absorb_wire(const WireMsg& msg) override;
   [[nodiscard]] WireMsg next_request() override;
 
- private:
-  [[nodiscard]] Outcome fail();
   /// Most symbols the client will consume before declaring the stream
   /// hostile; ~3x the paper's worst-case need for the claimed set sizes.
+  /// No request reaches past it.
   [[nodiscard]] std::uint64_t symbol_budget() const noexcept;
+
+ private:
+  [[nodiscard]] Outcome fail();
 
   const ItemSet* items_;
   core::ProtocolConfig cfg_;

@@ -62,7 +62,7 @@ inline constexpr std::uint64_t kMaxDaemonTextBytes = 512;
 /// sizing computation far from overflow.
 inline constexpr std::uint64_t kMaxDaemonItemCount = 1ULL << 40;
 
-/// Coded symbols in one RatelessChunk (48 bytes each → 3 MiB ceiling). The
+/// Coded symbols in one RatelessChunk (41–45 bytes each → 3 MiB ceiling). The
 /// rateless decoder needs ~1.35·d symbols total, so even a 10^6-item
 /// difference fits in a handful of maximal chunks.
 inline constexpr std::uint64_t kMaxRatelessChunkSymbols = 1ULL << 16;

@@ -5,13 +5,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
+#include <iterator>
 #include <queue>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "iblt/coded_symbol.hpp"
+#include "testkit/stat_gate.hpp"
 #include "util/hash.hpp"
 #include "util/random.hpp"
 
@@ -358,6 +361,76 @@ TEST(RatelessDecoder, UpdateOpsGrowSubquadratically) {
   const std::uint64_t used = decode_stream(host, client, 9, dec, 5000);
   ASSERT_GT(used, 0u);
   EXPECT_LT(dec.update_ops(), 64u * used * 20u);
+}
+
+// difference_estimate() assumes symbol i holds each item with probability
+// 1/(1 + i/2) from i = 8 on. Pin that density: summed over each band of
+// indices, a 2,400-item stream's counts sit within 5% of the model's.
+TEST(RatelessEncoder, CountDensityFollowsTheEstimateModel) {
+  util::Rng rng(14);
+  constexpr std::uint64_t kItems = 2400;
+  RatelessEncoder enc(0xde751);
+  for (const Digest32& d : random_digests(kItems, rng)) enc.add_item(d);
+  std::vector<double> counts;
+  for (int i = 0; i < 512; ++i) counts.push_back(static_cast<double>(enc.next_symbol().count));
+  for (const auto& [lo, hi] : {std::pair{8, 32}, std::pair{32, 128}, std::pair{128, 512}}) {
+    double got = 0;
+    double model = 0;
+    for (int i = lo; i < hi; ++i) {
+      got += counts[static_cast<std::size_t>(i)];
+      model += static_cast<double>(kItems) / (1.0 + i / 2.0);
+    }
+    EXPECT_NEAR(got / model, 1.0, 0.05) << "indices [" << lo << ", " << hi << ")";
+  }
+}
+
+// The rateless backend's first chunk holds max(48, |h − c|) symbols. After
+// it, the decoder's estimate of d must lie within a factor of two of the
+// true d in at least 95% of sessions: the four divergence cells of the sync
+// benchmark (2,400 host items) alternate with random cells.
+TEST(RatelessDecoder, DifferenceEstimateTracksD) {
+  struct Cell {
+    std::uint64_t host_only;
+    std::uint64_t client_only;
+  };
+  constexpr Cell kSyncCells[] = {{10, 10}, {50, 5}, {100, 100}, {400, 40}};
+  constexpr std::uint64_t kHostItems = 2400;
+  testkit::StatGateSpec spec;
+  spec.name = "rateless_difference_estimate";
+  spec.trials = 200;
+  spec.min_rate = 0.95;
+  const testkit::GateResult r =
+      testkit::StatGate(spec).run([&](util::Rng& rng, std::uint64_t trial) {
+        Cell cell{};
+        std::uint64_t host_items = kHostItems;
+        if (trial % 2 == 0) {
+          cell = kSyncCells[(trial / 2) % std::size(kSyncCells)];
+        } else {
+          cell = {1 + rng.below(400), rng.below(400)};
+          host_items = cell.host_only + rng.below(kHostItems);
+        }
+        const std::uint64_t salt = rng.next();
+        RatelessEncoder enc(salt);
+        RatelessDecoder dec(salt);
+        for (const Digest32& d : random_digests(host_items - cell.host_only, rng)) {
+          enc.add_item(d);
+          dec.add_local(d);
+        }
+        for (const Digest32& d : random_digests(cell.host_only, rng)) enc.add_item(d);
+        for (const Digest32& d : random_digests(cell.client_only, rng)) dec.add_local(d);
+        const auto host_minus_local =
+            static_cast<std::int64_t>(cell.host_only) - static_cast<std::int64_t>(cell.client_only);
+        const std::uint64_t first_chunk =
+            std::max<std::uint64_t>(48, static_cast<std::uint64_t>(std::llabs(host_minus_local)));
+        for (std::uint64_t i = 0; i < first_chunk && !dec.decoded(); ++i) {
+          dec.add_symbol(enc.next_symbol());
+        }
+        const double d = static_cast<double>(cell.host_only + cell.client_only);
+        const double estimate = dec.difference_estimate(host_minus_local);
+        return estimate >= d / 2 && estimate <= 2 * d;
+      });
+  GRAPHENE_EXPECT_GATE(r);
+  EXPECT_GE(r.observed, 0.95);
 }
 
 }  // namespace

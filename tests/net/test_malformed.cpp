@@ -22,6 +22,7 @@
 #include "reconcile/rateless_backend.hpp"
 #include "reconcile/set_reconciler.hpp"
 #include "util/bytes.hpp"
+#include "util/hex.hpp"
 #include "util/random.hpp"
 #include "util/varint.hpp"
 
@@ -176,6 +177,19 @@ std::vector<WireCase> make_cases() {
                      parser<reconcile::RatelessChunk>()});
   }
   {
+    // Above 252 items the first symbols' counts take the three-byte varint
+    // form, so truncations and overwrites land inside a wide count too.
+    reconcile::RatelessChunk msg;
+    msg.host_count = 300;
+    msg.salt = rng.next();
+    msg.set_checksum = rng.next();
+    iblt::RatelessEncoder enc(msg.salt);
+    for (int i = 0; i < 300; ++i) enc.add_item(digest32());
+    for (int i = 0; i < 4; ++i) msg.symbols.push_back(enc.next_symbol());
+    cases.push_back({"reconcile::RatelessChunk wide counts", msg.serialize(),
+                     parser<reconcile::RatelessChunk>()});
+  }
+  {
     reconcile::RatelessNeed msg;
     msg.next_index = 17;
     msg.count = 64;
@@ -241,6 +255,41 @@ TEST(Malformed, EmptyAndJunkInputsHonorContract) {
     // A canonical 9-byte varint announcing 2^64-1 of whatever comes first.
     expect_contract(c, util::Bytes{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
                     "maximal varint");
+  }
+}
+
+// A RatelessChunk symbol's count is a CompactSize in [0, host_count]. One
+// above the bound, a negative count written as a u64, or a small count in a
+// wider encoding than it needs is refused, not read.
+TEST(Malformed, RatelessChunkCountOffBoundOrNonCanonicalIsRejected) {
+  constexpr std::uint64_t kHostCount = 90;
+  const auto chunk_with_count = [](const util::Bytes& count) {
+    util::ByteWriter w;
+    util::write_varint(w, 0);           // start
+    util::write_varint(w, kHostCount);  // host_count
+    w.u64(0x5a17);                      // salt
+    w.u64(0);                           // set_checksum
+    util::write_varint(w, 1);           // one symbol
+    w.raw(util::ByteView(count));
+    w.u64(0);                           // check
+    w.raw(util::ByteView(util::Bytes(32, 0x11)));  // sum
+    return w.take();
+  };
+  const auto parse = [](const util::Bytes& wire) {
+    util::ByteReader r{util::ByteView(wire)};
+    return reconcile::RatelessChunk::deserialize(r);
+  };
+  EXPECT_EQ(parse(chunk_with_count({0x05})).symbols.at(0).count, 5);
+  EXPECT_EQ(parse(chunk_with_count({kHostCount})).symbols.at(0).count, 90);
+  const util::Bytes bad_counts[] = {
+      {kHostCount + 1},                                      // above host_count
+      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},  // -1 as a u64
+      {0xfd, 0x05, 0x00},                                    // 5 in three bytes
+      {0xfe, 0x05, 0x00, 0x00, 0x00},                        // 5 in five bytes
+  };
+  for (const util::Bytes& count : bad_counts) {
+    EXPECT_THROW((void)parse(chunk_with_count(count)), util::DeserializeError)
+        << util::to_hex(util::ByteView(count));
   }
 }
 

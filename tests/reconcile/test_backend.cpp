@@ -15,6 +15,7 @@
 #include "util/hex.hpp"
 #include "util/random.hpp"
 #include "util/sha256.hpp"
+#include "util/wire_limits.hpp"
 
 namespace graphene::reconcile {
 namespace {
@@ -146,12 +147,14 @@ TEST(BackendGoldenWire, RatelessStreamPinsHold) {
   for (const ItemDigest& d : client_items) decoder.add_local(d);
 
   std::vector<std::string> pins;
+  std::vector<std::size_t> chunk_sizes;
   WireMsg msg = host.open(client_items.size());
   Outcome out;
   for (int round = 0; round < 16; ++round) {
     pins.push_back(pin(msg.payload));
     util::ByteReader reader{util::ByteView(msg.payload)};
     const RatelessChunk chunk = RatelessChunk::deserialize(reader);
+    chunk_sizes.push_back(chunk.symbols.size());
     for (std::size_t i = 0; i < chunk.symbols.size() && !decoder.decoded(); ++i) {
       if (chunk.start + i == decoder.received()) decoder.add_symbol(chunk.symbols[i]);
     }
@@ -163,20 +166,14 @@ TEST(BackendGoldenWire, RatelessStreamPinsHold) {
   }
   ASSERT_EQ(out.status, Outcome::Status::kComplete);
   EXPECT_EQ(out.host_set, host_items);
-  // Chunks and needs alternate: 6 chunks of 16, 16, 32, 64, 128 and 256
-  // symbols, the client's need for each after the first.
+  // Chunk, need, chunk: the first chunk is the 48-symbol floor (|h − c| is
+  // 0), and the need brings the stream to 1.6 times the decoder's estimate
+  // of d plus 16 symbols, past the 263 the decoder consumes.
+  EXPECT_EQ(chunk_sizes, (std::vector<std::size_t>{48, 248}));
   EXPECT_EQ(pins, (std::vector<std::string>{
-                      "f0a693eda6980ad21ff6923b05c7bf3b757cf7cf07a2126f80ea4d5190a247c1",
-                      "430c0c4e4652189800774c572e360ae56f0245079e763c995751ba15ba25c454",
-                      "0e215f544990c73b163caf9ebdc41ef0b21876157fc87201a448c96f88346795",
-                      "6c179f21e6f62b629055d8ab40f454ed02e48b68563913473b857d3638e23b28",
-                      "3817266d9224c108b1f4836e7ef86ea33fc6b181346b4e1a3f182b64c7ec49b0",
-                      "3330e5ba53cb09ab97dd287ad8ba30380b88a5aca467b6c231b0a46f261c16e1",
-                      "2c5c696e0f1d544d0ac70023c17e333be1289d297fa4b193c9331780df0866ca",
-                      "af472cf2977dbfccc45851e12525627fc9ecc03f274f108a865b18a672f38ba6",
-                      "7b917cd67a2e1bd78de361abfe02a175133c44426bea30dfa74d2360d1d47048",
-                      "525afd70d0b9fe9797b8886f27ca1a6e2e8d5ebe8cc466357d9c7ac0b0c56267",
-                      "b6125828ca2f9adde93c95913df857ec5c80cddf6db71eec2a980b9269b73840",
+                      "c7dd5964aa58719193c0b84e54be27f4e6e813bfb90c9bd1ac44f3e40b2c1915",
+                      "a99c1d7794f12110f8aefc8fb3051324b2b2aa5084b2d204c33bd126ca0f9c5a",
+                      "0b528794310753896106ad9c2c8e218b1481467469437f70f7e41c9c67d71fd8",
                   }));
 
   ASSERT_TRUE(decoder.decoded());
@@ -349,11 +346,14 @@ TEST(RatelessBackend, WireMessagesRoundTrip) {
   chunk.host_count = 123;
   chunk.salt = rng.next();
   chunk.set_checksum = rng.next();
-  for (int i = 0; i < 3; ++i) {
+  // An honest host's count lies in [0, host_count]: both ends, then draws.
+  for (int i = 0; i < 5; ++i) {
     iblt::CodedSymbol s;
     for (auto& b : s.sum) b = static_cast<std::uint8_t>(rng.next());
     s.check = rng.next();
-    s.count = static_cast<std::int64_t>(rng.next() % 1000) - 500;
+    s.count = i == 0   ? 0
+              : i == 1 ? static_cast<std::int64_t>(chunk.host_count)
+                       : static_cast<std::int64_t>(rng.below(chunk.host_count + 1));
     chunk.symbols.push_back(s);
   }
   const util::Bytes wire = chunk.serialize();
@@ -380,6 +380,69 @@ TEST(RatelessBackend, WireMessagesRoundTrip) {
   EXPECT_TRUE(nr.done());
   EXPECT_EQ(need_back.next_index, need.next_index);
   EXPECT_EQ(need_back.count, need.count);
+
+  // A count above host_count, or a negative one written as a u64, is no
+  // honest host's symbol.
+  for (const std::int64_t bad : {static_cast<std::int64_t>(chunk.host_count) + 1,
+                                 std::int64_t{-1}, std::int64_t{-500}}) {
+    RatelessChunk hostile = chunk;
+    hostile.symbols[2].count = bad;
+    const util::Bytes bad_wire = hostile.serialize();
+    util::ByteReader br{util::ByteView(bad_wire)};
+    EXPECT_THROW((void)RatelessChunk::deserialize(br), util::DeserializeError) << bad;
+  }
+}
+
+TEST(RatelessBackend, OpenSizesTheFirstChunkFromTheCountGap) {
+  util::Rng rng(36);
+  const ItemSet items = pinned_items(rng.next(), 100);
+  const auto first_chunk = [&](std::uint64_t client_count) {
+    RatelessHostBackend backend(items, 7, rateless_cfg());
+    const WireMsg msg = backend.open(client_count);
+    util::ByteReader reader{util::ByteView(msg.payload)};
+    return RatelessChunk::deserialize(reader).symbols.size();
+  };
+  EXPECT_EQ(first_chunk(100), 48u);  // the floor
+  EXPECT_EQ(first_chunk(0), 100u);   // |h − c|
+  EXPECT_EQ(first_chunk(400), 300u);
+  // A hello may claim 2^40 items; the chunk stays within the wire limit.
+  EXPECT_EQ(first_chunk(std::uint64_t{1} << 40), util::wire::kMaxRatelessChunkSymbols);
+}
+
+TEST(RatelessBackend, HostileCountsNeverDrawARequestPastTheBudget) {
+  // Every symbol claims all host_count items: no cell ever peels, and the
+  // residual counts put the client's estimate of d far above any real
+  // difference. Requests must still stop at the client's symbol budget, and
+  // the session must end kFailed.
+  util::Rng rng(37);
+  const ItemSet client_items = pinned_items(rng.next(), 200);
+  RatelessClientBackend client(client_items, rateless_cfg());
+  RatelessChunk chunk;
+  chunk.host_count = 300;
+  chunk.salt = rng.next();
+  chunk.set_checksum = rng.next();
+  std::uint64_t count = 48;
+  Outcome out;
+  int rounds = 0;
+  for (; rounds < 64; ++rounds) {
+    chunk.symbols.assign(count, iblt::CodedSymbol{});
+    for (iblt::CodedSymbol& s : chunk.symbols) {
+      for (auto& b : s.sum) b = static_cast<std::uint8_t>(rng.next());
+      s.check = rng.next();
+      s.count = static_cast<std::int64_t>(chunk.host_count);
+    }
+    out = client.absorb_wire({net::MessageType::kRatelessChunk, chunk.serialize()});
+    if (out.status != Outcome::Status::kNeedsMoreSymbols) break;
+    const WireMsg request = client.next_request();
+    util::ByteReader reader{util::ByteView(request.payload)};
+    const RatelessNeed need = RatelessNeed::deserialize(reader);
+    ASSERT_GE(need.count, 1u);
+    ASSERT_LE(need.next_index + need.count, client.symbol_budget());
+    chunk.start = need.next_index;
+    count = need.count;
+  }
+  EXPECT_EQ(out.status, Outcome::Status::kFailed);
+  EXPECT_LT(rounds, 64);
 }
 
 // --- Wire hygiene ----------------------------------------------------------

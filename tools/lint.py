@@ -52,7 +52,8 @@ an AST check, and the repo's util::Rng idiom never regressed under regex
 review.)
 
 Usage: tools/lint.py [--list] [--no-fallback] [paths...]
-       (default: every tracked C++ file)
+       (default: every tracked C++ file; outside a git checkout, every C++
+       file in the source tree, build trees skipped)
 Exits non-zero with file:line diagnostics on any hit.
 """
 
@@ -102,16 +103,52 @@ RE_INTRINSIC_CALL = re.compile(
 )
 
 
-def tracked_cpp_files():
-    out = subprocess.run(
-        ["git", "ls-files"], cwd=REPO_ROOT, capture_output=True, text=True, check=True
-    ).stdout
-    return [
-        Path(p)
-        for p in out.splitlines()
-        if Path(p).suffix in CPP_SUFFIXES
-        and not p.startswith(EXCLUDED_PREFIXES)
-    ]
+def _swept(rel: str) -> bool:
+    return Path(rel).suffix in CPP_SUFFIXES and not rel.startswith(EXCLUDED_PREFIXES)
+
+
+def _git_ls_files(root, *flags):
+    """`git ls-files` paths under `root`, or None when `root` is not the top
+    of a git checkout (a `git archive` export, or an export that sits inside
+    some other checkout)."""
+    try:
+        top = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=root,
+                             capture_output=True, text=True, check=True).stdout.strip()
+        if Path(top).resolve() != Path(root).resolve():
+            return None
+        return subprocess.run(["git", "ls-files", *flags], cwd=root,
+                              capture_output=True, text=True, check=True).stdout.splitlines()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def _is_build_tree(parent: Path, name: str) -> bool:
+    """Directories the walk skips: hidden ones (.git, .bench_build), the
+    build directory names .gitignore lists, and any other CMake binary tree."""
+    return (name.startswith(".") or name == "build"
+            or name.startswith(("build-", "cmake-build-"))
+            or (parent / name / "CMakeCache.txt").is_file())
+
+
+def walked_cpp_files(root=REPO_ROOT):
+    """The C++ files a walk of the source tree under `root` finds, with the
+    same filters as the git listing."""
+    root = Path(root)
+    found = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        here = Path(dirpath)
+        dirnames[:] = [d for d in dirnames if not _is_build_tree(here, d)]
+        found += [(here / f).relative_to(root) for f in filenames]
+    return sorted(rel for rel in found if _swept(rel.as_posix()))
+
+
+def tracked_cpp_files(root=REPO_ROOT):
+    """The C++ files git tracks under `root`; outside a git checkout, the
+    files walked_cpp_files() finds."""
+    listed = _git_ls_files(root)
+    if listed is None:
+        return walked_cpp_files(root)
+    return [Path(p) for p in listed if _swept(p)]
 
 
 def strip_comments_and_strings(line: str) -> str:

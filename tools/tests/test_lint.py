@@ -11,6 +11,7 @@ EXCLUDED_PREFIXES so the repo-wide sweep never trips over it.
 import importlib.util
 import os
 import sys
+import tempfile
 import unittest
 from pathlib import Path
 
@@ -180,6 +181,33 @@ class TierSelection(unittest.TestCase):
                              f"{rel} should be excluded from the sweep")
             self.assertFalse(str(rel).startswith("tools/tests/fixtures/"),
                              f"{rel} should be excluded from the sweep")
+
+
+class SweepOutsideACheckout(unittest.TestCase):
+    """A `git archive` export has no .git, so `git ls-files` fails there;
+    the sweep walks the tree instead, with the same filters."""
+
+    def test_walk_stands_in_when_git_cannot_list(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for rel in ("src/a.cpp", "src/util/b.hpp", "src/notes.md",
+                        "tools/tests/fixtures/lint/bad.cpp",
+                        "build/gen.cpp", "build-asan/gen.cpp", ".bench_build/gen.cpp",
+                        "out/CMakeCache.txt", "out/gen.cpp"):
+                (root / rel).parent.mkdir(parents=True, exist_ok=True)
+                (root / rel).write_text("")
+            self.assertEqual(lint.tracked_cpp_files(root),
+                             [Path("src/a.cpp"), Path("src/util/b.hpp")])
+
+    def test_walk_lists_what_git_lists_in_a_checkout(self):
+        listed = lint._git_ls_files(lint.REPO_ROOT, "--cached", "--others",
+                                    "--exclude-standard")
+        if listed is None:
+            self.skipTest("not a git checkout")
+        root = Path(lint.REPO_ROOT)
+        expected = sorted(Path(p) for p in set(listed)
+                          if lint._swept(p) and (root / p).is_file())
+        self.assertEqual(lint.walked_cpp_files(), expected)
 
 
 class RepoIsClean(unittest.TestCase):
