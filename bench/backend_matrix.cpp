@@ -84,10 +84,9 @@ CellResult run_cell(core::ReconcileBackend backend, const char* backend_name,
 
     core::ProtocolConfig cfg;
     cfg.reconcile_backend = backend;
-    reconcile::Host host(host_items, rng.next(), cfg);
-    reconcile::Client client(client_items, cfg);
     reconcile::Outcome out;
-    const reconcile::SyncStats stats = reconcile::reconcile_one_way(host, client, out);
+    const reconcile::SyncStats stats =
+        reconcile::reconcile_one_way(host_items, rng.next(), client_items, cfg, out);
 
     const bool exact = stats.success && out.host_set == host_items;
     cell.failures += exact ? 0 : 1;

@@ -42,10 +42,9 @@ int main(int argc, char** argv) {
   std::printf("CA revocation set: %zu entries | client copy: %zu entries (stale by %llu)\n",
               revoked.size(), client_copy.size(), static_cast<unsigned long long>(fresh));
 
-  reconcile::Host ca(revoked, rng.next());
-  reconcile::Client client(client_copy);
   reconcile::Outcome outcome;
-  const reconcile::SyncStats stats = reconcile::reconcile_one_way(ca, client, outcome);
+  const reconcile::SyncStats stats =
+      reconcile::reconcile_one_way(revoked, rng.next(), client_copy, {}, outcome);
 
   if (!stats.success) {
     std::printf("reconciliation FAILED (expected ~1/240 of runs)\n");

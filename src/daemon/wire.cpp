@@ -8,15 +8,11 @@
 
 namespace graphene::daemon {
 
-void HelloMsg::serialize_into(util::ByteWriter& w) const {
+util::Bytes HelloMsg::serialize() const {
+  util::ByteWriter w;
   w.u32(version);
   w.u8(backend);
   util::write_varint(w, item_count);
-}
-
-util::Bytes HelloMsg::serialize() const {
-  util::ByteWriter w;
-  serialize_into(w);
   return w.take();
 }
 
@@ -30,14 +26,10 @@ HelloMsg HelloMsg::deserialize(util::ByteReader& reader) {
   return msg;
 }
 
-void ByeMsg::serialize_into(util::ByteWriter& w) const {
-  w.u8(ok);
-  w.u32(rounds);
-}
-
 util::Bytes ByeMsg::serialize() const {
   util::ByteWriter w;
-  serialize_into(w);
+  w.u8(ok);
+  w.u32(rounds);
   return w.take();
 }
 
@@ -62,7 +54,8 @@ const char* to_string(ErrorCode code) noexcept {
   return "unknown";
 }
 
-void ErrorMsg::serialize_into(util::ByteWriter& w) const {
+util::Bytes ErrorMsg::serialize() const {
+  util::ByteWriter w;
   w.u8(static_cast<std::uint8_t>(code));
   // The detail is advisory; truncate rather than fail so error paths (which
   // embed exception texts of unpredictable length) can never throw again.
@@ -70,11 +63,6 @@ void ErrorMsg::serialize_into(util::ByteWriter& w) const {
       std::min<std::size_t>(detail.size(), util::wire::kMaxDaemonTextBytes);
   util::write_varint(w, len);
   w.raw(util::str_bytes(std::string_view(detail).substr(0, len)));
-}
-
-util::Bytes ErrorMsg::serialize() const {
-  util::ByteWriter w;
-  serialize_into(w);
   return w.take();
 }
 

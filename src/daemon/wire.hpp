@@ -40,8 +40,6 @@ struct HelloMsg {
   std::uint8_t backend = 0;       ///< 0 = Graphene, 1 = rateless IBLT
   std::uint64_t item_count = 0;   ///< client's set size (host open() input)
 
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static HelloMsg deserialize(util::ByteReader& reader);
 };
@@ -51,8 +49,6 @@ struct ByeMsg {
   std::uint8_t ok = 0;          ///< 1 = set reconciled and certified, 0 = gave up
   std::uint32_t rounds = 0;     ///< client-counted message round trips
 
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static ByeMsg deserialize(util::ByteReader& reader);
 };
@@ -72,8 +68,6 @@ struct ErrorMsg {
   ErrorCode code = ErrorCode::kProtocol;
   std::string detail;  ///< bounded by util::wire::kMaxDaemonTextBytes
 
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static ErrorMsg deserialize(util::ByteReader& reader);
 };

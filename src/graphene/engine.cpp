@@ -110,14 +110,11 @@ GrapheneHost::Answer GrapheneHost::serve(const RequestSizing& request,
     ctx.y_star = request.y_star;
     ctx.b = request.b;
     if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
-      obs::FlightEvent e;
-      e.kind = obs::FlightEventKind::kError;
-      e.label = stage;
-      e.attrs = {{"n", static_cast<double>(ctx.n)},
-                 {"z", static_cast<double>(ctx.z)},
-                 {"y_star", static_cast<double>(ctx.y_star)},
-                 {"b", static_cast<double>(ctx.b)}};
-      fr->record(std::move(e));
+      obs::record_event(*fr, obs::FlightEventKind::kError, stage,
+                        {{"n", static_cast<double>(ctx.n)},
+                         {"z", static_cast<double>(ctx.z)},
+                         {"y_star", static_cast<double>(ctx.y_star)},
+                         {"b", static_cast<double>(ctx.b)}});
     }
     throw ProtocolError(stage, "request sizing parameters out of range", ctx);
   }

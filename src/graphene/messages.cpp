@@ -64,17 +64,13 @@ std::size_t full_tx_wire_size(const chain::Transaction& tx) noexcept {
   return std::max<std::size_t>(tx.size_bytes, kTxFixedOverhead);
 }
 
-void GrapheneBlockMsg::serialize_into(util::ByteWriter& w) const {
+util::Bytes GrapheneBlockMsg::serialize() const {
+  util::ByteWriter w;
   header.serialize_into(w);
   util::write_varint(w, n);
   w.u64(shortid_salt);
   filter_s.serialize_into(w);
   iblt_i.serialize_into(w);
-}
-
-util::Bytes GrapheneBlockMsg::serialize() const {
-  util::ByteWriter w;
-  serialize_into(w);
   return w.take();
 }
 
@@ -89,7 +85,8 @@ GrapheneBlockMsg GrapheneBlockMsg::deserialize(util::ByteReader& reader) {
   return msg;
 }
 
-void GrapheneRequestMsg::serialize_into(util::ByteWriter& w) const {
+util::Bytes GrapheneRequestMsg::serialize() const {
+  util::ByteWriter w;
   util::write_varint(w, z);
   util::write_varint(w, b);
   util::write_varint(w, y_star);
@@ -99,11 +96,6 @@ void GrapheneRequestMsg::serialize_into(util::ByteWriter& w) const {
   w.u64(fpr_bits);
   w.u8(reversed ? 1 : 0);
   filter_r.serialize_into(w);
-}
-
-util::Bytes GrapheneRequestMsg::serialize() const {
-  util::ByteWriter w;
-  serialize_into(w);
   return w.take();
 }
 
@@ -125,17 +117,13 @@ GrapheneRequestMsg GrapheneRequestMsg::deserialize(util::ByteReader& reader) {
   return msg;
 }
 
-void GrapheneResponseMsg::serialize_into(util::ByteWriter& w) const {
+util::Bytes GrapheneResponseMsg::serialize() const {
+  util::ByteWriter w;
   util::write_varint(w, missing.size());
   for (const chain::Transaction& tx : missing) write_full_tx(w, tx);
   iblt_j.serialize_into(w);
   w.u8(filter_f.has_value() ? 1 : 0);
   if (filter_f) filter_f->serialize_into(w);
-}
-
-util::Bytes GrapheneResponseMsg::serialize() const {
-  util::ByteWriter w;
-  serialize_into(w);
   return w.take();
 }
 
@@ -161,14 +149,10 @@ std::size_t GrapheneResponseMsg::missing_tx_bytes() const noexcept {
   return total;
 }
 
-void RepairRequestMsg::serialize_into(util::ByteWriter& w) const {
-  util::write_varint(w, short_ids.size());
-  for (std::uint64_t id : short_ids) w.u64(id);
-}
-
 util::Bytes RepairRequestMsg::serialize() const {
   util::ByteWriter w;
-  serialize_into(w);
+  util::write_varint(w, short_ids.size());
+  for (std::uint64_t id : short_ids) w.u64(id);
   return w.take();
 }
 
@@ -184,14 +168,10 @@ RepairRequestMsg RepairRequestMsg::deserialize(util::ByteReader& reader) {
   return msg;
 }
 
-void RepairResponseMsg::serialize_into(util::ByteWriter& w) const {
-  util::write_varint(w, txns.size());
-  for (const chain::Transaction& tx : txns) write_full_tx(w, tx);
-}
-
 util::Bytes RepairResponseMsg::serialize() const {
   util::ByteWriter w;
-  serialize_into(w);
+  util::write_varint(w, txns.size());
+  for (const chain::Transaction& tx : txns) write_full_tx(w, tx);
   return w.take();
 }
 

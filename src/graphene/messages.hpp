@@ -23,8 +23,6 @@ struct GrapheneBlockMsg {
   bloom::BloomFilter filter_s;
   iblt::Iblt iblt_i;
 
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static GrapheneBlockMsg deserialize(util::ByteReader& reader);
 };
@@ -39,8 +37,6 @@ struct GrapheneRequestMsg {
   bool reversed = false;
   bloom::BloomFilter filter_r;
 
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static GrapheneRequestMsg deserialize(util::ByteReader& reader);
 };
@@ -52,8 +48,6 @@ struct GrapheneResponseMsg {
   iblt::Iblt iblt_j;
   std::optional<bloom::BloomFilter> filter_f;
 
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static GrapheneResponseMsg deserialize(util::ByteReader& reader);
 
@@ -66,16 +60,12 @@ struct GrapheneResponseMsg {
 /// receiver decoded from an IBLT but holds no transaction for.
 struct RepairRequestMsg {
   std::vector<std::uint64_t> short_ids;
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static RepairRequestMsg deserialize(util::ByteReader& reader);
 };
 
 struct RepairResponseMsg {
   std::vector<chain::Transaction> txns;
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static RepairResponseMsg deserialize(util::ByteReader& reader);
 };

@@ -23,10 +23,10 @@ class ParamCache;
 
 namespace graphene::core {
 
-/// Which set-reconciliation construction `reconcile::Host`/`Client` drive.
-/// The choice is session-local and off the wire for existing messages:
-/// kGraphene emits byte-identical Offer/Request/Response traffic, while
-/// kRatelessIblt speaks the chunked coded-symbol messages instead.
+/// Which set-reconciliation construction reconcile::make_host_backend and
+/// make_client_backend build. The choice is session-local: kGraphene speaks
+/// the Offer/Request/Response/Fetch messages, kRatelessIblt the chunked
+/// coded-symbol messages.
 enum class ReconcileBackend : std::uint8_t {
   kGraphene,      ///< Bloom + IBLT offer/repair/fetch rounds (paper §3–4)
   kRatelessIblt,  ///< rateless coded-symbol stream (arXiv 2402.02668)
@@ -61,8 +61,8 @@ struct ProtocolConfig {
   /// concurrently-driven sessions. Null falls back to direct lookups; not
   /// owned, must outlive the engines using it.
   iblt::ParamCache* param_cache = nullptr;
-  /// Set-reconciliation backend for reconcile::Host/Client sessions. Both
-  /// ends must agree (the driver rejects mismatched message types).
+  /// Set-reconciliation backend of a reconcile session. Both ends must
+  /// agree (each backend rejects the other's message types).
   ReconcileBackend reconcile_backend = ReconcileBackend::kGraphene;
   /// Hard ceiling on message round trips in one reconcile session; the
   /// driver aborts (kFailed) beyond it so no backend can loop forever.

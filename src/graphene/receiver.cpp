@@ -40,17 +40,13 @@ Receiver::Receiver(const chain::Mempool& mempool, ProtocolConfig cfg)
 ReceiveOutcome ReceiveSession::receive_block(const GrapheneBlockMsg& msg) {
   obs::Registry* reg = obs::enabled(cfg_.obs);
   if (obs::FlightRecorder* fr = obs::flight(reg)) {
-    obs::FlightEvent e;
-    e.kind = obs::FlightEventKind::kMsgReceived;
-    e.label = "grblk";
-    if (fr->wire_capture()) e.wire = msg.serialize();
-    e.attrs = {{"n", static_cast<double>(msg.n)},
-               {"m", static_cast<double>(mempool_->size())},
-               {"bloom_bytes", static_cast<double>(msg.filter_s.serialized_size())},
-               {"fpr_s", msg.filter_s.target_fpr()},
-               {"iblt_cells", static_cast<double>(msg.iblt_i.cell_count())},
-               {"iblt_bytes", static_cast<double>(msg.iblt_i.serialized_size())}};
-    fr->record(std::move(e));
+    obs::record_msg(*fr, obs::FlightEventKind::kMsgReceived, "grblk", msg,
+                    {{"n", static_cast<double>(msg.n)},
+                     {"m", static_cast<double>(mempool_->size())},
+                     {"bloom_bytes", static_cast<double>(msg.filter_s.serialized_size())},
+                     {"fpr_s", msg.filter_s.target_fpr()},
+                     {"iblt_cells", static_cast<double>(msg.iblt_i.cell_count())},
+                     {"iblt_bytes", static_cast<double>(msg.iblt_i.serialized_size())}});
   }
   header_ = msg.header;
   n_ = msg.n;
@@ -74,15 +70,12 @@ ReceiveOutcome ReceiveSession::receive_block(const GrapheneBlockMsg& msg) {
         .inc();
   }
   if (obs::FlightRecorder* fr = obs::flight(reg)) {
-    obs::FlightEvent e;
-    e.kind = obs::FlightEventKind::kDecode;
-    e.label = "p1";
-    e.attrs = {{"status", static_cast<double>(static_cast<int>(out.status))},
-               {"z", static_cast<double>(engine_.observed_z())},
-               {"peel_iterations", static_cast<double>(peel.decode.peel_iterations)},
-               {"peeled", static_cast<double>(peel.decode.peeled())},
-               {"residual_cells", static_cast<double>(peel.decode.residual_cells)}};
-    fr->record(std::move(e));
+    obs::record_event(*fr, obs::FlightEventKind::kDecode, "p1",
+                      {{"status", static_cast<double>(static_cast<int>(out.status))},
+                       {"z", static_cast<double>(engine_.observed_z())},
+                       {"peel_iterations", static_cast<double>(peel.decode.peel_iterations)},
+                       {"peeled", static_cast<double>(peel.decode.peeled())},
+                       {"residual_cells", static_cast<double>(peel.decode.residual_cells)}});
   }
   if (out.status == ReceiveStatus::kFailed) dump_failure("decode_failure", "p1_peel");
   return out;
@@ -113,17 +106,14 @@ void ReceiveSession::raise(const char* stage, const char* what) const {
     span.attr("b", ctx.b);
     reg->counter("graphene_protocol_errors_total", {{"stage", stage}}).inc();
     if (obs::FlightRecorder* fr = obs::flight(reg)) {
-      obs::FlightEvent e;
-      e.kind = obs::FlightEventKind::kError;
-      e.label = stage;
-      e.attrs = {{"have_block_msg", ctx.have_block_msg ? 1.0 : 0.0},
-                 {"n", static_cast<double>(ctx.n)},
-                 {"m", static_cast<double>(ctx.m)},
-                 {"z", static_cast<double>(ctx.z)},
-                 {"x_star", static_cast<double>(ctx.x_star)},
-                 {"y_star", static_cast<double>(ctx.y_star)},
-                 {"b", static_cast<double>(ctx.b)}};
-      fr->record(std::move(e));
+      obs::record_event(*fr, obs::FlightEventKind::kError, stage,
+                        {{"have_block_msg", ctx.have_block_msg ? 1.0 : 0.0},
+                         {"n", static_cast<double>(ctx.n)},
+                         {"m", static_cast<double>(ctx.m)},
+                         {"z", static_cast<double>(ctx.z)},
+                         {"x_star", static_cast<double>(ctx.x_star)},
+                         {"y_star", static_cast<double>(ctx.y_star)},
+                         {"b", static_cast<double>(ctx.b)}});
     }
   }
   dump_failure("protocol_error", stage);
@@ -158,18 +148,14 @@ GrapheneRequestMsg ReceiveSession::build_request() {
     reg->histogram("graphene_bloom_r_bytes").observe(req.filter_r.serialized_size());
   }
   if (obs::FlightRecorder* fr = obs::flight(reg)) {
-    obs::FlightEvent e;
-    e.kind = obs::FlightEventKind::kMsgSent;
-    e.label = "grreq";
-    if (fr->wire_capture()) e.wire = req.serialize();
-    e.attrs = {{"z", static_cast<double>(req.z)},
-               {"b", static_cast<double>(params.b)},
-               {"x_star", static_cast<double>(params.x_star)},
-               {"y_star", static_cast<double>(params.y_star)},
-               {"fpr_r", params.fpr},
-               {"reversed", params.reversed ? 1.0 : 0.0},
-               {"bloom_bytes", static_cast<double>(req.filter_r.serialized_size())}};
-    fr->record(std::move(e));
+    obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "grreq", req,
+                    {{"z", static_cast<double>(req.z)},
+                     {"b", static_cast<double>(params.b)},
+                     {"x_star", static_cast<double>(params.x_star)},
+                     {"y_star", static_cast<double>(params.y_star)},
+                     {"fpr_r", params.fpr},
+                     {"reversed", params.reversed ? 1.0 : 0.0},
+                     {"bloom_bytes", static_cast<double>(req.filter_r.serialized_size())}});
   }
   return req;
 }
@@ -181,16 +167,12 @@ ReceiveOutcome ReceiveSession::complete(const GrapheneResponseMsg& resp) {
   p2_span.attr("missing", resp.missing.size());
 
   if (obs::FlightRecorder* fr = obs::flight(reg)) {
-    obs::FlightEvent e;
-    e.kind = obs::FlightEventKind::kMsgReceived;
-    e.label = "grresp";
-    if (fr->wire_capture()) e.wire = resp.serialize();
-    e.attrs = {{"missing", static_cast<double>(resp.missing.size())},
-               {"missing_tx_bytes", static_cast<double>(resp.missing_tx_bytes())},
-               {"j_cells", static_cast<double>(resp.iblt_j.cell_count())},
-               {"j_bytes", static_cast<double>(resp.iblt_j.serialized_size())},
-               {"has_filter_f", resp.filter_f.has_value() ? 1.0 : 0.0}};
-    fr->record(std::move(e));
+    obs::record_msg(*fr, obs::FlightEventKind::kMsgReceived, "grresp", resp,
+                    {{"missing", static_cast<double>(resp.missing.size())},
+                     {"missing_tx_bytes", static_cast<double>(resp.missing_tx_bytes())},
+                     {"j_cells", static_cast<double>(resp.iblt_j.cell_count())},
+                     {"j_bytes", static_cast<double>(resp.iblt_j.serialized_size())},
+                     {"has_filter_f", resp.filter_f.has_value() ? 1.0 : 0.0}});
   }
 
   // Step 5: fold in the directly-sent transactions, then J ⊖ J′.
@@ -222,20 +204,14 @@ ReceiveOutcome ReceiveSession::complete(const GrapheneResponseMsg& resp) {
   // The decode outcome — what a forensic replay must reproduce — always
   // lands in the flight log.
   if (obs::FlightRecorder* fr = obs::flight(reg)) {
-    obs::FlightEvent e;
-    e.kind = obs::FlightEventKind::kDecode;
-    e.label = "p2";
-    e.attrs = {{"status", static_cast<double>(static_cast<int>(out.status))},
-               {"used_pingpong", out.used_pingpong ? 1.0 : 0.0},
-               {"pingpong_rounds", static_cast<double>(peel.pingpong_rounds)},
-               {"unresolved", static_cast<double>(out.unresolved.size())}};
-    fr->record(std::move(e));
+    obs::record_event(*fr, obs::FlightEventKind::kDecode, "p2",
+                      {{"status", static_cast<double>(static_cast<int>(out.status))},
+                       {"used_pingpong", out.used_pingpong ? 1.0 : 0.0},
+                       {"pingpong_rounds", static_cast<double>(peel.pingpong_rounds)},
+                       {"unresolved", static_cast<double>(out.unresolved.size())}});
     if (out.status == ReceiveStatus::kNeedsRepair) {
-      obs::FlightEvent trigger;
-      trigger.kind = obs::FlightEventKind::kNote;
-      trigger.label = "repair_trigger";
-      trigger.attrs = {{"unresolved", static_cast<double>(out.unresolved.size())}};
-      fr->record(std::move(trigger));
+      obs::record_event(*fr, obs::FlightEventKind::kNote, "repair_trigger",
+                        {{"unresolved", static_cast<double>(out.unresolved.size())}});
     }
   }
   if (out.status == ReceiveStatus::kFailed) dump_failure("decode_failure", "p2_peel");
@@ -246,12 +222,8 @@ RepairRequestMsg ReceiveSession::build_repair() const {
   RepairRequestMsg req;
   req.short_ids = engine_.unresolved();
   if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
-    obs::FlightEvent e;
-    e.kind = obs::FlightEventKind::kMsgSent;
-    e.label = "getblocktxn";
-    if (fr->wire_capture()) e.wire = req.serialize();
-    e.attrs = {{"short_ids", static_cast<double>(req.short_ids.size())}};
-    fr->record(std::move(e));
+    obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "getblocktxn", req,
+                    {{"short_ids", static_cast<double>(req.short_ids.size())}});
   }
   return req;
 }
@@ -262,13 +234,9 @@ ReceiveOutcome ReceiveSession::complete_repair(const RepairResponseMsg& resp) {
   span.attr("requested", engine_.unresolved().size());
   span.attr("received", resp.txns.size());
   if (obs::FlightRecorder* fr = obs::flight(reg)) {
-    obs::FlightEvent e;
-    e.kind = obs::FlightEventKind::kMsgReceived;
-    e.label = "blocktxn";
-    if (fr->wire_capture()) e.wire = resp.serialize();
-    e.attrs = {{"requested", static_cast<double>(engine_.unresolved().size())},
-               {"txns", static_cast<double>(resp.txns.size())}};
-    fr->record(std::move(e));
+    obs::record_msg(*fr, obs::FlightEventKind::kMsgReceived, "blocktxn", resp,
+                    {{"requested", static_cast<double>(engine_.unresolved().size())},
+                     {"txns", static_cast<double>(resp.txns.size())}});
   }
   std::vector<chain::TxId> fetched;
   fetched.reserve(resp.txns.size());
@@ -280,12 +248,9 @@ ReceiveOutcome ReceiveSession::complete_repair(const RepairResponseMsg& resp) {
   const ReceiveOutcome out = verify();
   span.attr("decoded", out.status == ReceiveStatus::kDecoded ? 1 : 0);
   if (obs::FlightRecorder* fr = obs::flight(reg)) {
-    obs::FlightEvent e;
-    e.kind = obs::FlightEventKind::kDecode;
-    e.label = "repair";
-    e.attrs = {{"status", static_cast<double>(static_cast<int>(out.status))},
-               {"merkle_ok", out.merkle_ok ? 1.0 : 0.0}};
-    fr->record(std::move(e));
+    obs::record_event(*fr, obs::FlightEventKind::kDecode, "repair",
+                      {{"status", static_cast<double>(static_cast<int>(out.status))},
+                       {"merkle_ok", out.merkle_ok ? 1.0 : 0.0}});
   }
   if (out.status == ReceiveStatus::kFailed) dump_failure("decode_failure", "repair");
   return out;

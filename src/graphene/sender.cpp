@@ -31,19 +31,15 @@ EncodeResult Sender::encode(std::uint64_t receiver_mempool_count) const {
     reg->histogram("graphene_iblt_i_bytes").observe(msg.iblt_i.serialized_size());
   }
   if (obs::FlightRecorder* fr = obs::flight(reg)) {
-    obs::FlightEvent e;
-    e.kind = obs::FlightEventKind::kMsgSent;
-    e.label = "grblk";
-    if (fr->wire_capture()) e.wire = msg.serialize();
-    e.attrs = {{"n", static_cast<double>(n)},
-               {"m", static_cast<double>(m)},
-               {"a", static_cast<double>(out.params.a)},
-               {"a_star", static_cast<double>(out.params.a_star)},
-               {"fpr_s", out.params.fpr},
-               {"bloom_bytes", static_cast<double>(msg.filter_s.serialized_size())},
-               {"iblt_cells", static_cast<double>(msg.iblt_i.cell_count())},
-               {"iblt_bytes", static_cast<double>(msg.iblt_i.serialized_size())}};
-    fr->record(std::move(e));
+    obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "grblk", msg,
+                    {{"n", static_cast<double>(n)},
+                     {"m", static_cast<double>(m)},
+                     {"a", static_cast<double>(out.params.a)},
+                     {"a_star", static_cast<double>(out.params.a_star)},
+                     {"fpr_s", out.params.fpr},
+                     {"bloom_bytes", static_cast<double>(msg.filter_s.serialized_size())},
+                     {"iblt_cells", static_cast<double>(msg.iblt_i.cell_count())},
+                     {"iblt_bytes", static_cast<double>(msg.iblt_i.serialized_size())}});
   }
   return out;
 }
@@ -76,16 +72,12 @@ GrapheneResponseMsg Sender::serve(const GrapheneRequestMsg& request) const {
     reg->histogram("graphene_iblt_j_bytes").observe(resp.iblt_j.serialized_size());
   }
   if (obs::FlightRecorder* fr = obs::flight(reg)) {
-    obs::FlightEvent e;
-    e.kind = obs::FlightEventKind::kMsgSent;
-    e.label = "grresp";
-    if (fr->wire_capture()) e.wire = resp.serialize();
-    e.attrs = {{"missing", static_cast<double>(resp.missing.size())},
-               {"missing_tx_bytes", static_cast<double>(resp.missing_tx_bytes())},
-               {"j_cells", static_cast<double>(resp.iblt_j.cell_count())},
-               {"j_bytes", static_cast<double>(resp.iblt_j.serialized_size())},
-               {"reversed", request.reversed ? 1.0 : 0.0}};
-    fr->record(std::move(e));
+    obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "grresp", resp,
+                    {{"missing", static_cast<double>(resp.missing.size())},
+                     {"missing_tx_bytes", static_cast<double>(resp.missing_tx_bytes())},
+                     {"j_cells", static_cast<double>(resp.iblt_j.cell_count())},
+                     {"j_bytes", static_cast<double>(resp.iblt_j.serialized_size())},
+                     {"reversed", request.reversed ? 1.0 : 0.0}});
   }
   return resp;
 }
@@ -100,13 +92,9 @@ RepairResponseMsg Sender::serve_repair(const RepairRequestMsg& request) const {
   span.attr("requested", request.short_ids.size());
   span.attr("served", resp.txns.size());
   if (obs::FlightRecorder* fr = obs::flight(reg)) {
-    obs::FlightEvent e;
-    e.kind = obs::FlightEventKind::kMsgSent;
-    e.label = "blocktxn";
-    if (fr->wire_capture()) e.wire = resp.serialize();
-    e.attrs = {{"requested", static_cast<double>(request.short_ids.size())},
-               {"served", static_cast<double>(resp.txns.size())}};
-    fr->record(std::move(e));
+    obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "blocktxn", resp,
+                    {{"requested", static_cast<double>(request.short_ids.size())},
+                     {"served", static_cast<double>(resp.txns.size())}});
   }
   return resp;
 }

@@ -47,14 +47,10 @@ std::uint64_t StrataEstimator::estimate_difference(const StrataEstimator& other)
   return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(estimate));
 }
 
-void StrataEstimator::serialize_into(util::ByteWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(strata_.size()));
-  for (const Iblt& s : strata_) s.serialize_into(w);
-}
-
 util::Bytes StrataEstimator::serialize() const {
   util::ByteWriter w;
-  serialize_into(w);
+  w.u8(static_cast<std::uint8_t>(strata_.size()));
+  for (const Iblt& s : strata_) s.serialize_into(w);
   return w.take();
 }
 

@@ -43,8 +43,6 @@ class StrataEstimator {
   }
 
   /// Wire format: u8(strata) | per-stratum IBLT payloads.
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   [[nodiscard]] std::size_t serialized_size() const noexcept;
   static StrataEstimator deserialize(util::ByteReader& reader, Config config = {});

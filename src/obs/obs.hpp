@@ -22,6 +22,7 @@
 //   error                                    (diagnostic context on throws)
 #pragma once
 
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -103,7 +104,7 @@ class ScopedSpan {
 /// compiled in and the recorder is runtime-enabled, else a constant nullptr
 /// so the optimizer drops the block (including any msg.serialize() cost).
 /// Call sites write
-///   if (obs::FlightRecorder* fr = obs::flight(reg)) { ... fr->record(...); }
+///   if (obs::FlightRecorder* fr = obs::flight(reg)) obs::record_msg(*fr, ...);
 [[nodiscard]] inline FlightRecorder* flight(Registry* reg) {
 #if GRAPHENE_OBS_ENABLED
   if (reg == nullptr) return nullptr;
@@ -113,6 +114,33 @@ class ScopedSpan {
   (void)reg;
   return nullptr;
 #endif
+}
+
+/// A flight event's numeric attributes, in the order they are recorded.
+using FlightAttrs = std::initializer_list<std::pair<const char*, double>>;
+
+/// Records one event on the recorder obs::flight() returned, so attribute
+/// values are computed only while one listens. `wire` holds the bytes of
+/// the message the event describes: empty for none, and for any message
+/// while !fr.wire_capture().
+inline void record_event(FlightRecorder& fr, FlightEventKind kind, const char* label,
+                         FlightAttrs attrs, util::Bytes wire = {}) {
+  FlightEvent e;
+  e.kind = kind;
+  e.label = label;
+  e.attrs.reserve(attrs.size());
+  for (const auto& [key, value] : attrs) e.attrs.emplace_back(key, value);
+  e.wire = std::move(wire);
+  fr.record(std::move(e));
+}
+
+/// record_event() for an event that describes `msg`: serializes it only
+/// when the recorder captures wire bytes.
+template <typename Msg>
+void record_msg(FlightRecorder& fr, FlightEventKind kind, const char* label,
+                const Msg& msg, FlightAttrs attrs) {
+  record_event(fr, kind, label, attrs,
+               fr.wire_capture() ? msg.serialize() : util::Bytes{});
 }
 
 }  // namespace graphene::obs

@@ -1,20 +1,23 @@
-// The reconciliation backend seam.
+// The reconciliation backend seam, and the one way to run a session.
 //
-// reconcile::Host and reconcile::Client are thin session drivers; the actual
-// set-reconciliation construction lives behind these interfaces and is chosen
-// via core::ProtocolConfig::reconcile_backend. Two backends ship today:
+// make_host_backend/make_client_backend build the two sides of a session
+// for core::ProtocolConfig::reconcile_backend. Two backends ship today:
 //
-//   GrapheneBackend      — the paper's Bloom + IBLT offer with Protocol 2
-//                          repair and short-ID fetch rounds (graphene_backend.hpp);
-//                          wire bytes are bit-identical to the pre-seam code.
-//   RatelessIbltBackend  — a coded-symbol stream (arXiv 2402.02668) where
-//                          decode failure is not a failure mode: the client
-//                          just asks for more symbols (rateless_backend.hpp).
+//   kGraphene      — the paper's Bloom + IBLT offer with Protocol 2 repair
+//                    and short-ID fetch rounds (GrapheneHostBackend/
+//                    GrapheneClientBackend, graphene_backend.hpp)
+//   kRatelessIblt  — a coded-symbol stream (arXiv 2402.02668) where decode
+//                    failure is not a failure mode: the client just asks
+//                    for more symbols (RatelessHostBackend/
+//                    RatelessClientBackend, rateless_backend.hpp)
 //
-// A backend speaks WireMsgs — net::Messages: a type and its payload bytes — so
-// the driver loop, channels, and fault injection treat every backend the
-// same way: the client absorbs a message, and either finishes or emits the
-// next request for the host to serve.
+// A backend speaks WireMsgs — net::Messages: a type and its payload bytes —
+// so every caller treats every backend the same way: the client absorbs a
+// message, and either finishes or emits the next request for the host to
+// serve. reconcile_one_way (set_reconciler.hpp) runs both sides in process;
+// a caller that carries the messages itself (over TCP, as daemon::
+// PeerSession and ClientSession do, or through a faulty channel) calls the
+// four methods directly.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +91,7 @@ Msg parse_payload(const WireMsg& msg, const char* what) {
 }  // namespace detail
 
 /// Backend factories keyed by cfg.reconcile_backend. `items` is borrowed and
-/// must outlive the backend (the session drivers own it).
+/// must outlive the backend: the caller owns it.
 [[nodiscard]] std::unique_ptr<HostBackend> make_host_backend(
     const ItemSet& items, std::uint64_t salt, const core::ProtocolConfig& cfg);
 [[nodiscard]] std::unique_ptr<ClientBackend> make_client_backend(

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "graphene/errors.hpp"
-#include "reconcile/flight.hpp"
+#include "obs/obs.hpp"
 #include "util/varint.hpp"
 #include "util/wire_limits.hpp"
 
@@ -13,8 +13,6 @@ namespace graphene::reconcile {
 namespace {
 
 using detail::parse_payload;
-using detail::record_decode;
-using detail::record_msg;
 
 /// Set reconciliation's wire constants (docs/PROTOCOL.md).
 constexpr core::EngineKeys kSetKeys{.s_seed = 0x0ffe12,
@@ -31,17 +29,13 @@ util::ByteView view(const ItemDigest& d) noexcept {
 
 // --- wire formats -----------------------------------------------------------
 
-void Offer::serialize_into(util::ByteWriter& w) const {
+util::Bytes Offer::serialize() const {
+  util::ByteWriter w;
   util::write_varint(w, count);
   w.u64(salt);
   w.u64(set_checksum);
   filter.serialize_into(w);
   correction.serialize_into(w);
-}
-
-util::Bytes Offer::serialize() const {
-  util::ByteWriter w;
-  serialize_into(w);
   return w.take();
 }
 
@@ -56,12 +50,8 @@ Offer Offer::deserialize(util::ByteReader& reader) {
   return o;
 }
 
-std::size_t Offer::serialized_size() const noexcept {
-  return util::varint_size(count) + 16 + filter.serialized_size() +
-         correction.serialized_size();
-}
-
-void Request::serialize_into(util::ByteWriter& w) const {
+util::Bytes Request::serialize() const {
+  util::ByteWriter w;
   util::write_varint(w, candidate_count);
   util::write_varint(w, b);
   util::write_varint(w, y_star);
@@ -70,11 +60,6 @@ void Request::serialize_into(util::ByteWriter& w) const {
   w.u64(bits);
   w.u8(reversed ? 1 : 0);
   filter.serialize_into(w);
-}
-
-util::Bytes Request::serialize() const {
-  util::ByteWriter w;
-  serialize_into(w);
   return w.take();
 }
 
@@ -100,17 +85,13 @@ Request Request::deserialize(util::ByteReader& reader) {
   return r;
 }
 
-void Response::serialize_into(util::ByteWriter& w) const {
+util::Bytes Response::serialize() const {
+  util::ByteWriter w;
   util::write_varint(w, missing.size());
   for (const ItemDigest& d : missing) w.raw(view(d));
   correction.serialize_into(w);
   w.u8(compensation.has_value() ? 1 : 0);
   if (compensation) compensation->serialize_into(w);
-}
-
-util::Bytes Response::serialize() const {
-  util::ByteWriter w;
-  serialize_into(w);
   return w.take();
 }
 
@@ -132,14 +113,10 @@ Response Response::deserialize(util::ByteReader& reader) {
   return r;
 }
 
-void FetchRequest::serialize_into(util::ByteWriter& w) const {
-  util::write_varint(w, short_ids.size());
-  for (const std::uint64_t s : short_ids) w.u64(s);
-}
-
 util::Bytes FetchRequest::serialize() const {
   util::ByteWriter w;
-  serialize_into(w);
+  util::write_varint(w, short_ids.size());
+  for (const std::uint64_t s : short_ids) w.u64(s);
   return w.take();
 }
 
@@ -155,14 +132,10 @@ FetchRequest FetchRequest::deserialize(util::ByteReader& reader) {
   return r;
 }
 
-void FetchResponse::serialize_into(util::ByteWriter& w) const {
-  util::write_varint(w, items.size());
-  for (const ItemDigest& d : items) w.raw(view(d));
-}
-
 util::Bytes FetchResponse::serialize() const {
   util::ByteWriter w;
-  serialize_into(w);
+  util::write_varint(w, items.size());
+  for (const ItemDigest& d : items) w.raw(view(d));
   return w.take();
 }
 
@@ -189,7 +162,7 @@ GrapheneHostBackend::GrapheneHostBackend(const ItemSet& items, std::uint64_t sal
       engine_(std::vector<core::Id>(items.begin(), items.end()), salt, kSetKeys, cfg,
               /*stages=*/nullptr) {}
 
-Offer GrapheneHostBackend::make_offer(std::uint64_t client_count) const {
+WireMsg GrapheneHostBackend::open(std::uint64_t client_count) {
   core::GrapheneHost::Offer parts = engine_.offer(client_count);
   Offer offer;
   offer.count = engine_.ids().size();
@@ -197,59 +170,50 @@ Offer GrapheneHostBackend::make_offer(std::uint64_t client_count) const {
   for (const std::uint64_t sid : engine_.short_ids()) offer.set_checksum ^= util::mix64(sid);
   offer.filter = std::move(parts.filter_s);
   offer.correction = std::move(parts.iblt_i);
-  record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "offer", offer,
-             {{"count", static_cast<double>(offer.count)},
-              {"bloom_bytes", static_cast<double>(offer.filter.serialized_size())},
-              {"iblt_cells", static_cast<double>(offer.correction.cell_count())}});
-  return offer;
-}
-
-Response GrapheneHostBackend::serve(const Request& request) const {
-  core::GrapheneHost::Answer answer = engine_.serve({.z = request.candidate_count,
-                                                     .b = request.b,
-                                                     .y_star = request.y_star,
-                                                     .fpr_r = request.fpr_r,
-                                                     .reversed = request.reversed},
-                                                    request.filter, "reconcile_serve");
-  Response resp;
-  resp.missing.reserve(answer.missing.size());
-  for (const std::size_t i : answer.missing) resp.missing.push_back(engine_.ids()[i]);
-  resp.correction = std::move(answer.iblt_j);
-  resp.compensation = std::move(answer.filter_f);
-  record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "response", resp,
-             {{"missing", static_cast<double>(resp.missing.size())},
-              {"j_cells", static_cast<double>(resp.correction.cell_count())},
-              {"reversed", request.reversed ? 1.0 : 0.0}});
-  return resp;
-}
-
-FetchResponse GrapheneHostBackend::serve_fetch(const FetchRequest& request) const {
-  FetchResponse resp;
-  for (const std::size_t i : engine_.lookup(request.short_ids)) {
-    resp.items.push_back(engine_.ids()[i]);
+  if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+    obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "offer", offer,
+                    {{"count", static_cast<double>(offer.count)},
+                     {"bloom_bytes", static_cast<double>(offer.filter.serialized_size())},
+                     {"iblt_cells", static_cast<double>(offer.correction.cell_count())}});
   }
-  record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "fetchresp", resp,
-             {{"requested", static_cast<double>(request.short_ids.size())},
-              {"served", static_cast<double>(resp.items.size())}});
-  return resp;
-}
-
-WireMsg GrapheneHostBackend::open(std::uint64_t client_count) {
-  return {net::MessageType::kReconcileOffer, make_offer(client_count).serialize()};
+  return {net::MessageType::kReconcileOffer, offer.serialize()};
 }
 
 WireMsg GrapheneHostBackend::serve_wire(const WireMsg& request) {
-  switch (request.type) {
-    case net::MessageType::kReconcileRequest: {
-      const Request req = parse_payload<Request>(request, "reconcile::Request");
-      return {net::MessageType::kReconcileResponse, serve(req).serialize()};
+  obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs));
+  if (request.type == net::MessageType::kReconcileRequest) {
+    const Request req = parse_payload<Request>(request, "reconcile::Request");
+    core::GrapheneHost::Answer answer = engine_.serve({.z = req.candidate_count,
+                                                       .b = req.b,
+                                                       .y_star = req.y_star,
+                                                       .fpr_r = req.fpr_r,
+                                                       .reversed = req.reversed},
+                                                      req.filter, "reconcile_serve");
+    Response resp;
+    resp.missing.reserve(answer.missing.size());
+    for (const std::size_t i : answer.missing) resp.missing.push_back(engine_.ids()[i]);
+    resp.correction = std::move(answer.iblt_j);
+    resp.compensation = std::move(answer.filter_f);
+    if (fr != nullptr) {
+      obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "response", resp,
+                      {{"missing", static_cast<double>(resp.missing.size())},
+                       {"j_cells", static_cast<double>(resp.correction.cell_count())},
+                       {"reversed", req.reversed ? 1.0 : 0.0}});
     }
-    case net::MessageType::kReconcileFetch: {
-      const FetchRequest req =
-          parse_payload<FetchRequest>(request, "reconcile::FetchRequest");
-      return {net::MessageType::kReconcileFetchResponse, serve_fetch(req).serialize()};
+    return {net::MessageType::kReconcileResponse, resp.serialize()};
+  }
+  if (request.type == net::MessageType::kReconcileFetch) {
+    const FetchRequest req = parse_payload<FetchRequest>(request, "reconcile::FetchRequest");
+    FetchResponse resp;
+    for (const std::size_t i : engine_.lookup(req.short_ids)) {
+      resp.items.push_back(engine_.ids()[i]);
     }
-    default: break;
+    if (fr != nullptr) {
+      obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "fetchresp", resp,
+                      {{"requested", static_cast<double>(req.short_ids.size())},
+                       {"served", static_cast<double>(resp.items.size())}});
+    }
+    return {net::MessageType::kReconcileFetchResponse, resp.serialize()};
   }
   core::ErrorContext ctx;
   ctx.n = engine_.ids().size();
@@ -263,78 +227,94 @@ GrapheneClientBackend::GrapheneClientBackend(const ItemSet& items,
                                              core::ProtocolConfig cfg)
     : items_(&items), cfg_(cfg), engine_(kSetKeys, cfg, /*stages=*/nullptr) {}
 
-Outcome GrapheneClientBackend::absorb(const Offer& offer) {
-  obs::Registry* reg = obs::enabled(cfg_.obs);
-  record_msg(reg, obs::FlightEventKind::kMsgReceived, "offer", offer,
-             {{"count", static_cast<double>(offer.count)},
-              {"bloom_bytes", static_cast<double>(offer.filter.serialized_size())},
-              {"iblt_cells", static_cast<double>(offer.correction.cell_count())}});
-  host_count_ = offer.count;
-  set_checksum_ = offer.set_checksum;
-  engine_.filter(offer.salt, offer.count,
-                 std::vector<core::Id>(items_->begin(), items_->end()), offer.filter);
-  const core::Peel peel = engine_.peel(offer.correction);
-  Outcome out;
-  if (peel.status == core::Resolution::kDecoded) {
-    out = finalize();
-  } else if (peel.status != core::Resolution::kFailed) {
-    out.status = Outcome::Status::kNeedsRequest;
+Outcome GrapheneClientBackend::absorb_wire(const WireMsg& msg) {
+  obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs));
+  Outcome out;  // kFailed: a message out of phase ends the session
+  const char* decode = nullptr;
+  if (phase_ == Phase::kAwaitOffer && msg.type == net::MessageType::kReconcileOffer) {
+    const Offer offer = parse_payload<Offer>(msg, "reconcile::Offer");
+    if (fr != nullptr) {
+      obs::record_msg(*fr, obs::FlightEventKind::kMsgReceived, "offer", offer,
+                      {{"count", static_cast<double>(offer.count)},
+                       {"bloom_bytes", static_cast<double>(offer.filter.serialized_size())},
+                       {"iblt_cells", static_cast<double>(offer.correction.cell_count())}});
+    }
+    host_count_ = offer.count;
+    set_checksum_ = offer.set_checksum;
+    engine_.filter(offer.salt, offer.count,
+                   std::vector<core::Id>(items_->begin(), items_->end()), offer.filter);
+    const core::Peel peel = engine_.peel(offer.correction);
+    // A decode the checksum refuses still has the request round to run.
+    if (peel.status == core::Resolution::kDecoded) {
+      out = certify(Outcome::Status::kNeedsRequest);
+    } else if (peel.status != core::Resolution::kFailed) {
+      out.status = Outcome::Status::kNeedsRequest;
+    }
+    decode = "reconcile_p1";
+  } else if (phase_ == Phase::kAwaitResponse &&
+             msg.type == net::MessageType::kReconcileResponse) {
+    const Response response = parse_payload<Response>(msg, "reconcile::Response");
+    if (fr != nullptr) {
+      obs::record_msg(
+          *fr, obs::FlightEventKind::kMsgReceived, "response", response,
+          {{"missing", static_cast<double>(response.missing.size())},
+           {"j_cells", static_cast<double>(response.correction.cell_count())},
+           {"has_compensation", response.compensation.has_value() ? 1.0 : 0.0}});
+    }
+    const core::Peel peel =
+        engine_.complete(response.correction, response.compensation, response.missing);
+    if (peel.status == core::Resolution::kNeedsFetch) {
+      out.status = Outcome::Status::kNeedsFetch;
+    } else if (peel.status == core::Resolution::kDecoded) {
+      out = certify(Outcome::Status::kFailed);
+    }
+    decode = "reconcile_p2";
+  } else if (phase_ == Phase::kAwaitFetch &&
+             msg.type == net::MessageType::kReconcileFetchResponse) {
+    engine_.add_fetched(
+        parse_payload<FetchResponse>(msg, "reconcile::FetchResponse").items);
+    out = certify(Outcome::Status::kFailed);
+    decode = "reconcile_fetch";
   }
-  record_decode(reg, "reconcile_p1", out.status);
-  return out;
-}
-
-Request GrapheneClientBackend::make_request() {
-  Request req;
-  req.candidate_count = engine_.candidates().size();
-  req.filter = engine_.request(items_->size());
-  const core::Protocol2Params& params = engine_.params();
-  req.b = params.b;
-  req.y_star = params.y_star;
-  req.fpr_r = params.fpr;
-  req.reversed = params.reversed;
-  record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "request", req,
-             {{"z", static_cast<double>(req.candidate_count)},
-              {"b", static_cast<double>(req.b)},
-              {"y_star", static_cast<double>(req.y_star)},
-              {"fpr_r", req.fpr_r},
-              {"reversed", req.reversed ? 1.0 : 0.0}});
-  return req;
-}
-
-Outcome GrapheneClientBackend::complete(const Response& response) {
-  obs::Registry* reg = obs::enabled(cfg_.obs);
-  record_msg(reg, obs::FlightEventKind::kMsgReceived, "response", response,
-             {{"missing", static_cast<double>(response.missing.size())},
-              {"j_cells", static_cast<double>(response.correction.cell_count())},
-              {"has_compensation", response.compensation.has_value() ? 1.0 : 0.0}});
-  const core::Peel peel =
-      engine_.complete(response.correction, response.compensation, response.missing);
-  Outcome out;
-  if (peel.status == core::Resolution::kNeedsFetch) {
-    out.status = Outcome::Status::kNeedsFetch;
-    out.unresolved = engine_.unresolved();
-  } else if (peel.status == core::Resolution::kDecoded) {
-    out = finalize();
+  phase_ = out.status == Outcome::Status::kNeedsRequest ? Phase::kAwaitResponse
+           : out.status == Outcome::Status::kNeedsFetch ? Phase::kAwaitFetch
+                                                        : Phase::kDone;
+  if (fr != nullptr && decode != nullptr) {
+    obs::record_event(*fr, obs::FlightEventKind::kDecode, decode,
+                      {{"status", static_cast<double>(static_cast<int>(out.status))}});
   }
-  record_decode(reg, "reconcile_p2", out.status);
   return out;
 }
 
-FetchRequest GrapheneClientBackend::make_fetch() const {
-  FetchRequest req;
-  req.short_ids = engine_.unresolved();
-  return req;
+WireMsg GrapheneClientBackend::next_request() {
+  if (phase_ == Phase::kAwaitResponse) {
+    Request req;
+    req.candidate_count = engine_.candidates().size();
+    req.filter = engine_.request(items_->size());
+    const core::Protocol2Params& params = engine_.params();
+    req.b = params.b;
+    req.y_star = params.y_star;
+    req.fpr_r = params.fpr;
+    req.reversed = params.reversed;
+    if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+      obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "request", req,
+                      {{"z", static_cast<double>(req.candidate_count)},
+                       {"b", static_cast<double>(req.b)},
+                       {"y_star", static_cast<double>(req.y_star)},
+                       {"fpr_r", req.fpr_r},
+                       {"reversed", req.reversed ? 1.0 : 0.0}});
+    }
+    return {net::MessageType::kReconcileRequest, req.serialize()};
+  }
+  if (phase_ == Phase::kAwaitFetch) {
+    FetchRequest req;
+    req.short_ids = engine_.unresolved();
+    return {net::MessageType::kReconcileFetch, req.serialize()};
+  }
+  throw std::logic_error("reconcile: next_request() without a pending round");
 }
 
-Outcome GrapheneClientBackend::complete_fetch(const FetchResponse& response) {
-  engine_.add_fetched(response.items);
-  Outcome out = finalize();
-  record_decode(obs::enabled(cfg_.obs), "reconcile_fetch", out.status);
-  return out;
-}
-
-Outcome GrapheneClientBackend::finalize() const {
+Outcome GrapheneClientBackend::certify(Outcome::Status otherwise) const {
   Outcome out;
   std::uint64_t checksum = 0;
   for (const core::Id& d : engine_.candidates()) checksum ^= util::mix64(engine_.short_id(d));
@@ -342,61 +322,9 @@ Outcome GrapheneClientBackend::finalize() const {
     out.status = Outcome::Status::kComplete;
     out.host_set = engine_.candidates();
   } else {
-    out.status = Outcome::Status::kNeedsRequest;
+    out.status = otherwise;
   }
   return out;
-}
-
-// --- wire-driven session ----------------------------------------------------
-
-Outcome GrapheneClientBackend::absorb_wire(const WireMsg& msg) {
-  Outcome out;
-  switch (msg.type) {
-    case net::MessageType::kReconcileOffer: {
-      if (phase_ != Phase::kAwaitOffer) break;
-      out = absorb(parse_payload<Offer>(msg, "reconcile::Offer"));
-      phase_ = out.status == Outcome::Status::kNeedsRequest ? Phase::kAwaitResponse
-                                                            : Phase::kDone;
-      last_status_ = out.status;
-      return out;
-    }
-    case net::MessageType::kReconcileResponse: {
-      if (phase_ != Phase::kAwaitResponse || last_status_ != Outcome::Status::kNeedsRequest) break;
-      out = complete(parse_payload<Response>(msg, "reconcile::Response"));
-      // The typed API reports a post-repair checksum mismatch as
-      // kNeedsRequest so single-round callers can see why finalize failed,
-      // but the repair round is spent: for the driver that status is
-      // terminal, not a license to loop.
-      if (out.status == Outcome::Status::kNeedsRequest) out.status = Outcome::Status::kFailed;
-      phase_ = out.status == Outcome::Status::kNeedsFetch ? Phase::kAwaitFetch
-                                                          : Phase::kDone;
-      last_status_ = out.status;
-      return out;
-    }
-    case net::MessageType::kReconcileFetchResponse: {
-      if (phase_ != Phase::kAwaitFetch || last_status_ != Outcome::Status::kNeedsFetch) break;
-      out = complete_fetch(parse_payload<FetchResponse>(msg, "reconcile::FetchResponse"));
-      if (out.status != Outcome::Status::kComplete) out.status = Outcome::Status::kFailed;
-      phase_ = Phase::kDone;
-      last_status_ = out.status;
-      return out;
-    }
-    default: break;
-  }
-  out.status = Outcome::Status::kFailed;
-  phase_ = Phase::kDone;
-  last_status_ = out.status;
-  return out;
-}
-
-WireMsg GrapheneClientBackend::next_request() {
-  if (last_status_ == Outcome::Status::kNeedsRequest) {
-    return {net::MessageType::kReconcileRequest, make_request().serialize()};
-  }
-  if (last_status_ == Outcome::Status::kNeedsFetch) {
-    return {net::MessageType::kReconcileFetch, make_fetch().serialize()};
-  }
-  throw std::logic_error("reconcile: next_request() without a pending round");
 }
 
 }  // namespace graphene::reconcile

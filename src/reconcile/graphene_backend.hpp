@@ -1,20 +1,20 @@
-// GrapheneBackend: the paper's Bloom + IBLT construction behind the
-// ReconcilerBackend seam.
+// The Graphene backend: the paper's Bloom + IBLT construction behind the
+// HostBackend/ClientBackend seam (backend.hpp).
 //
-// Both backends are thin callers of the Graphene engine
-// (graphene/engine.hpp), the same engine block relay runs. This layer keeps
-// what is particular to sets: the typed messages below (pinned bit-for-bit
-// by tests/reconcile/test_backend.cpp golden hashes), digests as the items
-// a response carries, the count and set checksum as the final check, the
-// flight events, and the WireMsg dispatch (open/serve_wire/absorb_wire/
-// next_request) that lets the generic driver run it.
+// Both sides are thin callers of the Graphene engine (graphene/engine.hpp),
+// the same engine block relay runs. This layer keeps what is particular to
+// sets: the messages below (pinned bit-for-bit by tests/reconcile/
+// test_backend.cpp golden hashes), digests as the items a response
+// carries, the count and set checksum as the final check, and the flight
+// events. A session runs through the four WireMsg methods alone, and the
+// client takes each host message only in its turn:
 //
-//   Offer     — host's digest of its set (Bloom filter S + IBLT I)
-//   Request   — client's repair request when the offer alone is not
-//               decodable (Protocol 2 step 2 analogue)
-//   Response  — host's missing items + correction IBLT J (+ F when m ≈ n)
-//   Fetch     — short IDs decoded as host-only but hidden by R's false
-//               positives, resolved to digests in one final round
+//   Offer          — host's digest of its set (Bloom filter S + IBLT I)
+//   Request        — client's repair request when the offer alone is not
+//                    decodable (Protocol 2 step 2 analogue)
+//   Response       — host's missing items + correction IBLT J (+ F when m ≈ n)
+//   FetchRequest   — short IDs decoded as host-only but hidden by R's false
+//   FetchResponse    positives, resolved to digests in one final round
 #pragma once
 
 #include <optional>
@@ -38,11 +38,8 @@ struct Offer {
   bloom::BloomFilter filter;      ///< S over the full digests
   iblt::Iblt correction;          ///< I over the short IDs
 
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static Offer deserialize(util::ByteReader& reader);
-  [[nodiscard]] std::size_t serialized_size() const noexcept;
 };
 
 /// Client-side repair request (Protocol 2 step 2 analogue).
@@ -54,8 +51,6 @@ struct Request {
   bool reversed = false;
   bloom::BloomFilter filter;  ///< R over the client's candidate digests
 
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static Request deserialize(util::ByteReader& reader);
 };
@@ -66,8 +61,6 @@ struct Response {
   iblt::Iblt correction;
   std::optional<bloom::BloomFilter> compensation;  ///< F, reversed path only
 
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static Response deserialize(util::ByteReader& reader);
 };
@@ -76,30 +69,21 @@ struct Response {
 /// a digest (they were hidden by R's false positives).
 struct FetchRequest {
   std::vector<std::uint64_t> short_ids;
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static FetchRequest deserialize(util::ByteReader& reader);
 };
 
 struct FetchResponse {
   std::vector<ItemDigest> items;
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static FetchResponse deserialize(util::ByteReader& reader);
 };
 
-/// Graphene host backend over a copy of the host's items. The typed
-/// methods (make_offer, serve, serve_fetch) are const and usable directly.
+/// Graphene host backend over a copy of the host's items.
 class GrapheneHostBackend final : public HostBackend {
  public:
   GrapheneHostBackend(const ItemSet& items, std::uint64_t salt,
                       core::ProtocolConfig cfg);
-
-  [[nodiscard]] Offer make_offer(std::uint64_t client_count) const;
-  [[nodiscard]] Response serve(const Request& request) const;
-  [[nodiscard]] FetchResponse serve_fetch(const FetchRequest& request) const;
 
   [[nodiscard]] WireMsg open(std::uint64_t client_count) override;
   [[nodiscard]] WireMsg serve_wire(const WireMsg& request) override;
@@ -109,31 +93,24 @@ class GrapheneHostBackend final : public HostBackend {
   core::GrapheneHost engine_;
 };
 
-/// Graphene client backend; drives the one-way reconciliation. After
-/// `absorb(offer)` either the host set is known, or `make_request()` /
-/// `complete(response)` runs the recovery round (+ fetch when short IDs
-/// stay unresolved).
+/// Graphene client backend over the borrowed `items`. The offer either
+/// completes the session or opens the request round; the response either
+/// completes it or opens the fetch round; the fetch response ends it.
 class GrapheneClientBackend final : public ClientBackend {
  public:
   GrapheneClientBackend(const ItemSet& items, core::ProtocolConfig cfg);
-
-  Outcome absorb(const Offer& offer);
-  [[nodiscard]] Request make_request();
-  Outcome complete(const Response& response);
-  [[nodiscard]] FetchRequest make_fetch() const;
-  Outcome complete_fetch(const FetchResponse& response);
 
   [[nodiscard]] Outcome absorb_wire(const WireMsg& msg) override;
   [[nodiscard]] WireMsg next_request() override;
 
  private:
-  /// Where the wire-driven session stands; used to map a repeat
-  /// kNeedsRequest (which the typed API surfaces for single-round callers)
-  /// to a terminal kFailed so the generic driver cannot loop.
+  /// The host message absorb_wire() accepts next, and so the round
+  /// next_request() builds. Any other message ends the session kFailed.
   enum class Phase : std::uint8_t { kAwaitOffer, kAwaitResponse, kAwaitFetch, kDone };
 
-  /// The count and set-checksum check over the engine's candidates.
-  [[nodiscard]] Outcome finalize() const;
+  /// kComplete with the candidates when they match the offer's count and
+  /// set checksum, else `otherwise`.
+  [[nodiscard]] Outcome certify(Outcome::Status otherwise) const;
 
   const ItemSet* items_;
   core::ProtocolConfig cfg_;
@@ -141,7 +118,6 @@ class GrapheneClientBackend final : public ClientBackend {
   std::uint64_t host_count_ = 0;
   std::uint64_t set_checksum_ = 0;
   Phase phase_ = Phase::kAwaitOffer;
-  Outcome::Status last_status_ = Outcome::Status::kFailed;
 };
 
 }  // namespace graphene::reconcile

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "graphene/errors.hpp"
-#include "reconcile/flight.hpp"
+#include "obs/obs.hpp"
 #include "util/varint.hpp"
 #include "util/wire_limits.hpp"
 
@@ -13,8 +13,6 @@ namespace graphene::reconcile {
 namespace {
 
 using detail::parse_payload;
-using detail::record_decode;
-using detail::record_msg;
 
 /// Fewest coded symbols in the first RatelessChunk. |host − client| raises
 /// it, since a client consumes at least d symbols before it decodes. 48
@@ -42,7 +40,8 @@ constexpr std::uint64_t kMinRequestSymbols = 16;
 
 // --- wire formats -----------------------------------------------------------
 
-void RatelessChunk::serialize_into(util::ByteWriter& w) const {
+util::Bytes RatelessChunk::serialize() const {
+  util::ByteWriter w;
   util::write_varint(w, start);
   util::write_varint(w, host_count);
   w.u64(salt);
@@ -53,11 +52,6 @@ void RatelessChunk::serialize_into(util::ByteWriter& w) const {
     w.u64(s.check);
     w.raw(util::ByteView(s.sum.data(), s.sum.size()));
   }
-}
-
-util::Bytes RatelessChunk::serialize() const {
-  util::ByteWriter w;
-  serialize_into(w);
   return w.take();
 }
 
@@ -86,14 +80,10 @@ RatelessChunk RatelessChunk::deserialize(util::ByteReader& reader) {
   return c;
 }
 
-void RatelessNeed::serialize_into(util::ByteWriter& w) const {
-  util::write_varint(w, next_index);
-  util::write_varint(w, count);
-}
-
 util::Bytes RatelessNeed::serialize() const {
   util::ByteWriter w;
-  serialize_into(w);
+  util::write_varint(w, next_index);
+  util::write_varint(w, count);
   return w.take();
 }
 
@@ -125,10 +115,12 @@ RatelessChunk RatelessHostBackend::chunk_for(std::uint64_t start,
   chunk.set_checksum = encoder_.set_checksum();
   chunk.symbols.assign(produced_.begin() + static_cast<std::ptrdiff_t>(start),
                        produced_.begin() + static_cast<std::ptrdiff_t>(start + count));
-  record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "rlchunk", chunk,
-             {{"start", static_cast<double>(start)},
-              {"symbols", static_cast<double>(count)},
-              {"host_count", static_cast<double>(chunk.host_count)}});
+  if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+    obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "rlchunk", chunk,
+                    {{"start", static_cast<double>(start)},
+                     {"symbols", static_cast<double>(count)},
+                     {"host_count", static_cast<double>(chunk.host_count)}});
+  }
   return chunk;
 }
 
@@ -182,18 +174,22 @@ Outcome RatelessClientBackend::fail() {
   Outcome out;
   out.status = Outcome::Status::kFailed;
   if (decoder_) out.symbols_consumed = decoder_->received();
-  record_decode(obs::enabled(cfg_.obs), "reconcile_rateless", out.status);
+  if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+    obs::record_event(*fr, obs::FlightEventKind::kDecode, "reconcile_rateless",
+                      {{"status", static_cast<double>(static_cast<int>(out.status))}});
+  }
   return out;
 }
 
 Outcome RatelessClientBackend::absorb_wire(const WireMsg& msg) {
   if (failed_ || msg.type != net::MessageType::kRatelessChunk) return fail();
   const RatelessChunk chunk = parse_payload<RatelessChunk>(msg, "reconcile::RatelessChunk");
-  obs::Registry* reg = obs::enabled(cfg_.obs);
-  record_msg(reg, obs::FlightEventKind::kMsgReceived, "rlchunk", chunk,
-             {{"start", static_cast<double>(chunk.start)},
-              {"symbols", static_cast<double>(chunk.symbols.size())},
-              {"host_count", static_cast<double>(chunk.host_count)}});
+  if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+    obs::record_msg(*fr, obs::FlightEventKind::kMsgReceived, "rlchunk", chunk,
+                    {{"start", static_cast<double>(chunk.start)},
+                     {"symbols", static_cast<double>(chunk.symbols.size())},
+                     {"host_count", static_cast<double>(chunk.host_count)}});
+  }
   if (!started_) {
     salt_ = chunk.salt;
     host_count_ = chunk.host_count;
@@ -243,7 +239,10 @@ Outcome RatelessClientBackend::absorb_wire(const WireMsg& msg) {
   } else {
     out.status = Outcome::Status::kNeedsMoreSymbols;
   }
-  record_decode(reg, "reconcile_rateless", out.status);
+  if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+    obs::record_event(*fr, obs::FlightEventKind::kDecode, "reconcile_rateless",
+                      {{"status", static_cast<double>(static_cast<int>(out.status))}});
+  }
   return out;
 }
 
@@ -273,9 +272,11 @@ WireMsg RatelessClientBackend::next_request() {
   RatelessNeed need;
   need.next_index = received;
   need.count = want < static_cast<double>(cap) ? static_cast<std::uint64_t>(want) : cap;
-  record_msg(obs::enabled(cfg_.obs), obs::FlightEventKind::kMsgSent, "rlneed", need,
-             {{"next_index", static_cast<double>(need.next_index)},
-              {"count", static_cast<double>(need.count)}});
+  if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+    obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "rlneed", need,
+                    {{"next_index", static_cast<double>(need.next_index)},
+                     {"count", static_cast<double>(need.count)}});
+  }
   return {net::MessageType::kRatelessNeed, need.serialize()};
 }
 

@@ -1,5 +1,6 @@
-// RatelessIbltBackend: set reconciliation over a rateless coded-symbol
-// stream (arXiv 2402.02668) behind the ReconcilerBackend seam.
+// The rateless backend: set reconciliation over a rateless coded-symbol
+// stream (arXiv 2402.02668) behind the HostBackend/ClientBackend seam
+// (backend.hpp).
 //
 // The host exposes its set as an unbounded symbol stream (iblt::
 // RatelessEncoder); the client subtracts its own set and peels (iblt::
@@ -44,8 +45,6 @@ struct RatelessChunk {
   std::uint64_t set_checksum = 0;  ///< xor of per-item checksums over the host set
   std::vector<iblt::CodedSymbol> symbols;
 
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static RatelessChunk deserialize(util::ByteReader& reader);
 };
@@ -55,8 +54,6 @@ struct RatelessNeed {
   std::uint64_t next_index = 0;  ///< first symbol index not yet consumed
   std::uint64_t count = 0;       ///< symbols wanted in the next chunk
 
-  /// Appends the wire encoding to `w`; serialize() returns it on its own.
-  void serialize_into(util::ByteWriter& w) const;
   [[nodiscard]] util::Bytes serialize() const;
   static RatelessNeed deserialize(util::ByteReader& reader);
 };
@@ -69,11 +66,6 @@ class RatelessHostBackend final : public HostBackend {
 
   [[nodiscard]] WireMsg open(std::uint64_t client_count) override;
   [[nodiscard]] WireMsg serve_wire(const WireMsg& request) override;
-
-  /// Symbols the host has generated so far (cache size), for telemetry.
-  [[nodiscard]] std::uint64_t symbols_produced() const noexcept {
-    return produced_.size();
-  }
 
  private:
   [[nodiscard]] RatelessChunk chunk_for(std::uint64_t start, std::uint64_t count);

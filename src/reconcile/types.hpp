@@ -1,16 +1,13 @@
 // Shared vocabulary of the reconciliation backends.
 //
 // Items are opaque 32-byte digests (hash your records however you like);
-// every backend reconciles ItemSets and reports an Outcome. Splitting these
-// out of set_reconciler.hpp lets backend implementations (graphene_backend,
-// rateless_backend) and the session drivers share one definition without a
-// header cycle.
+// every backend reconciles ItemSets and reports an Outcome. Code that only
+// names items (tools/relayd_set.hpp) includes this without the backend seam.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <unordered_set>
-#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/hash.hpp"
@@ -39,9 +36,6 @@ struct Outcome {
   /// The host's set as learned by the client (valid when kComplete). Items
   /// the client already held are included.
   ItemSet host_set;
-  /// Short IDs decoded as host-only but with no digest known — the caller
-  /// must fetch these out of band (or fail). Empty in normal operation.
-  std::vector<std::uint64_t> unresolved;
   /// Coded symbols consumed so far (rateless backend only; 0 for Graphene).
   std::uint64_t symbols_consumed = 0;
 };

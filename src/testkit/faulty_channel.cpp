@@ -24,15 +24,12 @@ void FaultyChannel::note_delivery(net::Direction dir, net::MessageType type,
   obs::FlightRecorder* fr = obs::flight(reg);
   if (fr == nullptr) return;
   for (const util::Bytes& buf : out) {
-    obs::FlightEvent e;
-    e.kind = obs::FlightEventKind::kNote;
-    e.label = "link";
-    e.attrs = {{"dir", static_cast<double>(static_cast<int>(dir))},
-               {"type", static_cast<double>(static_cast<int>(type))},
-               {"bytes", static_cast<double>(buf.size())},
-               {"faulted", counts_.faults() > before.faults() ? 1.0 : 0.0}};
-    if (fr->wire_capture()) e.wire = buf;
-    fr->record(std::move(e));
+    obs::record_event(*fr, obs::FlightEventKind::kNote, "link",
+                      {{"dir", static_cast<double>(static_cast<int>(dir))},
+                       {"type", static_cast<double>(static_cast<int>(type))},
+                       {"bytes", static_cast<double>(buf.size())},
+                       {"faulted", counts_.faults() > before.faults() ? 1.0 : 0.0}},
+                      fr->wire_capture() ? buf : util::Bytes{});
   }
 }
 

@@ -12,7 +12,6 @@
 
 #include "graphene/errors.hpp"
 #include "reconcile/rateless_backend.hpp"
-#include "reconcile/set_reconciler.hpp"
 #include "testkit/faulty_channel.hpp"
 #include "testkit/stat_gate.hpp"
 #include "util/wire_limits.hpp"
@@ -69,15 +68,15 @@ End run_backend_through_faults(util::Rng& rng, core::ReconcileBackend backend,
 
   core::ProtocolConfig cfg;
   cfg.reconcile_backend = backend;
-  Host host(host_items, rng.next(), cfg);
-  Client client(client_items, cfg);
+  const auto host = make_host_backend(host_items, rng.next(), cfg);
+  const auto client = make_client_backend(client_items, cfg);
   testkit::FaultyChannel ch(faults);
 
   try {
     auto delivered = deliver(ch, net::Direction::kSenderToReceiver,
-                             host.open(client_items.size()));
+                             host->open(client_items.size()));
     if (!delivered) return End::kAborted;
-    Outcome out = client.absorb_wire(*delivered);
+    Outcome out = client->absorb_wire(*delivered);
 
     // The driver loop with the structural round cap — termination holds
     // even if a corrupted message convinces a backend it needs more.
@@ -85,12 +84,12 @@ End run_backend_through_faults(util::Rng& rng, core::ReconcileBackend backend,
     while (needs_more(out.status) && rounds < cfg.reconcile_round_cap) {
       ++rounds;
       const auto request =
-          deliver(ch, net::Direction::kReceiverToSender, client.next_request());
+          deliver(ch, net::Direction::kReceiverToSender, client->next_request());
       if (!request) return End::kAborted;
       const auto response =
-          deliver(ch, net::Direction::kSenderToReceiver, host.serve_wire(*request));
+          deliver(ch, net::Direction::kSenderToReceiver, host->serve_wire(*request));
       if (!response) return End::kAborted;
-      out = client.absorb_wire(*response);
+      out = client->absorb_wire(*response);
     }
 
     if (out.status != Outcome::Status::kComplete) return End::kTypedError;
@@ -165,14 +164,14 @@ TEST(RatelessFaults, TruncatedChunkIsTypedErrorNotCrash) {
   const ItemSet client_items = random_set(rng, 80);
   core::ProtocolConfig cfg;
   cfg.reconcile_backend = core::ReconcileBackend::kRatelessIblt;
-  Host host(host_items, rng.next(), cfg);
-  const WireMsg opening = host.open(client_items.size());
+  const auto host = make_host_backend(host_items, rng.next(), cfg);
+  const WireMsg opening = host->open(client_items.size());
   const std::size_t cuts[] = {0, 1, 8, 24, opening.payload.size() - 1};
   for (const std::size_t keep : cuts) {
-    Client client(client_items, cfg);
+    const auto client = make_client_backend(client_items, cfg);
     WireMsg cut = opening;
     cut.payload.resize(keep);
-    EXPECT_THROW((void)client.absorb_wire(cut), util::DeserializeError) << keep;
+    EXPECT_THROW((void)client->absorb_wire(cut), util::DeserializeError) << keep;
   }
 }
 
@@ -183,8 +182,8 @@ TEST(RatelessFaults, HostStreamBudgetStopsInfiniteSymbolRequests) {
   const ItemSet host_items = random_set(rng, 50);
   core::ProtocolConfig cfg;
   cfg.reconcile_backend = core::ReconcileBackend::kRatelessIblt;
-  Host host(host_items, rng.next(), cfg);
-  (void)host.open(50);
+  const auto host = make_host_backend(host_items, rng.next(), cfg);
+  (void)host->open(50);
 
   bool refused = false;
   std::uint64_t cursor = 0;
@@ -196,7 +195,7 @@ TEST(RatelessFaults, HostStreamBudgetStopsInfiniteSymbolRequests) {
     req.type = net::MessageType::kRatelessNeed;
     req.payload = need.serialize();
     try {
-      const WireMsg chunk = host.serve_wire(req);
+      const WireMsg chunk = host->serve_wire(req);
       (void)chunk;
       cursor += need.count;
     } catch (const core::ProtocolError&) {

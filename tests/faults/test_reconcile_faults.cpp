@@ -1,4 +1,5 @@
-// Fault injection for the generic set reconciler (reconcile::Host/Client).
+// Fault injection for the generic set reconciler (the Graphene backend's
+// two sides, driven message by message).
 //
 // Same property as the block-relay suite: under any seeded fault schedule
 // the one-way reconciliation terminates with either the host's exact set, a
@@ -8,7 +9,6 @@
 
 #include "graphene/errors.hpp"
 #include "reconcile/graphene_backend.hpp"
-#include "reconcile/set_reconciler.hpp"
 #include "testkit/faulty_channel.hpp"
 #include "testkit/gen.hpp"
 #include "testkit/stat_gate.hpp"
@@ -67,24 +67,25 @@ End run_reconcile_through_faults(util::Rng& rng, const testkit::FaultSpec& fault
   }
   for (const ItemDigest& d : random_set(rng, rng.below(300))) client_items.insert(d);
 
-  Host host(host_items, /*salt=*/rng.next());
-  Client client(client_items);
+  const core::ProtocolConfig cfg;
+  const auto host = make_host_backend(host_items, /*salt=*/rng.next(), cfg);
+  const auto client = make_client_backend(client_items, cfg);
   testkit::FaultyChannel ch(faults);
 
   try {
     Outcome out;
-    const auto to_client = [&](const WireMsg& m) { out = client.absorb_wire(m); };
-    if (!deliver(ch, net::Direction::kSenderToReceiver, host.open(client_items.size()),
+    const auto to_client = [&](const WireMsg& m) { out = client->absorb_wire(m); };
+    if (!deliver(ch, net::Direction::kSenderToReceiver, host->open(client_items.size()),
                  to_client)) {
       return End::kAborted;
     }
     // The request and fetch rounds, as the outcomes ask for them; the
     // client fails any message out of that order.
     for (std::uint32_t round = 0;
-         needs_more(out.status) && round < client.config().reconcile_round_cap; ++round) {
+         needs_more(out.status) && round < cfg.reconcile_round_cap; ++round) {
       WireMsg response;
-      if (!deliver(ch, net::Direction::kReceiverToSender, client.next_request(),
-                   [&](const WireMsg& m) { response = host.serve_wire(m); }) ||
+      if (!deliver(ch, net::Direction::kReceiverToSender, client->next_request(),
+                   [&](const WireMsg& m) { response = host->serve_wire(m); }) ||
           !deliver(ch, net::Direction::kSenderToReceiver, response, to_client)) {
         return End::kAborted;
       }
@@ -93,7 +94,7 @@ End run_reconcile_through_faults(util::Rng& rng, const testkit::FaultSpec& fault
     // Any state short of kComplete after the protocol's rounds is a bounded,
     // reported failure — the checksum refused to certify.
     if (out.status != Outcome::Status::kComplete) return End::kTypedError;
-    return out.host_set == host.items() ? End::kExactSet : End::kWrongSet;
+    return out.host_set == host_items ? End::kExactSet : End::kWrongSet;
   } catch (const core::ProtocolError&) {
     return End::kTypedError;
   } catch (const util::DeserializeError&) {
@@ -152,22 +153,26 @@ TEST(ReconcileFaults, HostRejectsOversizedRequestSizing) {
   // IBLT beyond kMaxIbltCells must throw a typed error, not allocate.
   util::Rng rng(91);
   const ItemSet items = random_set(rng, 20);
-  const GrapheneHostBackend host(items, 5, {});
+  const auto host = make_host_backend(items, 5, {});
   Request req;
   req.candidate_count = 10;
   req.b = util::wire::kMaxSizingParam;
   req.y_star = util::wire::kMaxSizingParam;
   req.fpr_r = 0.1;
   req.filter = bloom::BloomFilter(10, 0.1, 1);
-  EXPECT_THROW(host.serve(req), core::ProtocolError);
+  EXPECT_THROW((void)host->serve_wire({net::MessageType::kReconcileRequest, req.serialize()}),
+               core::ProtocolError);
 
+  // An fpr outside (0, 1] never reaches serve(): the parser refuses it.
   Request nan_req;
   nan_req.candidate_count = 10;
   nan_req.b = 1;
   nan_req.y_star = 1;
-  nan_req.fpr_r = 0.0;  // out of (0, 1]
+  nan_req.fpr_r = 0.0;
   nan_req.filter = bloom::BloomFilter(10, 0.1, 1);
-  EXPECT_THROW(host.serve(nan_req), core::ProtocolError);
+  EXPECT_THROW(
+      (void)host->serve_wire({net::MessageType::kReconcileRequest, nan_req.serialize()}),
+      util::DeserializeError);
 }
 
 }  // namespace

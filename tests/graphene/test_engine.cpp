@@ -50,15 +50,18 @@ TEST(Engine, UnmappedNegativeInJStillDecodesAndVerifiesOnBothPaths) {
       for (const chain::TxId& id : s.block.tx_ids()) host_items.insert(id);
       reconcile::ItemSet client_items;
       for (const chain::TxId& id : s.receiver_mempool.ids()) client_items.insert(id);
-      const reconcile::GrapheneHostBackend host(host_items, salt, {});
-      reconcile::GrapheneClientBackend client(client_items, {});
-      ASSERT_EQ(client.absorb(host.make_offer(client_items.size())).status,
+      const auto host = reconcile::make_host_backend(host_items, salt, {});
+      const auto client = reconcile::make_client_backend(client_items, {});
+      ASSERT_EQ(client->absorb_wire(host->open(client_items.size())).status,
                 reconcile::Outcome::Status::kNeedsRequest);
-      reconcile::Response resp = host.serve(client.make_request());
+      reconcile::WireMsg answer = host->serve_wire(client->next_request());
+      util::ByteReader reader{util::ByteView(answer.payload)};
+      reconcile::Response resp = reconcile::Response::deserialize(reader);
       resp.correction.erase(stray);
-      reconcile::Outcome out = client.complete(resp);
+      answer.payload = resp.serialize();
+      reconcile::Outcome out = client->absorb_wire(answer);
       if (out.status == reconcile::Outcome::Status::kNeedsFetch) {
-        out = client.complete_fetch(host.serve_fetch(client.make_fetch()));
+        out = client->absorb_wire(host->serve_wire(client->next_request()));
       }
       ASSERT_EQ(out.status, reconcile::Outcome::Status::kComplete) << "trial " << t;
       EXPECT_EQ(out.host_set, host_items);

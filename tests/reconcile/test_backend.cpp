@@ -1,14 +1,16 @@
 // The reconciliation backend seam: golden wire pins proving the Graphene
 // messages and the rateless coded-symbol stream survive refactors
 // byte-for-byte, the backend-agnostic driver loop, the rateless backend
-// end-to-end, and the DigestHasher fix.
+// end-to-end, the Graphene client's phase table, and the DigestHasher fix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "graphene/errors.hpp"
+#include "obs/obs.hpp"
 #include "reconcile/graphene_backend.hpp"
 #include "reconcile/rateless_backend.hpp"
 #include "reconcile/set_reconciler.hpp"
@@ -47,6 +49,12 @@ std::string pin(const util::Bytes& wire) {
   return util::to_hex(util::ByteView(h.data(), h.size()));
 }
 
+template <typename Msg>
+Msg parse(const WireMsg& msg) {
+  util::ByteReader reader{util::ByteView(msg.payload)};
+  return Msg::deserialize(reader);
+}
+
 core::ProtocolConfig rateless_cfg() {
   core::ProtocolConfig cfg;
   cfg.reconcile_backend = core::ReconcileBackend::kRatelessIblt;
@@ -67,20 +75,21 @@ TEST(BackendGoldenWire, DisjointHeavyScenarioPinsHold) {
   const std::vector<ItemDigest> host_sorted = sorted_of(host_items);
   for (std::size_t i = 0; i < 200; ++i) client_items.insert(host_sorted[i]);
 
-  const GrapheneHostBackend host(host_items, 0x5a17, {});
-  GrapheneClientBackend client(client_items, {});
-  const Offer offer = host.make_offer(client_items.size());
-  EXPECT_EQ(pin(offer.serialize()),
+  const auto host = make_host_backend(host_items, 0x5a17, {});
+  const auto client = make_client_backend(client_items, {});
+  const WireMsg offer = host->open(client_items.size());
+  EXPECT_EQ(pin(offer.payload),
             "ee194862bb3502e2bb8f245ec147e71101f4504265fbe4f57eb731845953547d");
-  const Outcome o1 = client.absorb(offer);
+  const Outcome o1 = client->absorb_wire(offer);
   ASSERT_EQ(o1.status, Outcome::Status::kNeedsRequest);
-  const Request req = client.make_request();
-  EXPECT_EQ(pin(req.serialize()),
+  const WireMsg req = client->next_request();
+  EXPECT_EQ(pin(req.payload),
             "29a18609c37b86678f2d1324c17c9b80ebdff7be16ac62ba937ea808e2616f4f");
-  const Response resp = host.serve(req);
-  EXPECT_EQ(pin(resp.serialize()),
+  const WireMsg resp = host->serve_wire(req);
+  EXPECT_EQ(pin(resp.payload),
             "58360ef3d2432e359c3707b07209b2122fdbbf01879bbdcecfe0ac28290f3e1b");
-  EXPECT_TRUE(std::is_sorted(resp.missing.begin(), resp.missing.end()));
+  const std::vector<ItemDigest> missing = parse<Response>(resp).missing;
+  EXPECT_TRUE(std::is_sorted(missing.begin(), missing.end()));
 }
 
 TEST(BackendGoldenWire, SupersetClientScenarioPinsHold) {
@@ -88,12 +97,12 @@ TEST(BackendGoldenWire, SupersetClientScenarioPinsHold) {
   ItemSet client_items = host_items;
   for (const ItemDigest& d : pinned_items(0xb002, 50)) client_items.insert(d);
 
-  const GrapheneHostBackend host(host_items, 0xfeed, {});
-  GrapheneClientBackend client(client_items, {});
-  const Offer offer = host.make_offer(client_items.size());
-  EXPECT_EQ(pin(offer.serialize()),
+  const auto host = make_host_backend(host_items, 0xfeed, {});
+  const auto client = make_client_backend(client_items, {});
+  const WireMsg offer = host->open(client_items.size());
+  EXPECT_EQ(pin(offer.payload),
             "9cf9932d42b24aee38953a6eaf34d22303e2dab35203a4cf54fd1e0370f9be7e");
-  EXPECT_EQ(client.absorb(offer).status, Outcome::Status::kComplete);
+  EXPECT_EQ(client->absorb_wire(offer).status, Outcome::Status::kComplete);
 }
 
 TEST(BackendGoldenWire, ReversedPathScenarioPinsHoldThroughFetch) {
@@ -102,27 +111,28 @@ TEST(BackendGoldenWire, ReversedPathScenarioPinsHoldThroughFetch) {
   const std::vector<ItemDigest> host_sorted = sorted_of(host_items);
   for (std::size_t i = 0; i < 380; ++i) client_items.insert(host_sorted[i]);
 
-  const GrapheneHostBackend host(host_items, 0xc0de, {});
-  GrapheneClientBackend client(client_items, {});
-  const Offer offer = host.make_offer(client_items.size());
-  EXPECT_EQ(pin(offer.serialize()),
+  const auto host = make_host_backend(host_items, 0xc0de, {});
+  const auto client = make_client_backend(client_items, {});
+  const WireMsg offer = host->open(client_items.size());
+  EXPECT_EQ(pin(offer.payload),
             "11229fdbf6604900ce01c5d8dbb21be542a63962869e8c1d15bc7b605a2a1b2a");
-  ASSERT_EQ(client.absorb(offer).status, Outcome::Status::kNeedsRequest);
-  const Request req = client.make_request();
-  EXPECT_TRUE(req.reversed);
-  EXPECT_EQ(pin(req.serialize()),
+  ASSERT_EQ(client->absorb_wire(offer).status, Outcome::Status::kNeedsRequest);
+  const WireMsg req = client->next_request();
+  EXPECT_TRUE(parse<Request>(req).reversed);
+  EXPECT_EQ(pin(req.payload),
             "46d4854362074b2202a9c2b638ef1a2832558384f8fea8fe82e6d2a5e962f9b2");
-  const Response resp = host.serve(req);
-  EXPECT_EQ(pin(resp.serialize()),
+  const WireMsg resp = host->serve_wire(req);
+  EXPECT_EQ(pin(resp.payload),
             "6e334829a72e6b127af8bce905e41aa198d8c5087757188c087ed743427683bb");
-  ASSERT_EQ(client.complete(resp).status, Outcome::Status::kNeedsFetch);
-  const FetchRequest freq = client.make_fetch();
-  EXPECT_EQ(pin(freq.serialize()),
+  ASSERT_EQ(client->absorb_wire(resp).status, Outcome::Status::kNeedsFetch);
+  const WireMsg freq = client->next_request();
+  EXPECT_EQ(freq.type, net::MessageType::kReconcileFetch);
+  EXPECT_EQ(pin(freq.payload),
             "ef8423963c3ef769a5f57051257af18c62636b121fdc7f8b264266256751af25");
-  const FetchResponse fresp = host.serve_fetch(freq);
-  EXPECT_EQ(pin(fresp.serialize()),
+  const WireMsg fresp = host->serve_wire(freq);
+  EXPECT_EQ(pin(fresp.payload),
             "489c6cd12b823efc5f45a578ea50265cea105d22362a0c72193068663eaf5e51");
-  const Outcome fin = client.complete_fetch(fresp);
+  const Outcome fin = client->absorb_wire(fresp);
   EXPECT_EQ(fin.status, Outcome::Status::kComplete);
   EXPECT_EQ(fin.host_set, host_items);
 }
@@ -141,14 +151,14 @@ TEST(BackendGoldenWire, RatelessStreamPinsHold) {
   client_items.insert(client_only.begin(), client_only.end());
   constexpr std::uint64_t kSalt = 0x5a17e55;
 
-  Host host(host_items, kSalt, rateless_cfg());
-  Client client(client_items, rateless_cfg());
+  const auto host = make_host_backend(host_items, kSalt, rateless_cfg());
+  const auto client = make_client_backend(client_items, rateless_cfg());
   iblt::RatelessDecoder decoder(kSalt);
   for (const ItemDigest& d : client_items) decoder.add_local(d);
 
   std::vector<std::string> pins;
   std::vector<std::size_t> chunk_sizes;
-  WireMsg msg = host.open(client_items.size());
+  WireMsg msg = host->open(client_items.size());
   Outcome out;
   for (int round = 0; round < 16; ++round) {
     pins.push_back(pin(msg.payload));
@@ -158,11 +168,11 @@ TEST(BackendGoldenWire, RatelessStreamPinsHold) {
     for (std::size_t i = 0; i < chunk.symbols.size() && !decoder.decoded(); ++i) {
       if (chunk.start + i == decoder.received()) decoder.add_symbol(chunk.symbols[i]);
     }
-    out = client.absorb_wire(msg);
+    out = client->absorb_wire(msg);
     if (out.status != Outcome::Status::kNeedsMoreSymbols) break;
-    const WireMsg need = client.next_request();
+    const WireMsg need = client->next_request();
     pins.push_back(pin(need.payload));
-    msg = host.serve_wire(need);
+    msg = host->serve_wire(need);
   }
   ASSERT_EQ(out.status, Outcome::Status::kComplete);
   EXPECT_EQ(out.host_set, host_items);
@@ -198,74 +208,14 @@ TEST(BackendGoldenWire, RatelessStreamPinsHold) {
 
 // --- The backend-agnostic driver -------------------------------------------
 
-/// The Graphene message flow driven through the typed backend methods:
-/// offer, then the request and fetch rounds as the outcomes ask for them.
-SyncStats typed_one_way(const GrapheneHostBackend& host, GrapheneClientBackend& client,
-                        std::uint64_t client_count, Outcome& outcome) {
-  SyncStats stats;
-  const Offer offer = host.make_offer(client_count);
-  stats.round_bytes.push_back(offer.serialize().size());
-  outcome = client.absorb(offer);
-  if (outcome.status == Outcome::Status::kNeedsRequest) {
-    const Request req = client.make_request();
-    stats.round_bytes.push_back(req.serialize().size());
-    const Response resp = host.serve(req);
-    stats.round_bytes.push_back(resp.serialize().size());
-    outcome = client.complete(resp);
-  }
-  if (outcome.status == Outcome::Status::kNeedsFetch) {
-    const FetchRequest freq = client.make_fetch();
-    stats.round_bytes.push_back(freq.serialize().size());
-    const FetchResponse fresp = host.serve_fetch(freq);
-    stats.round_bytes.push_back(fresp.serialize().size());
-    outcome = client.complete_fetch(fresp);
-  }
-  stats.success = outcome.status == Outcome::Status::kComplete;
-  return stats;
-}
-
-TEST(BackendDriver, WireDriverMatchesTypedGrapheneFlow) {
-  util::Rng rng(21);
-  for (int t = 0; t < 5; ++t) {
-    const ItemSet host_items = pinned_items(rng.next(), 300);
-    ItemSet client_items = pinned_items(rng.next(), 50);
-    const std::vector<ItemDigest> host_sorted = sorted_of(host_items);
-    for (std::size_t i = 0; i < 250; ++i) client_items.insert(host_sorted[i]);
-    const std::uint64_t salt = rng.next();
-
-    Host wire_host(host_items, salt);
-    Client wire_client(client_items);
-    Outcome wire_out;
-    const SyncStats wire_stats = reconcile_one_way(wire_host, wire_client, wire_out);
-
-    const GrapheneHostBackend typed_host(host_items, salt, {});
-    GrapheneClientBackend typed_client(client_items, {});
-    Outcome typed_out;
-    const SyncStats typed_stats =
-        typed_one_way(typed_host, typed_client, client_items.size(), typed_out);
-
-    EXPECT_EQ(wire_stats.success, typed_stats.success);
-    EXPECT_EQ(wire_out.status, typed_out.status);
-    if (wire_stats.success) {
-      EXPECT_EQ(wire_out.host_set, host_items);
-      EXPECT_EQ(typed_out.host_set, host_items);
-      // Same messages, same sizes: the wire driver only adds framing-free
-      // payload accounting.
-      EXPECT_EQ(wire_stats.round_bytes, typed_stats.round_bytes);
-    }
-  }
-}
-
 TEST(BackendDriver, RoundCapBoundsTheLoop) {
   core::ProtocolConfig cfg = rateless_cfg();
   cfg.reconcile_round_cap = 1;  // one message only: offer/chunk then stop
   util::Rng rng(22);
   const ItemSet host_items = pinned_items(rng.next(), 400);
   const ItemSet client_items = pinned_items(rng.next(), 400);
-  Host host(host_items, rng.next(), cfg);
-  Client client(client_items, cfg);
   Outcome out;
-  const SyncStats stats = reconcile_one_way(host, client, out);
+  const SyncStats stats = reconcile_one_way(host_items, rng.next(), client_items, cfg, out);
   EXPECT_FALSE(stats.success);
   EXPECT_EQ(out.status, Outcome::Status::kFailed);
   EXPECT_LE(stats.round_bytes.size(), 3u);
@@ -296,27 +246,24 @@ TEST(RatelessBackend, CompletesAcrossDivergenceRegimes) {
       client_items.insert(d);
     }
 
-    Host host(host_items, rng.next(), rateless_cfg());
-    Client client(client_items, rateless_cfg());
     Outcome out;
-    const SyncStats stats = reconcile_one_way(host, client, out);
+    const SyncStats stats =
+        reconcile_one_way(host_items, rng.next(), client_items, rateless_cfg(), out);
     ASSERT_TRUE(stats.success) << "host=" << cell.host << " shared=" << cell.shared;
     EXPECT_EQ(out.host_set, host_items);
     EXPECT_GT(stats.symbols_consumed, 0u);
     // No decode-failure repair and no short-ID fetch — structurally absent.
     EXPECT_FALSE(stats.used_request_round);
     EXPECT_FALSE(stats.used_fetch_round);
-    EXPECT_TRUE(out.unresolved.empty());
   }
 }
 
 TEST(RatelessBackend, EmptyHostSetCompletesTrivially) {
   util::Rng rng(32);
   const ItemSet client_items = pinned_items(rng.next(), 60);
-  Host host(ItemSet{}, rng.next(), rateless_cfg());
-  Client client(client_items, rateless_cfg());
   Outcome out;
-  const SyncStats stats = reconcile_one_way(host, client, out);
+  const SyncStats stats =
+      reconcile_one_way(ItemSet{}, rng.next(), client_items, rateless_cfg(), out);
   ASSERT_TRUE(stats.success);
   EXPECT_TRUE(out.host_set.empty());
 }
@@ -455,11 +402,11 @@ TEST(BackendWire, TrailingPayloadBytesAreRejected) {
        {core::ReconcileBackend::kGraphene, core::ReconcileBackend::kRatelessIblt}) {
     core::ProtocolConfig cfg;
     cfg.reconcile_backend = backend;
-    Host host(host_items, rng.next(), cfg);
-    Client client(client_items, cfg);
-    WireMsg opening = host.open(client_items.size());
+    const auto host = make_host_backend(host_items, rng.next(), cfg);
+    const auto client = make_client_backend(client_items, cfg);
+    WireMsg opening = host->open(client_items.size());
     opening.payload.push_back(0x00);  // smuggled appendix
-    EXPECT_THROW((void)client.absorb_wire(opening), util::DeserializeError);
+    EXPECT_THROW((void)client->absorb_wire(opening), util::DeserializeError);
   }
 }
 
@@ -470,19 +417,156 @@ TEST(BackendWire, UnexpectedMessageTypeFailsClosed) {
 
   // Graphene client: a rateless chunk is out of protocol → kFailed.
   {
-    Host host(host_items, rng.next());
-    Client client(client_items);
-    WireMsg opening = host.open(client_items.size());
+    const auto host = make_host_backend(host_items, rng.next(), {});
+    const auto client = make_client_backend(client_items, {});
+    WireMsg opening = host->open(client_items.size());
     opening.type = net::MessageType::kRatelessChunk;
-    EXPECT_EQ(client.absorb_wire(opening).status, Outcome::Status::kFailed);
+    EXPECT_EQ(client->absorb_wire(opening).status, Outcome::Status::kFailed);
   }
   // Rateless host: a graphene request is out of protocol → ProtocolError.
   {
-    Host host(host_items, rng.next(), rateless_cfg());
-    (void)host.open(client_items.size());
+    const auto host = make_host_backend(host_items, rng.next(), rateless_cfg());
+    (void)host->open(client_items.size());
     WireMsg bogus;
     bogus.type = net::MessageType::kReconcileRequest;
-    EXPECT_THROW((void)host.serve_wire(bogus), core::ProtocolError);
+    EXPECT_THROW((void)host->serve_wire(bogus), core::ProtocolError);
+  }
+  // Graphene host: a rateless need is out of protocol → ProtocolError.
+  {
+    const auto host = make_host_backend(host_items, 7, {});
+    const WireMsg need{net::MessageType::kRatelessNeed, RatelessNeed{}.serialize()};
+    EXPECT_THROW((void)host->serve_wire(need), core::ProtocolError);
+  }
+}
+
+TEST(BackendWire, GrapheneClientTakesEachHostMessageOnlyInItsTurn) {
+  util::Rng rng(43);
+  const ItemSet host_items = pinned_items(rng.next(), 200);
+  ItemSet client_items = pinned_items(rng.next(), 20);
+  const std::vector<ItemDigest> host_sorted = sorted_of(host_items);
+  for (std::size_t i = 0; i < 180; ++i) client_items.insert(host_sorted[i]);
+  const auto host = make_host_backend(host_items, rng.next(), {});
+  const WireMsg offer = host->open(client_items.size());
+
+  // An honest session, run to its end, supplies the response.
+  const auto honest = make_client_backend(client_items, {});
+  ASSERT_EQ(honest->absorb_wire(offer).status, Outcome::Status::kNeedsRequest);
+  const WireMsg response = host->serve_wire(honest->next_request());
+  Outcome out = honest->absorb_wire(response);
+  if (out.status == Outcome::Status::kNeedsFetch) {
+    out = honest->absorb_wire(host->serve_wire(honest->next_request()));
+  }
+  ASSERT_EQ(out.status, Outcome::Status::kComplete);
+  EXPECT_THROW((void)honest->next_request(), std::logic_error);
+
+  // Each sequence ends in a message out of its turn.
+  const WireMsg fetch_response{net::MessageType::kReconcileFetchResponse,
+                               FetchResponse{}.serialize()};
+  const std::vector<std::vector<const WireMsg*>> out_of_turn = {
+      {&response},                // a response before the offer
+      {&fetch_response},          // a fetch response before the offer
+      {&offer, &offer},           // a second offer
+      {&offer, &fetch_response},  // a fetch response while a response is awaited
+  };
+  for (const std::vector<const WireMsg*>& sequence : out_of_turn) {
+    const auto client = make_client_backend(client_items, {});
+    for (const WireMsg* msg : sequence) out = client->absorb_wire(*msg);
+    EXPECT_EQ(out.status, Outcome::Status::kFailed);
+    EXPECT_THROW((void)client->next_request(), std::logic_error);
+  }
+
+  // An offer whose set checksum no set matches: the request round runs,
+  // and its answer ends the session kFailed instead of asking again.
+  Offer forged = parse<Offer>(offer);
+  forged.set_checksum ^= 0xdeadbeef;
+  const auto client = make_client_backend(client_items, {});
+  out = client->absorb_wire({net::MessageType::kReconcileOffer, forged.serialize()});
+  ASSERT_EQ(out.status, Outcome::Status::kNeedsRequest);
+  out = client->absorb_wire(host->serve_wire(client->next_request()));
+  if (out.status == Outcome::Status::kNeedsFetch) {
+    out = client->absorb_wire(host->serve_wire(client->next_request()));
+  }
+  EXPECT_EQ(out.status, Outcome::Status::kFailed);
+  EXPECT_THROW((void)client->next_request(), std::logic_error);
+}
+
+/// The recorder's events as "kind label", each decode's status appended,
+/// and the wire bytes of its message events in order.
+std::vector<std::string> flight_log(const obs::Registry& reg, std::vector<util::Bytes>* wires) {
+  std::vector<std::string> log;
+  for (const obs::FlightEvent& e : reg.recorder().events()) {
+    std::string line = std::string(obs::to_string(e.kind)) + " " + e.label;
+    if (e.kind == obs::FlightEventKind::kDecode) {
+      line += " " + std::to_string(static_cast<int>(e.attr("status")));
+    } else {
+      wires->push_back(e.wire);
+    }
+    log.push_back(line);
+  }
+  return log;
+}
+
+TEST(BackendWire, FlightRecorderLogsEachMessageAndDecode) {
+#if !GRAPHENE_OBS_ENABLED
+  GTEST_SKIP() << "telemetry compiled out (GRAPHENE_OBS=OFF)";
+#endif
+  // Graphene, through its request and fetch rounds (the reversed-path pin).
+  {
+    const ItemSet host_items = pinned_items(0xc001, 400);
+    ItemSet client_items = pinned_items(0xc002, 10);
+    const std::vector<ItemDigest> host_sorted = sorted_of(host_items);
+    for (std::size_t i = 0; i < 380; ++i) client_items.insert(host_sorted[i]);
+    obs::Registry reg;
+    core::ProtocolConfig cfg;
+    cfg.obs = &reg;
+    const auto host = make_host_backend(host_items, 0xc0de, cfg);
+    const auto client = make_client_backend(client_items, cfg);
+    const WireMsg offer = host->open(client_items.size());
+    ASSERT_EQ(client->absorb_wire(offer).status, Outcome::Status::kNeedsRequest);
+    const WireMsg req = client->next_request();
+    const WireMsg resp = host->serve_wire(req);
+    ASSERT_EQ(client->absorb_wire(resp).status, Outcome::Status::kNeedsFetch);
+    const WireMsg fresp = host->serve_wire(client->next_request());
+    ASSERT_EQ(client->absorb_wire(fresp).status, Outcome::Status::kComplete);
+
+    std::vector<util::Bytes> wires;
+    EXPECT_EQ(flight_log(reg, &wires),
+              (std::vector<std::string>{
+                  "msg_sent offer", "msg_received offer", "decode reconcile_p1 1",
+                  "msg_sent request", "msg_sent response", "msg_received response",
+                  "decode reconcile_p2 2", "msg_sent fetchresp", "decode reconcile_fetch 0"}));
+    EXPECT_EQ(wires, (std::vector<util::Bytes>{offer.payload, offer.payload, req.payload,
+                                               resp.payload, resp.payload, fresp.payload}));
+  }
+  // Rateless: chunk, need, chunk; then a message of the wrong backend.
+  {
+    const ItemSet host_items = pinned_items(0xd001, 2400);
+    const std::vector<ItemDigest> host_sorted = sorted_of(host_items);
+    ItemSet client_items(host_sorted.begin() + 100, host_sorted.end());
+    const ItemSet client_only = pinned_items(0xd002, 100);
+    client_items.insert(client_only.begin(), client_only.end());
+    obs::Registry reg;
+    core::ProtocolConfig cfg = rateless_cfg();
+    cfg.obs = &reg;
+    const auto host = make_host_backend(host_items, 0x5a17e55, cfg);
+    const auto client = make_client_backend(client_items, cfg);
+    const WireMsg first = host->open(client_items.size());
+    ASSERT_EQ(client->absorb_wire(first).status, Outcome::Status::kNeedsMoreSymbols);
+    const WireMsg need = client->next_request();
+    const WireMsg second = host->serve_wire(need);
+    ASSERT_EQ(client->absorb_wire(second).status, Outcome::Status::kComplete);
+    const auto other = make_client_backend(client_items, cfg);
+    ASSERT_EQ(other->absorb_wire({net::MessageType::kReconcileOffer, {}}).status,
+              Outcome::Status::kFailed);
+
+    std::vector<util::Bytes> wires;
+    EXPECT_EQ(flight_log(reg, &wires),
+              (std::vector<std::string>{
+                  "msg_sent rlchunk", "msg_received rlchunk", "decode reconcile_rateless 4",
+                  "msg_sent rlneed", "msg_sent rlchunk", "msg_received rlchunk",
+                  "decode reconcile_rateless 0", "decode reconcile_rateless 3"}));
+    EXPECT_EQ(wires, (std::vector<util::Bytes>{first.payload, first.payload, need.payload,
+                                               second.payload, second.payload}));
   }
 }
 

@@ -45,9 +45,9 @@ SyncSetup make_setup(std::size_t host_count, std::size_t overlap, std::size_t ex
 TEST(SetReconciler, OfferAloneSufficesWhenClientHasSuperset) {
   util::Rng rng(1);
   const SyncSetup s = make_setup(500, 500, 500, rng);
-  Host host(s.host_items, rng.next());
-  Client client(s.client_items);
-  const Outcome out = client.absorb_wire(host.open(s.client_items.size()));
+  const auto host = make_host_backend(s.host_items, rng.next(), {});
+  const auto client = make_client_backend(s.client_items, {});
+  const Outcome out = client->absorb_wire(host->open(s.client_items.size()));
   ASSERT_EQ(out.status, Outcome::Status::kComplete);
   EXPECT_EQ(out.host_set, s.host_items);
 }
@@ -63,10 +63,9 @@ TEST_P(ReconcileOverlapSweep, FullRoundRecoversHostSet) {
     const std::size_t host_count = 400;
     const auto overlap = static_cast<std::size_t>(overlap_frac * host_count);
     const SyncSetup s = make_setup(host_count, overlap, 200, rng);
-    Host host(s.host_items, rng.next());
-    Client client(s.client_items);
     Outcome out;
-    const SyncStats stats = reconcile_one_way(host, client, out);
+    const SyncStats stats =
+        reconcile_one_way(s.host_items, rng.next(), s.client_items, {}, out);
     if (stats.success) {
       ++complete;
       EXPECT_EQ(out.host_set, s.host_items);
@@ -88,52 +87,46 @@ TEST(SetReconciler, CrliteStyleRevocationCheck) {
   const ItemSet newly_revoked = random_items(50, rng);
   revocations.insert(newly_revoked.begin(), newly_revoked.end());
 
-  Host ca(revocations, rng.next());
-  Client checker(client);
   Outcome out;
-  const SyncStats stats = reconcile_one_way(ca, checker, out);
+  const SyncStats stats = reconcile_one_way(revocations, rng.next(), client, {}, out);
   ASSERT_TRUE(stats.success);
   for (const ItemDigest& d : newly_revoked) EXPECT_TRUE(out.host_set.count(d) > 0);
   // Far cheaper than shipping 1050 × 32-byte digests.
   EXPECT_LT(stats.total_bytes(), 1050u * 32u / 2u);
 }
 
+/// Parses `msg` and serializes it again: every message must come back as
+/// the bytes it arrived as.
+template <typename Msg>
+void expect_round_trip(const WireMsg& msg) {
+  util::ByteReader reader{util::ByteView(msg.payload)};
+  const Msg parsed = Msg::deserialize(reader);
+  EXPECT_TRUE(reader.done());
+  EXPECT_EQ(parsed.serialize(), msg.payload);
+}
+
 TEST(SetReconciler, WireRoundTripOfAllMessages) {
   util::Rng rng(5);
   const SyncSetup s = make_setup(300, 200, 100, rng);
-  const GrapheneHostBackend host(s.host_items, rng.next(), {});
-  GrapheneClientBackend client(s.client_items, {});
+  const auto host = make_host_backend(s.host_items, rng.next(), {});
+  const auto client = make_client_backend(s.client_items, {});
 
-  const Offer offer = host.make_offer(s.client_items.size());
-  util::Bytes offer_wire = offer.serialize();
-  EXPECT_EQ(offer_wire.size(), offer.serialized_size());
-  util::ByteReader ro{util::ByteView(offer_wire)};
-  const Offer offer2 = Offer::deserialize(ro);
-  EXPECT_EQ(offer2.count, offer.count);
-  EXPECT_EQ(offer2.set_checksum, offer.set_checksum);
-
-  Outcome out = client.absorb(offer2);
+  const WireMsg offer = host->open(s.client_items.size());
+  expect_round_trip<Offer>(offer);
+  Outcome out = client->absorb_wire(offer);
   if (out.status == Outcome::Status::kNeedsRequest) {
-    const Request req = client.make_request();
-    util::Bytes req_wire = req.serialize();
-    util::ByteReader rr{util::ByteView(req_wire)};
-    const Request req2 = Request::deserialize(rr);
-    EXPECT_EQ(req2.b, req.b);
-    EXPECT_DOUBLE_EQ(req2.fpr_r, req.fpr_r);
-
-    const Response resp = host.serve(req2);
-    util::Bytes resp_wire = resp.serialize();
-    util::ByteReader rs{util::ByteView(resp_wire)};
-    out = client.complete(Response::deserialize(rs));
+    const WireMsg req = client->next_request();
+    expect_round_trip<Request>(req);
+    const WireMsg resp = host->serve_wire(req);
+    expect_round_trip<Response>(resp);
+    out = client->absorb_wire(resp);
   }
   if (out.status == Outcome::Status::kNeedsFetch) {
-    const FetchRequest freq = client.make_fetch();
-    util::Bytes freq_wire = freq.serialize();
-    util::ByteReader rf{util::ByteView(freq_wire)};
-    const FetchResponse fresp = host.serve_fetch(FetchRequest::deserialize(rf));
-    util::Bytes fresp_wire = fresp.serialize();
-    util::ByteReader rg{util::ByteView(fresp_wire)};
-    out = client.complete_fetch(FetchResponse::deserialize(rg));
+    const WireMsg freq = client->next_request();
+    expect_round_trip<FetchRequest>(freq);
+    const WireMsg fresp = host->serve_wire(freq);
+    expect_round_trip<FetchResponse>(fresp);
+    out = client->absorb_wire(fresp);
   }
   EXPECT_EQ(out.status, Outcome::Status::kComplete);
 }
@@ -141,11 +134,14 @@ TEST(SetReconciler, WireRoundTripOfAllMessages) {
 TEST(SetReconciler, ChecksumCatchesWrongFinalSet) {
   util::Rng rng(6);
   const SyncSetup s = make_setup(100, 100, 0, rng);
-  const GrapheneHostBackend host(s.host_items, rng.next(), {});
-  GrapheneClientBackend client(s.client_items, {});
-  Offer offer = host.make_offer(s.client_items.size());
+  const auto host = make_host_backend(s.host_items, rng.next(), {});
+  const auto client = make_client_backend(s.client_items, {});
+  const WireMsg opening = host->open(s.client_items.size());
+  util::ByteReader reader{util::ByteView(opening.payload)};
+  Offer offer = Offer::deserialize(reader);
   offer.set_checksum ^= 0xdeadbeef;  // corrupted commitment
-  const Outcome out = client.absorb(offer);
+  const Outcome out =
+      client->absorb_wire({net::MessageType::kReconcileOffer, offer.serialize()});
   EXPECT_NE(out.status, Outcome::Status::kComplete);
 }
 
@@ -157,9 +153,10 @@ TEST(SetReconciler, DigestOfIsSha256) {
 TEST(SetReconciler, EmptyHostSetCompletesTrivially) {
   util::Rng rng(7);
   const ItemSet client_items = random_items(50, rng);
-  Host host(ItemSet{}, rng.next());
-  Client client(client_items);
-  const Outcome out = client.absorb_wire(host.open(client_items.size()));
+  const ItemSet host_items;
+  const auto host = make_host_backend(host_items, rng.next(), {});
+  const auto client = make_client_backend(client_items, {});
+  const Outcome out = client->absorb_wire(host->open(client_items.size()));
   EXPECT_EQ(out.status, Outcome::Status::kComplete);
   EXPECT_TRUE(out.host_set.empty());
 }
