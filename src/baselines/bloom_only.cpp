@@ -45,7 +45,7 @@ BloomOnlyResult run_bloom_only(const chain::Block& block, const chain::Mempool& 
   result.filter_bytes = filter.serialized_size();
 
   std::vector<chain::TxId> recovered;
-  for (const chain::TxId& id : mempool.ids()) {
+  for (const chain::TxId& id : mempool.id_view()) {
     if (filter.contains(util::ByteView(id.data(), id.size()))) recovered.push_back(id);
   }
   result.false_positives = recovered.size() > n ? recovered.size() - n : 0;

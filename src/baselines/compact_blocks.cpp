@@ -45,7 +45,7 @@ CompactBlocksResult run_compact_blocks(const chain::Block& block,
 
   // Receiver: match mempool short IDs against the announced ones.
   std::unordered_map<std::uint64_t, std::uint32_t> mempool_sids;  // sid → count
-  for (const chain::TxId& id : mempool.ids()) {
+  for (const chain::TxId& id : mempool.id_view()) {
     mempool_sids[chain::short_id6(key, id)] += 1;
   }
 

@@ -24,7 +24,7 @@ DifferenceDigestResult run_difference_digest(const chain::Block& block,
   }
   std::vector<std::uint64_t> pool_sids;
   std::unordered_set<std::uint64_t> pool_set;
-  for (const chain::TxId& id : mempool.ids()) {
+  for (const chain::TxId& id : mempool.id_view()) {
     const std::uint64_t sid = chain::short_id(id);
     pool_sids.push_back(sid);
     pool_set.insert(sid);

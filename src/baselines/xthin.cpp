@@ -16,7 +16,7 @@ XthinResult run_xthin(const chain::Block& block, const chain::Mempool& mempool,
   // Receiver → sender: Bloom filter over the mempool.
   bloom::BloomFilter filter(std::max<std::uint64_t>(m, 1), cfg.mempool_filter_fpr,
                             cfg.filter_seed);
-  for (const chain::TxId& id : mempool.ids()) {
+  for (const chain::TxId& id : mempool.id_view()) {
     filter.insert(util::ByteView(id.data(), id.size()));
   }
   result.getdata_filter_bytes = filter.serialized_size();
@@ -54,7 +54,7 @@ XthinResult run_xthin(const chain::Block& block, const chain::Mempool& mempool,
   // must be resolvable from the mempool by its 8-byte short ID.
   std::unordered_set<std::uint64_t> mempool_sids;
   bool collision = false;
-  for (const chain::TxId& id : mempool.ids()) {
+  for (const chain::TxId& id : mempool.id_view()) {
     if (!mempool_sids.insert(chain::short_id(id)).second) collision = true;
   }
   std::unordered_set<std::uint64_t> pushed_sids;

@@ -246,7 +246,7 @@ void RelayDaemon::add_connection(int fd) {
   conns_.emplace(fd, std::move(conn));
   conns_opened_.fetch_add(1, std::memory_order_relaxed);
   open_conns_.fetch_add(1, std::memory_order_release);
-  if (obs::Registry* reg = obs::enabled(opts_.protocol.obs)) {
+  if (obs::Registry* reg = opts_.protocol.obs) {
     reg->gauge("daemon_connections_open")
         .set(static_cast<double>(open_conns_.load(std::memory_order_relaxed)));
   }
@@ -401,7 +401,7 @@ void RelayDaemon::finish_conn(Conn& conn) {
   const auto reason = static_cast<std::size_t>(conn.session.reason());
   closed_by_reason_[reason].fetch_add(1, std::memory_order_relaxed);
   conns_closed_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::Registry* reg = obs::enabled(opts_.protocol.obs)) {
+  if (obs::Registry* reg = opts_.protocol.obs) {
     reg->counter("daemon_conns_closed_total",
                  {{"reason", to_string(conn.session.reason())}})
         .inc();
@@ -411,7 +411,7 @@ void RelayDaemon::finish_conn(Conn& conn) {
   const int fd = conn.fd;
   conns_.erase(fd);  // destroys `conn`
   open_conns_.fetch_sub(1, std::memory_order_release);
-  if (obs::Registry* reg = obs::enabled(opts_.protocol.obs)) {
+  if (obs::Registry* reg = opts_.protocol.obs) {
     reg->gauge("daemon_connections_open")
         .set(static_cast<double>(open_conns_.load(std::memory_order_relaxed)));
   }

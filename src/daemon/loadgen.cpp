@@ -351,7 +351,7 @@ LoadgenReport run_loadgen(const LoadgenOptions& opts) {
     report.sessions_per_sec = static_cast<double>(report.sessions_ok) * 1e9 /
                               static_cast<double>(elapsed);
   }
-  if (obs::Registry* reg = obs::enabled(opts.protocol.obs)) {
+  if (obs::Registry* reg = opts.protocol.obs) {
     auto& hist = reg->histogram("loadgen_session_ns");
     for (const std::uint64_t v : latencies) hist.observe(v);
   }

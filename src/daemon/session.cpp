@@ -210,7 +210,7 @@ void PeerSession::fail(CloseReason reason, ErrorCode code, const std::string& de
   out.push_back({net::MessageType::kDaemonError, err.serialize()});
   ++stats_.messages_out;
   reason_ = reason;
-  if (obs::Registry* reg = obs::enabled(obs_)) {
+  if (obs::Registry* reg = obs_) {
     reg->counter("daemon_session_errors_total", {{"code", to_string(code)}}).inc();
   }
 }
@@ -222,7 +222,7 @@ void PeerSession::record_session_end(std::uint64_t now_ns, bool ok,
   } else {
     ++stats_.sessions_failed;
   }
-  if (obs::Registry* reg = obs::enabled(obs_)) {
+  if (obs::Registry* reg = obs_) {
     const char* backend = backend_label(backend_kind_);
     const obs::Labels labels = {{"backend", backend}, {"ok", ok ? "1" : "0"}};
     reg->histogram("daemon_session_ns", labels).observe(now_ns - session_start_ns_);

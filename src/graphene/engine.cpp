@@ -109,7 +109,7 @@ GrapheneHost::Answer GrapheneHost::serve(const RequestSizing& request,
     ctx.z = request.z;
     ctx.y_star = request.y_star;
     ctx.b = request.b;
-    if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+    if (obs::FlightRecorder* fr = obs::flight(cfg_.obs)) {
       obs::record_event(*fr, obs::FlightEventKind::kError, stage,
                         {{"n", static_cast<double>(ctx.n)},
                          {"z", static_cast<double>(ctx.z)},
@@ -264,7 +264,7 @@ Peel GrapheneReceiver::peel(const iblt::Iblt& iblt_i) {
   span.attr("residual_cells", dec.residual_cells);
   span.attr("success", dec.success ? 1 : 0);
   span.attr("malformed", dec.malformed ? 1 : 0);
-  if (obs::Registry* reg = obs::enabled(stages_)) {
+  if (obs::Registry* reg = stages_) {
     reg->histogram("graphene_peel_iterations", {{"iblt", "i"}}).observe(dec.peel_iterations);
   }
 
@@ -325,7 +325,7 @@ Peel GrapheneReceiver::complete(const iblt::Iblt& iblt_j,
   const iblt::Iblt diff_j = iblt_j.subtract(mine);
   Peel out;
   out.decode = diff_j.decode();
-  if (obs::Registry* reg = obs::enabled(stages_)) {
+  if (obs::Registry* reg = stages_) {
     reg->histogram("graphene_peel_iterations", {{"iblt", "j"}})
         .observe(out.decode.peel_iterations);
   }
@@ -346,7 +346,7 @@ Peel GrapheneReceiver::complete(const iblt::Iblt& iblt_j,
     span.attr("rounds", pp.rounds);
     span.attr("success", pp.success ? 1 : 0);
     span.attr("malformed", pp.malformed ? 1 : 0);
-    if (obs::Registry* reg = obs::enabled(stages_)) {
+    if (obs::Registry* reg = stages_) {
       reg->histogram("graphene_pingpong_rounds").observe(pp.rounds);
       reg->counter("graphene_pingpong_total", {{"result", pp.success ? "rescued" : "failed"}})
           .inc();

@@ -249,7 +249,7 @@ ForensicCapture make_capture(std::string kind, std::string stage,
   cap.enable_pingpong = cfg.enable_pingpong;
   cap.round_trip_bytes = cfg.round_trip_bytes;
   cap.mempool = mempool.transactions();
-  if (obs::Registry* reg = obs::enabled(cfg.obs)) {
+  if (obs::Registry* reg = cfg.obs) {
     for (obs::FlightEvent& e : reg->recorder().events()) {
       if (e.seq >= first_seq) cap.events.push_back(std::move(e));
     }

@@ -28,8 +28,8 @@ const char* status_label(ReceiveStatus status) noexcept { return to_string(statu
 }  // namespace
 
 ReceiveSession::ReceiveSession(const chain::Mempool& mempool, ProtocolConfig cfg)
-    : mempool_(&mempool), cfg_(cfg), engine_(kBlockKeys, cfg, obs::enabled(cfg.obs)) {
-  if (obs::Registry* reg = obs::enabled(cfg_.obs)) {
+    : mempool_(&mempool), cfg_(cfg), engine_(kBlockKeys, cfg, cfg.obs) {
+  if (obs::Registry* reg = cfg_.obs) {
     first_event_ = reg->recorder().total_recorded();
   }
 }
@@ -38,7 +38,7 @@ Receiver::Receiver(const chain::Mempool& mempool, ProtocolConfig cfg)
     : mempool_(&mempool), cfg_(cfg) {}
 
 ReceiveOutcome ReceiveSession::receive_block(const GrapheneBlockMsg& msg) {
-  obs::Registry* reg = obs::enabled(cfg_.obs);
+  obs::Registry* reg = cfg_.obs;
   if (obs::FlightRecorder* fr = obs::flight(reg)) {
     obs::record_msg(*fr, obs::FlightEventKind::kMsgReceived, "grblk", msg,
                     {{"n", static_cast<double>(msg.n)},
@@ -95,7 +95,7 @@ ErrorContext ReceiveSession::error_context() const noexcept {
 
 void ReceiveSession::raise(const char* stage, const char* what) const {
   const ErrorContext ctx = error_context();
-  if (obs::Registry* reg = obs::enabled(cfg_.obs)) {
+  if (obs::Registry* reg = cfg_.obs) {
     obs::ScopedSpan span(reg, "error");
     span.attr("have_block_msg", ctx.have_block_msg ? 1 : 0);
     span.attr("n", ctx.n);
@@ -121,7 +121,7 @@ void ReceiveSession::raise(const char* stage, const char* what) const {
 }
 
 void ReceiveSession::dump_failure(const char* kind, const char* stage) const {
-  if (obs::Registry* reg = obs::enabled(cfg_.obs); reg != nullptr && capture_enabled()) {
+  if (obs::Registry* reg = cfg_.obs; reg != nullptr && capture_enabled()) {
     ForensicCapture cap = make_capture(kind, stage, *mempool_, cfg_, salt_, first_event_);
     cap.has_error = true;
     cap.error = error_context();
@@ -132,7 +132,7 @@ void ReceiveSession::dump_failure(const char* kind, const char* stage) const {
 }
 
 GrapheneRequestMsg ReceiveSession::build_request() {
-  obs::Registry* reg = obs::enabled(cfg_.obs);
+  obs::Registry* reg = cfg_.obs;
   if (!have_block_msg_) {
     raise("build_request", "no block message received");
   }
@@ -161,7 +161,7 @@ GrapheneRequestMsg ReceiveSession::build_request() {
 }
 
 ReceiveOutcome ReceiveSession::complete(const GrapheneResponseMsg& resp) {
-  obs::Registry* reg = obs::enabled(cfg_.obs);
+  obs::Registry* reg = cfg_.obs;
   if (!have_block_msg_) return {};  // kFailed: nothing to complete
   obs::ScopedSpan p2_span(reg, "p2_peel");
   p2_span.attr("missing", resp.missing.size());
@@ -221,7 +221,7 @@ ReceiveOutcome ReceiveSession::complete(const GrapheneResponseMsg& resp) {
 RepairRequestMsg ReceiveSession::build_repair() const {
   RepairRequestMsg req;
   req.short_ids = engine_.unresolved();
-  if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+  if (obs::FlightRecorder* fr = obs::flight(cfg_.obs)) {
     obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "getblocktxn", req,
                     {{"short_ids", static_cast<double>(req.short_ids.size())}});
   }
@@ -229,7 +229,7 @@ RepairRequestMsg ReceiveSession::build_repair() const {
 }
 
 ReceiveOutcome ReceiveSession::complete_repair(const RepairResponseMsg& resp) {
-  obs::Registry* reg = obs::enabled(cfg_.obs);
+  obs::Registry* reg = cfg_.obs;
   obs::ScopedSpan span(reg, "repair");
   span.attr("requested", engine_.unresolved().size());
   span.attr("received", resp.txns.size());

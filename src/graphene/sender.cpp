@@ -9,10 +9,10 @@ namespace graphene::core {
 Sender::Sender(chain::Block block, std::uint64_t salt, ProtocolConfig cfg)
     : block_(std::move(block)),
       cfg_(cfg),
-      engine_(block_.tx_ids(), salt, kBlockKeys, cfg, obs::enabled(cfg.obs)) {}
+      engine_(block_.tx_ids(), salt, kBlockKeys, cfg, cfg.obs) {}
 
 EncodeResult Sender::encode(std::uint64_t receiver_mempool_count) const {
-  obs::Registry* reg = obs::enabled(cfg_.obs);
+  obs::Registry* reg = cfg_.obs;
   const std::uint64_t n = block_.tx_count();
   const std::uint64_t m = std::max(receiver_mempool_count, n);
   GrapheneHost::Offer offer = engine_.offer(receiver_mempool_count);
@@ -45,7 +45,7 @@ EncodeResult Sender::encode(std::uint64_t receiver_mempool_count) const {
 }
 
 GrapheneResponseMsg Sender::serve(const GrapheneRequestMsg& request) const {
-  obs::Registry* reg = obs::enabled(cfg_.obs);
+  obs::Registry* reg = cfg_.obs;
   obs::ScopedSpan serve_span(reg, "p2_serve");
   GrapheneHost::Answer answer = engine_.serve({.z = request.z,
                                                .b = request.b,
@@ -83,7 +83,7 @@ GrapheneResponseMsg Sender::serve(const GrapheneRequestMsg& request) const {
 }
 
 RepairResponseMsg Sender::serve_repair(const RepairRequestMsg& request) const {
-  obs::Registry* reg = obs::enabled(cfg_.obs);
+  obs::Registry* reg = cfg_.obs;
   obs::ScopedSpan span(reg, "repair_serve");
   RepairResponseMsg resp;
   const std::vector<std::size_t> found = engine_.lookup(request.short_ids);

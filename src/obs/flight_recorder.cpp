@@ -1,6 +1,5 @@
 #include "obs/flight_recorder.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -103,7 +102,6 @@ FlightEvent FlightEvent::from_json(const json::Value& doc) {
 }
 
 void FlightRecorder::record(FlightEvent event) {
-#if GRAPHENE_OBS_ENABLED
   const std::uint64_t now = monotonic_ns();
   const util::MutexLock lock(mu_);
   if (!enabled_) return;
@@ -119,9 +117,6 @@ void FlightRecorder::record(FlightEvent event) {
     ring_[head_] = std::move(event);
     head_ = (head_ + 1) % ring_.size();
   }
-#else
-  (void)event;
-#endif
 }
 
 std::vector<FlightEvent> FlightRecorder::events() const {
@@ -149,31 +144,6 @@ std::uint64_t FlightRecorder::dropped() const {
   return next_seq_ - ring_.size();
 }
 
-std::size_t FlightRecorder::capacity() const {
-  const util::MutexLock lock(mu_);
-  return capacity_;
-}
-
-void FlightRecorder::normalize_locked() {
-  if (head_ != 0) {
-    std::rotate(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(head_),
-                ring_.end());
-    head_ = 0;
-  }
-}
-
-void FlightRecorder::set_capacity(std::size_t capacity) {
-  const util::MutexLock lock(mu_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  // Re-bounding is rare; restore chronological layout so push_back growth
-  // and oldest-first truncation both stay simple.
-  normalize_locked();
-  if (ring_.size() > capacity_) {
-    ring_.erase(ring_.begin(),
-                ring_.begin() + static_cast<std::ptrdiff_t>(ring_.size() - capacity_));
-  }
-}
-
 void FlightRecorder::set_enabled(bool enabled) {
   const util::MutexLock lock(mu_);
   enabled_ = enabled;
@@ -199,36 +169,6 @@ void FlightRecorder::clear() {
   ring_.clear();
   head_ = 0;
   next_seq_ = 0;
-}
-
-std::string FlightRecorder::to_json() const {
-  std::vector<FlightEvent> snapshot;
-  std::size_t capacity;
-  std::uint64_t recorded;
-  {
-    const util::MutexLock lock(mu_);
-    snapshot.reserve(ring_.size());
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      snapshot.push_back(ring_[(head_ + i) % ring_.size()]);
-    }
-    capacity = capacity_;
-    recorded = next_seq_;
-  }
-  // The events serialize themselves; assemble the envelope by hand since
-  // json::Writer has no raw-splice primitive.
-  std::string out = "{\"capacity\":";
-  json::number_to(out, static_cast<double>(capacity));
-  out += ",\"recorded\":";
-  json::number_to(out, static_cast<double>(recorded));
-  out += ",\"dropped\":";
-  json::number_to(out, static_cast<double>(recorded - snapshot.size()));
-  out += ",\"events\":[";
-  for (std::size_t i = 0; i < snapshot.size(); ++i) {
-    if (i > 0) out += ',';
-    out += snapshot[i].to_json();
-  }
-  out += "]}";
-  return out;
 }
 
 }  // namespace graphene::obs

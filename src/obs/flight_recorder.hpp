@@ -12,9 +12,9 @@
 //
 // The recorder lives on the Registry (Registry::recorder()), so it rides the
 // existing ProtocolConfig::obs opt-in: a null registry costs one branch, and
-// GRAPHENE_OBS_ENABLED=0 compiles record() to a no-op. The ring is bounded
-// (default 256 events) so a long-lived session cannot grow without limit;
-// overwritten events are counted in dropped().
+// set_enabled(false) keeps the registry's metrics while record() drops
+// events. The ring is bounded (default 256 events) so a long-lived session
+// cannot grow without limit; overwritten events are counted in dropped().
 #pragma once
 
 #include <cstdint>
@@ -26,10 +26,6 @@
 #include "util/bytes.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
-
-#ifndef GRAPHENE_OBS_ENABLED
-#define GRAPHENE_OBS_ENABLED 1
-#endif
 
 namespace graphene::obs {
 
@@ -70,8 +66,8 @@ struct FlightEvent {
 };
 
 /// Thread-safe bounded ring of FlightEvents. Oldest events are overwritten
-/// once `capacity()` is reached; sequence numbers keep counting, so
-/// dropped() = total_recorded() - size().
+/// once the capacity given at construction is reached; sequence numbers keep
+/// counting, so dropped() = total_recorded() - size().
 class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 256;
@@ -82,7 +78,7 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Appends one event (stamps seq and t_ns). No-op when the recorder is
-  /// disabled or GRAPHENE_OBS_ENABLED=0.
+  /// disabled.
   void record(FlightEvent event) EXCLUDES(mu_);
 
   /// Events currently held, oldest first.
@@ -90,10 +86,6 @@ class FlightRecorder {
   [[nodiscard]] std::size_t size() const EXCLUDES(mu_);
   [[nodiscard]] std::uint64_t total_recorded() const EXCLUDES(mu_);
   [[nodiscard]] std::uint64_t dropped() const EXCLUDES(mu_);
-
-  [[nodiscard]] std::size_t capacity() const EXCLUDES(mu_);
-  /// Re-bounds the ring; keeps the newest events when shrinking.
-  void set_capacity(std::size_t capacity) EXCLUDES(mu_);
 
   /// Runtime kill switch (default on): lets a benchmark or a high-traffic
   /// deployment keep the Registry's metrics while skipping event capture.
@@ -107,18 +99,11 @@ class FlightRecorder {
 
   void clear() EXCLUDES(mu_);
 
-  /// {"capacity":N,"recorded":N,"dropped":N,"events":[...]} — events as in
-  /// FlightEvent::to_json.
-  [[nodiscard]] std::string to_json() const EXCLUDES(mu_);
-
  private:
-  /// Rotates ring_ so the oldest event sits at index 0 (head_ becomes 0).
-  void normalize_locked() REQUIRES(mu_);
-
   mutable util::Mutex mu_;
   std::vector<FlightEvent> ring_ GUARDED_BY(mu_);  // circular; oldest at head_
   std::size_t head_ GUARDED_BY(mu_) = 0;
-  std::size_t capacity_ GUARDED_BY(mu_);
+  const std::size_t capacity_;
   std::uint64_t next_seq_ GUARDED_BY(mu_) = 0;
   bool enabled_ GUARDED_BY(mu_) = true;
   bool wire_capture_ GUARDED_BY(mu_) = true;

@@ -97,12 +97,6 @@ const Counter* Registry::find_counter(std::string_view name, const Labels& label
   return it == counters_.end() ? nullptr : it->second.get();
 }
 
-const Gauge* Registry::find_gauge(std::string_view name, const Labels& labels) const {
-  const util::MutexLock lock(mu_);
-  const auto it = gauges_.find(make_key(name, labels));
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
 const Histogram* Registry::find_histogram(std::string_view name,
                                           const Labels& labels) const {
   const util::MutexLock lock(mu_);
@@ -333,15 +327,6 @@ std::string Registry::to_prometheus() const {
   }
 
   return out;
-}
-
-void Registry::clear() {
-  const util::MutexLock lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  trace_.clear();
-  recorder_.clear();
 }
 
 }  // namespace graphene::obs

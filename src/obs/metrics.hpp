@@ -5,10 +5,7 @@
 //   * metric updates are lock-free (relaxed atomics) — the Registry mutex is
 //     only taken on first lookup of a (name, labels) pair and on export;
 //   * instrumented code holds plain pointers, so the disabled path is a
-//     single null check (`if (reg) ...`);
-//   * a compile-time toggle (GRAPHENE_OBS_ENABLED=0, set by the CMake option
-//     GRAPHENE_OBS=OFF) removes instrumentation bodies entirely for builds
-//     that must prove zero overhead.
+//     single null check (`if (reg) ...`).
 //
 // Metric addresses returned by the Registry are stable for its lifetime, so
 // hot loops can resolve a family once and update it without further lookups.
@@ -27,10 +24,6 @@
 #include "obs/trace.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
-
-#ifndef GRAPHENE_OBS_ENABLED
-#define GRAPHENE_OBS_ENABLED 1
-#endif
 
 namespace graphene::obs {
 
@@ -127,8 +120,6 @@ class Registry {
   [[nodiscard]] const Counter* find_counter(std::string_view name,
                                             const Labels& labels = {}) const
       EXCLUDES(mu_);
-  [[nodiscard]] const Gauge* find_gauge(std::string_view name,
-                                        const Labels& labels = {}) const EXCLUDES(mu_);
   [[nodiscard]] const Histogram* find_histogram(std::string_view name,
                                                 const Labels& labels = {}) const
       EXCLUDES(mu_);
@@ -157,9 +148,6 @@ class Registry {
   /// plus `_sum`/`_count`. Quantile summaries stay in to_json — Prometheus
   /// computes quantiles server-side from the buckets.
   [[nodiscard]] std::string to_prometheus() const EXCLUDES(mu_);
-
-  /// Drops every registered metric (invalidates outstanding references).
-  void clear() EXCLUDES(mu_);
 
  private:
   struct Key {

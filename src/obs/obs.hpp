@@ -4,8 +4,9 @@
 // Instrumentation contract:
 //   * every engine takes an optional `obs::Registry*` (via ProtocolConfig or
 //     a setter); nullptr means telemetry is off and costs one branch;
-//   * building with -DGRAPHENE_OBS=OFF (GRAPHENE_OBS_ENABLED=0) compiles the
-//     instrumentation bodies out entirely, for overhead-proof builds;
+//   * manual instrumentation blocks test that pointer directly
+//     (`if (obs::Registry* reg = cfg.obs) { ... }`), and flight events go
+//     through obs::flight(), which also honours the recorder's runtime switch;
 //   * each protocol stage opens a ScopedSpan which (a) appends a TraceSpan
 //     to the registry's TraceSink and (b) feeds the `graphene_stage_ns`
 //     histogram family labeled by stage.
@@ -34,11 +35,8 @@
 
 namespace graphene::obs {
 
-#if GRAPHENE_OBS_ENABLED
-
 /// RAII protocol-stage recorder. With a null registry every member is a
-/// cheap early-out; with GRAPHENE_OBS_ENABLED=0 the class itself becomes an
-/// empty shell (below) and the optimizer deletes the call sites.
+/// cheap early-out.
 class ScopedSpan {
  public:
   ScopedSpan(Registry* reg, std::string_view stage) : reg_(reg) {
@@ -57,7 +55,6 @@ class ScopedSpan {
   }
 
   [[nodiscard]] bool enabled() const noexcept { return reg_ != nullptr; }
-  [[nodiscard]] Registry* registry() const noexcept { return reg_; }
 
   ~ScopedSpan() {
     if (reg_ == nullptr) return;
@@ -72,48 +69,14 @@ class ScopedSpan {
   TraceSpan span_;
 };
 
-#else  // GRAPHENE_OBS_ENABLED == 0: instrumentation compiles to nothing.
-
-class ScopedSpan {
- public:
-  ScopedSpan(Registry*, std::string_view) noexcept {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  template <typename T>
-  void attr(std::string_view, T) noexcept {}
-  [[nodiscard]] bool enabled() const noexcept { return false; }
-  [[nodiscard]] Registry* registry() const noexcept { return nullptr; }
-};
-
-#endif  // GRAPHENE_OBS_ENABLED
-
-/// Gate for manual instrumentation blocks: returns the registry when
-/// telemetry is compiled in, a constant nullptr (letting the optimizer drop
-/// the block) when it is not. Call sites write
-///   if (obs::Registry* reg = obs::enabled(cfg.obs)) { ... }
-[[nodiscard]] inline Registry* enabled(Registry* reg) noexcept {
-#if GRAPHENE_OBS_ENABLED
-  return reg;
-#else
-  (void)reg;
-  return nullptr;
-#endif
-}
-
-/// Gate for flight-event blocks: the registry's recorder when telemetry is
-/// compiled in and the recorder is runtime-enabled, else a constant nullptr
-/// so the optimizer drops the block (including any msg.serialize() cost).
-/// Call sites write
+/// Gate for flight-event blocks: the registry's recorder when a registry is
+/// attached and its recorder is enabled, else nullptr, so the block
+/// (including any msg.serialize() cost) is skipped. Call sites write
 ///   if (obs::FlightRecorder* fr = obs::flight(reg)) obs::record_msg(*fr, ...);
 [[nodiscard]] inline FlightRecorder* flight(Registry* reg) {
-#if GRAPHENE_OBS_ENABLED
   if (reg == nullptr) return nullptr;
   FlightRecorder& rec = reg->recorder();
   return rec.enabled() ? &rec : nullptr;
-#else
-  (void)reg;
-  return nullptr;
-#endif
 }
 
 /// A flight event's numeric attributes, in the order they are recorded.

@@ -1,13 +1,11 @@
 #include "obs/trace.hpp"
 
 #include <cstddef>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "util/sync.hpp"
 
 namespace graphene::obs {
@@ -17,25 +15,6 @@ double TraceSpan::attr(std::string_view key, double fallback) const noexcept {
     if (k == key) return v;
   }
   return fallback;
-}
-
-std::string TraceSpan::to_json() const {
-  json::Writer w;
-  w.begin_object();
-  w.key("seq");
-  w.number(seq);
-  w.key("stage");
-  w.string(stage);
-  w.key("start_ns");
-  w.number(start_ns);
-  w.key("dur_ns");
-  w.number(dur_ns);
-  for (const auto& [k, v] : attrs) {
-    w.key(k);
-    w.number(v);
-  }
-  w.end_object();
-  return w.take();
 }
 
 void TraceSink::record(TraceSpan span) {
@@ -71,11 +50,6 @@ bool TraceSink::find(std::string_view stage, TraceSpan* out) const {
 std::size_t TraceSink::size() const {
   const util::MutexLock lock(mu_);
   return spans_.size();
-}
-
-void TraceSink::write_jsonl(std::ostream& out) const {
-  const util::MutexLock lock(mu_);
-  for (const TraceSpan& s : spans_) out << s.to_json() << '\n';
 }
 
 void TraceSink::clear() {

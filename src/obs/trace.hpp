@@ -1,5 +1,5 @@
 // Structured run traces: one TraceSpan per protocol stage, collected by a
-// TraceSink and exported as JSON Lines.
+// TraceSink (sim's runs.jsonl writes each run's spans as one JSON array).
 //
 // A span records the stage name, when it started, how long it took, and a
 // flat set of numeric attributes (sizing inputs, decode outcomes, byte
@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -32,9 +31,6 @@ struct TraceSpan {
 
   /// Attribute lookup; NaN-free telemetry means 0.0 is the safe default.
   [[nodiscard]] double attr(std::string_view key, double fallback = 0.0) const noexcept;
-
-  /// Compact single-line JSON object with attributes flattened in.
-  [[nodiscard]] std::string to_json() const;
 };
 
 /// Thread-safe append-only collection of spans.
@@ -49,9 +45,6 @@ class TraceSink {
   [[nodiscard]] bool find(std::string_view stage, TraceSpan* out = nullptr) const
       EXCLUDES(mu_);
   [[nodiscard]] std::size_t size() const EXCLUDES(mu_);
-
-  /// One JSON object per line, in record order.
-  void write_jsonl(std::ostream& out) const EXCLUDES(mu_);
 
   void clear() EXCLUDES(mu_);
 

@@ -146,7 +146,7 @@ PropagationResult propagate_block(const chain::Block& block, const Topology& top
   received[0] = 0.0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
 
-  obs::Registry* reg = obs::enabled(config.obs);
+  obs::Registry* reg = config.obs;
   auto schedule_relays = [&](std::uint32_t from, double now) {
     for (const std::uint32_t to : topology.neighbors(from)) {
       if (received[to] >= 0.0) continue;  // inv/getdata suppresses duplicates

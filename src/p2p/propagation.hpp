@@ -54,9 +54,9 @@ struct PropagationConfig {
   double mempool_coverage = 1.0;
   /// Extra (non-block) transactions per peer, as a multiple of block size.
   double extra_mempool_multiple = 1.0;
-  /// When non-null (and observability is compiled in), per-relay session
-  /// metrics — bytes by component, round counts, decode failures, repair
-  /// rate — aggregate into this registry, ready for Registry::to_prometheus.
+  /// When non-null, per-relay session metrics — bytes by component, round
+  /// counts, decode failures, repair rate — aggregate into this registry,
+  /// ready for Registry::to_prometheus.
   obs::Registry* obs = nullptr;
 };
 

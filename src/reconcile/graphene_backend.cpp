@@ -170,7 +170,7 @@ WireMsg GrapheneHostBackend::open(std::uint64_t client_count) {
   for (const std::uint64_t sid : engine_.short_ids()) offer.set_checksum ^= util::mix64(sid);
   offer.filter = std::move(parts.filter_s);
   offer.correction = std::move(parts.iblt_i);
-  if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+  if (obs::FlightRecorder* fr = obs::flight(cfg_.obs)) {
     obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "offer", offer,
                     {{"count", static_cast<double>(offer.count)},
                      {"bloom_bytes", static_cast<double>(offer.filter.serialized_size())},
@@ -180,7 +180,7 @@ WireMsg GrapheneHostBackend::open(std::uint64_t client_count) {
 }
 
 WireMsg GrapheneHostBackend::serve_wire(const WireMsg& request) {
-  obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs));
+  obs::FlightRecorder* fr = obs::flight(cfg_.obs);
   if (request.type == net::MessageType::kReconcileRequest) {
     const Request req = parse_payload<Request>(request, "reconcile::Request");
     core::GrapheneHost::Answer answer = engine_.serve({.z = req.candidate_count,
@@ -228,7 +228,7 @@ GrapheneClientBackend::GrapheneClientBackend(const ItemSet& items,
     : items_(&items), cfg_(cfg), engine_(kSetKeys, cfg, /*stages=*/nullptr) {}
 
 Outcome GrapheneClientBackend::absorb_wire(const WireMsg& msg) {
-  obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs));
+  obs::FlightRecorder* fr = obs::flight(cfg_.obs);
   Outcome out;  // kFailed: a message out of phase ends the session
   const char* decode = nullptr;
   if (phase_ == Phase::kAwaitOffer && msg.type == net::MessageType::kReconcileOffer) {
@@ -296,7 +296,7 @@ WireMsg GrapheneClientBackend::next_request() {
     req.y_star = params.y_star;
     req.fpr_r = params.fpr;
     req.reversed = params.reversed;
-    if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+    if (obs::FlightRecorder* fr = obs::flight(cfg_.obs)) {
       obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "request", req,
                       {{"z", static_cast<double>(req.candidate_count)},
                        {"b", static_cast<double>(req.b)},

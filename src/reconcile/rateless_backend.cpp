@@ -115,7 +115,7 @@ RatelessChunk RatelessHostBackend::chunk_for(std::uint64_t start,
   chunk.set_checksum = encoder_.set_checksum();
   chunk.symbols.assign(produced_.begin() + static_cast<std::ptrdiff_t>(start),
                        produced_.begin() + static_cast<std::ptrdiff_t>(start + count));
-  if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+  if (obs::FlightRecorder* fr = obs::flight(cfg_.obs)) {
     obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "rlchunk", chunk,
                     {{"start", static_cast<double>(start)},
                      {"symbols", static_cast<double>(count)},
@@ -174,7 +174,7 @@ Outcome RatelessClientBackend::fail() {
   Outcome out;
   out.status = Outcome::Status::kFailed;
   if (decoder_) out.symbols_consumed = decoder_->received();
-  if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+  if (obs::FlightRecorder* fr = obs::flight(cfg_.obs)) {
     obs::record_event(*fr, obs::FlightEventKind::kDecode, "reconcile_rateless",
                       {{"status", static_cast<double>(static_cast<int>(out.status))}});
   }
@@ -184,7 +184,7 @@ Outcome RatelessClientBackend::fail() {
 Outcome RatelessClientBackend::absorb_wire(const WireMsg& msg) {
   if (failed_ || msg.type != net::MessageType::kRatelessChunk) return fail();
   const RatelessChunk chunk = parse_payload<RatelessChunk>(msg, "reconcile::RatelessChunk");
-  if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+  if (obs::FlightRecorder* fr = obs::flight(cfg_.obs)) {
     obs::record_msg(*fr, obs::FlightEventKind::kMsgReceived, "rlchunk", chunk,
                     {{"start", static_cast<double>(chunk.start)},
                      {"symbols", static_cast<double>(chunk.symbols.size())},
@@ -239,7 +239,7 @@ Outcome RatelessClientBackend::absorb_wire(const WireMsg& msg) {
   } else {
     out.status = Outcome::Status::kNeedsMoreSymbols;
   }
-  if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+  if (obs::FlightRecorder* fr = obs::flight(cfg_.obs)) {
     obs::record_event(*fr, obs::FlightEventKind::kDecode, "reconcile_rateless",
                       {{"status", static_cast<double>(static_cast<int>(out.status))}});
   }
@@ -247,8 +247,9 @@ Outcome RatelessClientBackend::absorb_wire(const WireMsg& msg) {
 }
 
 WireMsg RatelessClientBackend::next_request() {
-  if (failed_ || !started_) {
-    throw std::logic_error("reconcile: rateless next_request() without an open stream");
+  // A decoded stream has ended the session: absorb_wire() returned kComplete.
+  if (failed_ || !started_ || decoder_->decoded()) {
+    throw std::logic_error("reconcile: rateless next_request() without a pending round");
   }
   const std::uint64_t received = decoder_->received();
   // Size the next chunk from what the session already holds: |h − c| bounds
@@ -272,7 +273,7 @@ WireMsg RatelessClientBackend::next_request() {
   RatelessNeed need;
   need.next_index = received;
   need.count = want < static_cast<double>(cap) ? static_cast<std::uint64_t>(want) : cap;
-  if (obs::FlightRecorder* fr = obs::flight(obs::enabled(cfg_.obs))) {
+  if (obs::FlightRecorder* fr = obs::flight(cfg_.obs)) {
     obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "rlneed", need,
                     {{"next_index", static_cast<double>(need.next_index)},
                      {"count", static_cast<double>(need.count)}});

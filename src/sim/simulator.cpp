@@ -221,7 +221,7 @@ TrialStats run_trials(const ScenarioSpec& spec, std::uint64_t trials, std::uint6
   // Batch-level aggregation into the caller's registry (the per-run JSONL
   // registries above are throwaway). Counters accumulate across batches;
   // histograms feed the p50/p95/p99 summaries in to_json/to_prometheus.
-  if (obs::Registry* reg = obs::enabled(cfg.obs)) {
+  if (obs::Registry* reg = cfg.obs) {
     for (std::uint64_t t = 0; t < trials; ++t) {
       const GrapheneRun& run = runs[t];
       reg->counter("graphene_sim_trials_total").inc();

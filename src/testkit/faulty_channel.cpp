@@ -10,7 +10,7 @@ namespace graphene::testkit {
 void FaultyChannel::note_delivery(net::Direction dir, net::MessageType type,
                                   const std::vector<util::Bytes>& out,
                                   const FaultCounts& before) {
-  obs::Registry* reg = obs::enabled(obs_);
+  obs::Registry* reg = obs_;
   if (reg == nullptr) return;
   reg->counter("graphene_fault_transmits_total").inc();
   reg->counter("graphene_fault_delivered_total").inc(out.size());

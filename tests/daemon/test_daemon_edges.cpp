@@ -3,16 +3,21 @@
 // pause/resume backpressure window (between the soft cap and the hard cap),
 // the post-close drain window (both outcomes: peer drains it, deadline
 // reaps it), listen() error paths, session move construction, and the
-// loadgen's connection-error accounting.
+// loadgen's connection-error accounting, against real daemons and against a
+// daemon the test plays by hand.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "daemon/loadgen.hpp"
@@ -89,9 +94,7 @@ TEST(DaemonEdges, ObsMetersSessionsAndCloseReasons) {
   drive(daemon, 4);
   EXPECT_EQ(daemon.open_connections(), 0u);
 
-#if GRAPHENE_OBS_ENABLED
   // Both backends metered, both close reasons counted, gauge back at zero.
-  // (With telemetry compiled out the registry records nothing.)
   EXPECT_EQ(reg.counter("daemon_sessions_total", {{"backend", "graphene"}, {"ok", "1"}})
                 .value(),
             1u);
@@ -107,7 +110,6 @@ TEST(DaemonEdges, ObsMetersSessionsAndCloseReasons) {
   EXPECT_EQ(reg.counter("daemon_conns_closed_total", {{"reason", "malformed"}}).value(),
             1u);
   EXPECT_EQ(reg.gauge("daemon_connections_open").value(), 0.0);
-#endif  // GRAPHENE_OBS_ENABLED
 }
 
 TEST(DaemonEdges, TcpAcceptRefusesBeyondMaxConnections) {
@@ -310,9 +312,162 @@ TEST(LoadgenEdges, RefusedConnectionsCountAsErrorsAndMirrorIntoObs) {
 
   EXPECT_EQ(report.sessions_ok, 4u);
   EXPECT_EQ(report.conn_errors, 4u);
-#if GRAPHENE_OBS_ENABLED
   EXPECT_EQ(reg.histogram("loadgen_session_ns").count(), 4u);
-#endif  // GRAPHENE_OBS_ENABLED
+}
+
+/// A loopback listener on an ephemeral port where a test plays the daemon by
+/// hand against run_loadgen(). `narrow` shrinks the receive buffer and the
+/// segment size before listen(), so the accepted connection inherits both.
+class HandDaemon {
+ public:
+  explicit HandDaemon(bool narrow = false) {
+    listener_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (listener_ < 0) return;
+    const int tiny = 1;
+    const int mss = 536;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    socklen_t len = sizeof addr;
+    if ((narrow &&
+         (::setsockopt(listener_, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof tiny) != 0 ||
+          ::setsockopt(listener_, IPPROTO_TCP, TCP_MAXSEG, &mss, sizeof mss) != 0)) ||
+        ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
+        ::bind(listener_, static_cast<const sockaddr*>(static_cast<const void*>(&addr)),
+               sizeof addr) != 0 ||
+        ::listen(listener_, 1) != 0 ||
+        ::getsockname(listener_, static_cast<sockaddr*>(static_cast<void*>(&addr)), &len) !=
+            0) {
+      return;
+    }
+    port_ = ntohs(addr.sin_port);
+  }
+  ~HandDaemon() {
+    if (conn_ >= 0) ::close(conn_);
+    if (listener_ >= 0) ::close(listener_);
+  }
+  HandDaemon(const HandDaemon&) = delete;
+  HandDaemon& operator=(const HandDaemon&) = delete;
+
+  /// 0 when the listener could not be set up.
+  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+
+  /// Accepts the client's one connection and reads its first frame, the
+  /// first session's hello: from then on a session is open on the client.
+  [[nodiscard]] bool accept_hello() {
+    conn_ = ::accept4(listener_, nullptr, nullptr, SOCK_CLOEXEC);
+    net::FrameReader reader;
+    std::optional<net::Message> first;
+    while (conn_ >= 0 && !first) {
+      std::uint8_t buf[64];
+      const ssize_t n = ::recv(conn_, buf, sizeof buf, 0);
+      if (n <= 0) return false;
+      reader.absorb(util::ByteView(buf, static_cast<std::size_t>(n)));
+      first = reader.next();
+    }
+    return first.has_value() && first->type == net::MessageType::kDaemonHello;
+  }
+
+  /// Writes all of `bytes` (blocking); false if the connection died first.
+  bool send_all(util::ByteView bytes, int flags = 0) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n =
+          ::send(conn_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL | flags);
+      if (n <= 0) return false;
+      sent += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  /// Closes the connection with a reset instead of a FIN.
+  void reset() {
+    const linger abort{1, 0};
+    (void)::setsockopt(conn_, SOL_SOCKET, SO_LINGER, &abort, sizeof abort);
+    ::close(conn_);
+    conn_ = -1;
+  }
+
+ private:
+  int listener_ = -1;
+  int conn_ = -1;
+  std::uint16_t port_ = 0;
+};
+
+LoadgenOptions one_connection(std::uint16_t port, const reconcile::ItemSet& items,
+                              std::uint32_t sessions) {
+  LoadgenOptions lg;
+  lg.port = port;
+  lg.connections = 1;
+  lg.sessions_per_conn = sessions;
+  lg.workers = 1;
+  lg.items = &items;
+  lg.protocol.reconcile_backend = core::ReconcileBackend::kRatelessIblt;
+  lg.deadline_ns = 60ULL * 1000 * 1000 * 1000;
+  return lg;
+}
+
+TEST(LoadgenEdges, ResetMidSessionIsAConnectionError) {
+  // The daemon resets the connection while the client waits for its first
+  // reply: the read fails with ECONNRESET, and the connection counts as an
+  // error while the session it carried counts neither way.
+  HandDaemon daemon;
+  ASSERT_NE(daemon.port(), 0);
+  const reconcile::ItemSet client_items = make_items(5);
+  LoadgenReport report;
+  std::thread load(
+      [&] { report = run_loadgen(one_connection(daemon.port(), client_items, 1)); });
+  EXPECT_TRUE(daemon.accept_hello());
+  daemon.reset();
+  load.join();
+
+  EXPECT_EQ(report.sessions_ok, 0u);
+  EXPECT_EQ(report.sessions_failed, 0u);
+  EXPECT_EQ(report.conn_errors, 1u);
+}
+
+TEST(LoadgenEdges, FrameAfterTheLastSessionIsAConnectionError) {
+  // The daemon reads only the first hello. It ends each of the client's
+  // sessions with a message the rateless client refuses (one bye each), then
+  // keeps sending frames. Its narrow receive window lets the kernel take
+  // only part of the client's 236 KB of hellos and byes (about 28 KB on a
+  // Linux 6 loopback), so after its last session the client cannot close
+  // and must read on: the next frame arrives outside any session, a
+  // connection error.
+  constexpr std::uint32_t kSessions = 4'000;
+  HandDaemon daemon(/*narrow=*/true);
+  ASSERT_NE(daemon.port(), 0);
+  const reconcile::ItemSet client_items = make_items(5);
+  LoadgenReport report;
+  std::atomic<bool> load_done{false};
+  std::thread load([&] {
+    report = run_loadgen(one_connection(daemon.port(), client_items, kSessions));
+    load_done.store(true, std::memory_order_release);
+  });
+  // Nothing is sent before the hello, so no frame reaches the client before
+  // its first session has started.
+  EXPECT_TRUE(daemon.accept_hello());
+  const util::Bytes refused = net::encode_frame({net::MessageType::kReconcileOffer, {}});
+  util::Bytes script;
+  script.reserve(refused.size() * kSessions);
+  for (std::uint32_t i = 0; i < kSessions; ++i) {
+    script.insert(script.end(), refused.begin(), refused.end());
+  }
+  EXPECT_TRUE(daemon.send_all(script));
+  // The frame after the last session: resent until the client gives up on
+  // the connection, since one that shares a read with the last session's
+  // message waits for the next read.
+  for (int i = 0; i < 10'000 && !load_done.load(std::memory_order_acquire); ++i) {
+    (void)daemon.send_all(refused, MSG_DONTWAIT);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  load.join();
+
+  EXPECT_EQ(report.sessions_ok, 0u);
+  EXPECT_EQ(report.sessions_failed, kSessions);
+  EXPECT_EQ(report.conn_errors, 1u);
+  // Most of what the client wrote, a hello and a bye per session, was still
+  // queued when it dropped the connection.
+  EXPECT_LT(report.bytes_out, std::uint64_t{kSessions} * net::kEnvelopeBytes);
 }
 
 }  // namespace

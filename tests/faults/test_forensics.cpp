@@ -169,8 +169,6 @@ TEST(ForensicsEnv, CaptureRoundTripsWithoutTelemetry) {
   EXPECT_THROW((void)ForensicCapture::from_json(json), obs::json::ParseError);
 }
 
-#if GRAPHENE_OBS_ENABLED
-
 TEST(Forensics, ForcedUndersizedIbltFailureReplaysExactly) {
   ScopedCaptureDir capture_dir;
   util::Rng rng(0x5eed);
@@ -620,8 +618,6 @@ TEST(Forensics, EveryFaultInducedFailureYieldsReplayableCapture) {
   EXPECT_GT(failures, 10u);
   EXPECT_GT(replayed, 0u);
 }
-
-#endif  // GRAPHENE_OBS_ENABLED
 
 }  // namespace
 }  // namespace graphene::core

@@ -130,9 +130,6 @@ TEST(EndToEnd, Protocol1RunEmitsExpectedSpanSequence) {
   // Telemetry contract: a clean Protocol-1 relay produces exactly the
   // sender's three encode stages followed by the receiver's two decode
   // stages, and the per-outcome counter records the decode.
-#if !GRAPHENE_OBS_ENABLED
-  GTEST_SKIP() << "telemetry compiled out (GRAPHENE_OBS=OFF)";
-#endif
   util::Rng rng(6);
   chain::ScenarioSpec spec;
   spec.block_txns = 500;
@@ -170,9 +167,6 @@ TEST(EndToEnd, Protocol1RunEmitsExpectedSpanSequence) {
 TEST(EndToEnd, Protocol2RunEmitsRequestAndPeelSpans) {
   // Drive a receiver that is missing block transactions; the trace must walk
   // through the Protocol 2 stages in order.
-#if !GRAPHENE_OBS_ENABLED
-  GTEST_SKIP() << "telemetry compiled out (GRAPHENE_OBS=OFF)";
-#endif
   util::Rng rng(7);
   chain::ScenarioSpec spec;
   spec.block_txns = 300;

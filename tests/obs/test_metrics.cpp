@@ -2,7 +2,6 @@
 // trace spans, and Registry thread-safety.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -220,46 +219,18 @@ TEST(TraceSink, RecordsInOrderWithSequenceNumbers) {
   EXPECT_FALSE(sink.find("nope"));
 }
 
-TEST(TraceSink, JsonlLinesParse) {
-  TraceSink sink;
-  TraceSpan s;
-  s.stage = "encode";
-  s.dur_ns = 123;
-  s.attrs.emplace_back("n", 2000.0);
-  sink.record(s);
-  sink.record(s);
-
-  std::ostringstream out;
-  sink.write_jsonl(out);
-  std::istringstream lines(out.str());
-  std::string line;
-  int count = 0;
-  while (std::getline(lines, line)) {
-    const json::Value doc = json::parse(line);
-    EXPECT_EQ(doc.at("stage").string, "encode");
-    EXPECT_DOUBLE_EQ(doc.at("dur_ns").number, 123.0);
-    EXPECT_DOUBLE_EQ(doc.at("n").number, 2000.0);
-    ++count;
-  }
-  EXPECT_EQ(count, 2);
-}
-
 TEST(ScopedSpan, RecordsSpanAndStageHistogram) {
   Registry reg;
   {
     ScopedSpan span(&reg, "unit_stage");
     span.attr("x", 7);
   }
-#if GRAPHENE_OBS_ENABLED
   TraceSpan got;
   ASSERT_TRUE(reg.trace().find("unit_stage", &got));
   EXPECT_DOUBLE_EQ(got.attr("x"), 7.0);
   const Histogram* h = reg.find_histogram("graphene_stage_ns", {{"stage", "unit_stage"}});
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), 1u);
-#else
-  EXPECT_EQ(reg.trace().size(), 0u);
-#endif
 }
 
 TEST(ScopedSpan, NullRegistryIsANoOp) {

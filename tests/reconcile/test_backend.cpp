@@ -1,7 +1,8 @@
 // The reconciliation backend seam: golden wire pins proving the Graphene
 // messages and the rateless coded-symbol stream survive refactors
 // byte-for-byte, the backend-agnostic driver loop, the rateless backend
-// end-to-end, the Graphene client's phase table, and the DigestHasher fix.
+// end-to-end, the Graphene client's phase table, the rateless client's
+// terminal outcomes, and the DigestHasher fix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -490,6 +491,48 @@ TEST(BackendWire, GrapheneClientTakesEachHostMessageOnlyInItsTurn) {
   EXPECT_THROW((void)client->next_request(), std::logic_error);
 }
 
+TEST(BackendWire, RatelessClientRefusesRequestsAfterATerminalOutcome) {
+  util::Rng rng(44);
+  const ItemSet host_items = pinned_items(rng.next(), 300);
+  ItemSet client_items = pinned_items(rng.next(), 150);
+  const std::vector<ItemDigest> host_sorted = sorted_of(host_items);
+  for (std::size_t i = 0; i < 150; ++i) client_items.insert(host_sorted[i]);
+  const auto host = make_host_backend(host_items, rng.next(), rateless_cfg());
+  const WireMsg opening = host->open(client_items.size());
+
+  // Before the stream opens there is nothing to ask for.
+  const auto idle = make_client_backend(client_items, rateless_cfg());
+  EXPECT_THROW((void)idle->next_request(), std::logic_error);
+
+  // After kComplete: an honest session, run to its end.
+  const auto honest = make_client_backend(client_items, rateless_cfg());
+  Outcome out = honest->absorb_wire(opening);
+  ASSERT_EQ(out.status, Outcome::Status::kNeedsMoreSymbols);  // d = 300 > 48 symbols
+  const WireMsg next_chunk = host->serve_wire(honest->next_request());
+  out = honest->absorb_wire(next_chunk);
+  while (needs_more(out.status)) {
+    out = honest->absorb_wire(host->serve_wire(honest->next_request()));
+  }
+  ASSERT_EQ(out.status, Outcome::Status::kComplete);
+  EXPECT_EQ(out.host_set, host_items);
+  EXPECT_THROW((void)honest->next_request(), std::logic_error);
+
+  // After kFailed: a message out of protocol before the stream opens, and a
+  // chunk whose stream header changed mid-session.
+  const auto wrong_type = make_client_backend(client_items, rateless_cfg());
+  out = wrong_type->absorb_wire({net::MessageType::kReconcileOffer, Offer{}.serialize()});
+  ASSERT_EQ(out.status, Outcome::Status::kFailed);
+  EXPECT_THROW((void)wrong_type->next_request(), std::logic_error);
+
+  RatelessChunk reseeded = parse<RatelessChunk>(next_chunk);
+  reseeded.salt ^= 1;
+  const auto client = make_client_backend(client_items, rateless_cfg());
+  ASSERT_EQ(client->absorb_wire(opening).status, Outcome::Status::kNeedsMoreSymbols);
+  out = client->absorb_wire({net::MessageType::kRatelessChunk, reseeded.serialize()});
+  ASSERT_EQ(out.status, Outcome::Status::kFailed);
+  EXPECT_THROW((void)client->next_request(), std::logic_error);
+}
+
 /// The recorder's events as "kind label", each decode's status appended,
 /// and the wire bytes of its message events in order.
 std::vector<std::string> flight_log(const obs::Registry& reg, std::vector<util::Bytes>* wires) {
@@ -507,9 +550,6 @@ std::vector<std::string> flight_log(const obs::Registry& reg, std::vector<util::
 }
 
 TEST(BackendWire, FlightRecorderLogsEachMessageAndDecode) {
-#if !GRAPHENE_OBS_ENABLED
-  GTEST_SKIP() << "telemetry compiled out (GRAPHENE_OBS=OFF)";
-#endif
   // Graphene, through its request and fetch rounds (the reversed-path pin).
   {
     const ItemSet host_items = pinned_items(0xc001, 400);

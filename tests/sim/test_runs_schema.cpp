@@ -82,10 +82,8 @@ TEST(RunsJsonlSchema, EveryRecordCarriesTheContractKeys) {
     EXPECT_DOUBLE_EQ(total, encoding + missing);
     EXPECT_GT(bytes.at("bloom_s").number + bytes.at("iblt_i").number, 0.0);
 
-#if GRAPHENE_OBS_ENABLED
     // The observed-FPR block rides on the p1_candidates span, which every
-    // telemetry-enabled run records; a GRAPHENE_OBS=OFF build records no
-    // spans, so these keys are legitimately absent there.
+    // run records.
     expect_number(v, "fpr_s_target");
     expect_number(v, "fp_observed");
     expect_number(v, "fpr_s_observed");
@@ -101,7 +99,6 @@ TEST(RunsJsonlSchema, EveryRecordCarriesTheContractKeys) {
       ASSERT_TRUE(span.contains("stage"));
       EXPECT_TRUE(span.at("stage").is_string());
     }
-#endif  // GRAPHENE_OBS_ENABLED
     ++records;
   }
   EXPECT_EQ(records, 8u);
