@@ -39,8 +39,9 @@ void set_nonblocking(int fd) {
 /// the socket-side residue: the bounded outbound buffer and epoll interest.
 struct RelayDaemon::Conn {
   Conn(int fd_in, const reconcile::ItemSet& items, std::uint64_t salt,
-       const DaemonLimits& limits, const core::ProtocolConfig& proto)
-      : fd(fd_in), session(items, salt, limits, proto) {}
+       const DaemonLimits& limits, const core::ProtocolConfig& proto,
+       RatelessEpochs& epochs)
+      : fd(fd_in), session(items, salt, limits, proto, &epochs) {}
 
   int fd;
   PeerSession session;
@@ -55,7 +56,7 @@ struct RelayDaemon::Conn {
 };
 
 RelayDaemon::RelayDaemon(reconcile::ItemSet items, DaemonOptions opts)
-    : items_(std::move(items)), opts_(opts) {
+    : items_(std::move(items)), opts_(opts), epochs_(items_, opts_.salt) {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) raise_errno("daemon: epoll_create1");
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
@@ -230,7 +231,8 @@ void RelayDaemon::add_connection(int fd) {
   const std::uint64_t salt = util::mix64(
       opts_.salt ^ conns_opened_.load(std::memory_order_relaxed) ^
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(fd)) << 32));
-  auto conn = std::make_unique<Conn>(fd, items_, salt, opts_.limits, opts_.protocol);
+  auto conn =
+      std::make_unique<Conn>(fd, items_, salt, opts_.limits, opts_.protocol, epochs_);
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = fd;

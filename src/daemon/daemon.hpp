@@ -23,6 +23,10 @@
 // kShutdown closes; in-flight sessions racing a stop are the TSan stress
 // suite's subject. Cross-thread entry points (adopt, stats, stop) touch only
 // the mutex-guarded intake queue and atomic counters.
+//
+// Shared across connections: the daemon's one RatelessEpochs (session.hpp),
+// so every rateless session of a salt epoch, whatever its connection, reads
+// one coded-symbol stream. Only the loop thread touches it.
 #pragma once
 
 #include <array>
@@ -49,7 +53,9 @@ struct DaemonOptions {
   core::ProtocolConfig protocol;
   /// Connections beyond this are accepted and immediately closed (refused).
   std::uint32_t max_connections = 8192;
-  /// Base salt for per-session short-ID keys.
+  /// Base salt. Mixed with the connection and the session, it keys each
+  /// Graphene session's short IDs; mixed with the epoch index, each rateless
+  /// salt epoch's coded-symbol stream (RatelessEpochs).
   std::uint64_t salt = 0x6461656d6f6eULL;
   /// Extra time a closed connection's queued bytes may take to drain.
   std::uint64_t drain_timeout_ns = 5ULL * 1000 * 1000 * 1000;
@@ -125,6 +131,9 @@ class RelayDaemon {
 
   reconcile::ItemSet items_;
   DaemonOptions opts_;
+  /// Loop-thread-only, like conns_, so it needs no lock; declared first, so
+  /// it outlives every session that points at it.
+  RatelessEpochs epochs_;
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;

@@ -15,7 +15,28 @@ const char* backend_label(core::ReconcileBackend backend) noexcept {
   return backend == core::ReconcileBackend::kRatelessIblt ? "rateless" : "graphene";
 }
 
+/// Domain separator of rateless epoch salts ("rlepoch" in ASCII), so that
+/// no epoch salt is derived the way a Graphene session salt is.
+constexpr std::uint64_t kEpochSaltDomain = 0x726c65706f6368ULL;
+
 }  // namespace
+
+std::shared_ptr<reconcile::RatelessStream> RatelessEpochs::take() {
+  if (!current_) {
+    const std::uint64_t epoch_salt =
+        util::mix64(util::mix64(salt_ ^ kEpochSaltDomain) + epoch_);
+    current_ = std::make_shared<reconcile::RatelessStream>(*items_, epoch_salt);
+  }
+  std::shared_ptr<reconcile::RatelessStream> stream = current_;
+  if (++taken_ == kRatelessEpochSessions) {
+    // The sessions still reading this epoch's stream keep it alive; the
+    // next hello builds the next epoch's.
+    current_.reset();
+    taken_ = 0;
+    ++epoch_;
+  }
+  return stream;
+}
 
 const char* to_string(CloseReason reason) noexcept {
   switch (reason) {
@@ -33,9 +54,13 @@ const char* to_string(CloseReason reason) noexcept {
 }
 
 PeerSession::PeerSession(const reconcile::ItemSet& items, std::uint64_t salt,
-                         const DaemonLimits& limits, core::ProtocolConfig proto)
+                         const DaemonLimits& limits, core::ProtocolConfig proto,
+                         RatelessEpochs* epochs)
     : items_(&items),
       salt_(salt),
+      own_epochs_(epochs == nullptr ? std::make_unique<RatelessEpochs>(items, salt)
+                                    : nullptr),
+      epochs_(epochs == nullptr ? own_epochs_.get() : epochs),
       limits_(limits),
       proto_(proto),
       obs_(proto.obs),
@@ -163,12 +188,18 @@ void PeerSession::handle_hello(std::uint64_t now_ns, const net::Message& msg,
   core::ProtocolConfig cfg = proto_;
   cfg.reconcile_backend = hello.backend == 1 ? core::ReconcileBackend::kRatelessIblt
                                              : core::ReconcileBackend::kGraphene;
-  // Fresh short-ID keying per session: a peer that grinds collisions against
-  // one offer learns nothing about the next.
-  const std::uint64_t session_salt =
-      util::mix64(salt_ ^ (0x9e3779b97f4a7c15ULL * (sessions_total_ + 1)));
   try {
-    backend_ = reconcile::make_host_backend(*items_, session_salt, cfg);
+    if (cfg.reconcile_backend == core::ReconcileBackend::kRatelessIblt) {
+      // The epoch's shared stream: its symbols depend on the set and the
+      // salt only, and a peer cannot place items in the set to grind them.
+      backend_ = std::make_unique<reconcile::RatelessHostBackend>(epochs_->take(), cfg);
+    } else {
+      // Fresh short-ID keying per session: a peer that grinds collisions
+      // against one offer learns nothing about the next.
+      const std::uint64_t session_salt =
+          util::mix64(salt_ ^ (0x9e3779b97f4a7c15ULL * (sessions_total_ + 1)));
+      backend_ = reconcile::make_host_backend(*items_, session_salt, cfg);
+    }
     reconcile::WireMsg opening = backend_->open(hello.item_count);
     serving_ = true;
     backend_kind_ = cfg.reconcile_backend;

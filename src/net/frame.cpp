@@ -1,5 +1,6 @@
 #include "net/frame.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -48,7 +49,10 @@ void encode_frame_into(util::Bytes& out, const Message& msg, std::uint64_t max_p
     throw util::DeserializeError("frame: payload " + std::to_string(msg.payload.size()) +
                                  " exceeds cap " + std::to_string(max_payload));
   }
-  out.reserve(out.size() + kEnvelopeBytes + msg.payload.size());
+  // A send queue takes frame after frame, so grow it geometrically: an exact
+  // reserve would copy the whole queue again for every frame appended.
+  const std::size_t needed = out.size() + kEnvelopeBytes + msg.payload.size();
+  if (needed > out.capacity()) out.reserve(std::max(needed, 2 * out.capacity()));
   util::ByteWriter w(std::move(out));
   append_envelope(w, msg.type, static_cast<std::uint32_t>(msg.payload.size()),
                   frame_checksum(util::ByteView(msg.payload)));

@@ -49,7 +49,10 @@ static_assert(kEnvelopeBytes == 4 + kFrameCommandBytes + 4 + 4,
     const Message& msg, std::uint64_t max_payload = util::wire::kMaxFramePayload);
 
 /// Appends the frame for `msg` directly onto `out` (a daemon send queue):
-/// byte-identical to encode_frame(), without the intermediate buffer.
+/// byte-identical to encode_frame(), without the intermediate buffer. When
+/// `out` must grow it at least doubles its capacity, so n frames appended
+/// without a drain cost O(log n) reallocations; with room it allocates
+/// nothing.
 void encode_frame_into(util::Bytes& out, const Message& msg,
                        std::uint64_t max_payload = util::wire::kMaxFramePayload);
 

@@ -54,8 +54,6 @@ class ScopedSpan {
     span_.attrs.emplace_back(std::string(key), static_cast<double>(value));
   }
 
-  [[nodiscard]] bool enabled() const noexcept { return reg_ != nullptr; }
-
   ~ScopedSpan() {
     if (reg_ == nullptr) return;
     span_.dur_ns = monotonic_ns() - span_.start_ns;

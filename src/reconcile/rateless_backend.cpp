@@ -98,65 +98,82 @@ RatelessNeed RatelessNeed::deserialize(util::ByteReader& reader) {
 
 // --- host -------------------------------------------------------------------
 
-RatelessHostBackend::RatelessHostBackend(const ItemSet& items, std::uint64_t salt,
-                                         core::ProtocolConfig cfg)
-    : salt_(salt), cfg_(cfg), encoder_(salt) {
+RatelessStream::RatelessStream(const ItemSet& items, std::uint64_t salt)
+    : salt_(salt), encoder_(salt) {
   for (const ItemDigest& d : items) encoder_.add_item(d);
-  stream_budget_ = 8 * encoder_.item_count() + 1024;
 }
 
-RatelessChunk RatelessHostBackend::chunk_for(std::uint64_t start,
-                                             std::uint64_t count) {
-  while (produced_.size() < start + count) produced_.push_back(encoder_.next_symbol());
+std::span<const iblt::CodedSymbol> RatelessStream::read(std::uint64_t start,
+                                                        std::uint64_t count) {
+  while (symbols_.size() < start + count) symbols_.push_back(encoder_.next_symbol());
+  return std::span<const iblt::CodedSymbol>(symbols_).subspan(start, count);
+}
+
+RatelessHostBackend::RatelessHostBackend(const ItemSet& items, std::uint64_t salt,
+                                         core::ProtocolConfig cfg)
+    : RatelessHostBackend(std::make_shared<RatelessStream>(items, salt), cfg) {}
+
+RatelessHostBackend::RatelessHostBackend(std::shared_ptr<RatelessStream> stream,
+                                         core::ProtocolConfig cfg)
+    : stream_(std::move(stream)),
+      cfg_(cfg),
+      stream_budget_(8 * stream_->host_count() + 1024) {}
+
+WireMsg RatelessHostBackend::chunk_for(std::uint64_t start, std::uint64_t count) {
+  const std::span<const iblt::CodedSymbol> symbols = stream_->read(start, count);
+  sent_end_ = std::max(sent_end_, start + count);
   RatelessChunk chunk;
   chunk.start = start;
-  chunk.host_count = encoder_.item_count();
-  chunk.salt = salt_;
-  chunk.set_checksum = encoder_.set_checksum();
-  chunk.symbols.assign(produced_.begin() + static_cast<std::ptrdiff_t>(start),
-                       produced_.begin() + static_cast<std::ptrdiff_t>(start + count));
+  chunk.host_count = stream_->host_count();
+  chunk.salt = stream_->salt();
+  chunk.set_checksum = stream_->set_checksum();
+  chunk.symbols.assign(symbols.begin(), symbols.end());
   if (obs::FlightRecorder* fr = obs::flight(cfg_.obs)) {
     obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "rlchunk", chunk,
                     {{"start", static_cast<double>(start)},
                      {"symbols", static_cast<double>(count)},
                      {"host_count", static_cast<double>(chunk.host_count)}});
   }
-  return chunk;
+  return {net::MessageType::kRatelessChunk, chunk.serialize()};
 }
 
 WireMsg RatelessHostBackend::open(std::uint64_t client_count) {
+  const std::uint64_t host_count = stream_->host_count();
   // An honest client needs ~1.35·d < 1.35·(n + m) symbols; budget a few
   // multiples of that so re-requests after faults always fit, while a peer
   // milking the stream for free CPU hits a typed error in bounded work.
-  stream_budget_ = std::max(stream_budget_,
-                            8 * (encoder_.item_count() + client_count) + 1024);
+  stream_budget_ = std::max(stream_budget_, 8 * (host_count + client_count) + 1024);
   // |host − client| is a lower bound on d, and the client consumes at least
   // d symbols, so none of these goes unread. A hello may claim 2^40 items.
   const std::uint64_t count =
-      std::min({std::max(kInitialSymbols, abs_diff(encoder_.item_count(), client_count)),
+      std::min({std::max(kInitialSymbols, abs_diff(host_count, client_count)),
                 util::wire::kMaxRatelessChunkSymbols, stream_budget_});
-  return {net::MessageType::kRatelessChunk, chunk_for(0, count).serialize()};
+  return chunk_for(0, count);
 }
 
 WireMsg RatelessHostBackend::serve_wire(const WireMsg& request) {
+  core::ErrorContext ctx;
+  ctx.n = stream_->host_count();
   if (request.type != net::MessageType::kRatelessNeed) {
-    core::ErrorContext ctx;
-    ctx.n = encoder_.item_count();
     throw core::ProtocolError("rateless_serve",
                               "unexpected message type for rateless backend", ctx);
   }
   const RatelessNeed need = parse_payload<RatelessNeed>(request, "reconcile::RatelessNeed");
+  ctx.z = need.next_index;
+  // An honest client asks from its decoder's cursor, which never passes the
+  // symbols it was sent; a need that starts further on would make the host
+  // draw symbols this session never saw the prefix of.
+  if (need.next_index > sent_end_) {
+    throw core::ProtocolError("rateless_serve",
+                              "symbol request starts past the symbols sent", ctx);
+  }
   const std::uint64_t count = std::clamp<std::uint64_t>(
       need.count, 1, util::wire::kMaxRatelessChunkSymbols);
   if (need.next_index + count > stream_budget_) {
-    core::ErrorContext ctx;
-    ctx.n = encoder_.item_count();
-    ctx.z = need.next_index;
     throw core::ProtocolError("rateless_serve", "symbol request beyond stream budget",
                               ctx);
   }
-  return {net::MessageType::kRatelessChunk,
-          chunk_for(need.next_index, count).serialize()};
+  return chunk_for(need.next_index, count);
 }
 
 // --- client -----------------------------------------------------------------

@@ -153,9 +153,11 @@ inline void drive(RelayDaemon& daemon, int iters) {
 
 /// Message-level shuttle: runs one full client session against a PeerSession
 /// with no transport at all. Returns the client's final status; `now_ns` is
-/// passed straight through to the session (fake time).
+/// passed straight through to the session (fake time). Every daemon message
+/// is appended to `from_daemon` when it is given.
 inline ClientSession::Status pump_session(PeerSession& session, ClientSession& client,
-                                          std::uint64_t now_ns, int max_steps = 200) {
+                                          std::uint64_t now_ns, int max_steps = 200,
+                                          std::vector<net::Message>* from_daemon = nullptr) {
   std::vector<net::Message> to_daemon{client.hello()};
   for (int step = 0; step < max_steps; ++step) {
     std::vector<net::Message> to_client;
@@ -164,6 +166,9 @@ inline ClientSession::Status pump_session(PeerSession& session, ClientSession& c
       if (!session.on_bytes(now_ns, frame, to_client)) break;
     }
     to_daemon.clear();
+    if (from_daemon != nullptr) {
+      from_daemon->insert(from_daemon->end(), to_client.begin(), to_client.end());
+    }
     for (const net::Message& msg : to_client) {
       if (client.on_message(msg, to_daemon) != ClientSession::Status::kInFlight) {
         // flush the bye so the session's accounting sees the result

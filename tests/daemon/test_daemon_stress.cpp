@@ -63,6 +63,40 @@ TEST(DaemonTcpIntegration, LoadgenCompletesSessionsOnBothBackends) {
   EXPECT_EQ(daemon.open_connections(), 0u);
 }
 
+TEST(DaemonTcpIntegration, RatelessSessionsAcrossSaltEpochsOnWorkerThreads) {
+  // 96 rateless sessions from 8 connections on 4 client threads: the
+  // daemon's loop thread serves them all from its epoch streams, crossing
+  // into a second epoch while other connections' sessions are in flight.
+  RelayDaemon daemon(make_items(200));
+  const std::uint16_t port = daemon.listen("127.0.0.1", 0);
+  ASSERT_NE(port, 0);
+  daemon.start();
+
+  const reconcile::ItemSet client_items = make_items(170, /*start=*/50);
+  LoadgenOptions lg;
+  lg.port = port;
+  lg.connections = 8;
+  lg.sessions_per_conn = 12;
+  lg.workers = 4;
+  lg.items = &client_items;
+  lg.protocol.reconcile_backend = core::ReconcileBackend::kRatelessIblt;
+  lg.deadline_ns = 60ULL * 1000 * 1000 * 1000;
+  const LoadgenReport report = run_loadgen(lg);
+  EXPECT_EQ(report.sessions_ok, 96u);
+  EXPECT_EQ(report.sessions_failed, 0u);
+  EXPECT_EQ(report.conn_errors, 0u);
+
+  for (std::uint64_t spin = 0; spin < 100'000'000ULL && daemon.stats().conns_closed < 8;
+       ++spin) {
+    std::this_thread::yield();
+  }
+  daemon.stop();
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.sessions_ok, 96u);
+  EXPECT_EQ(stats.sessions_failed, 0u);
+  EXPECT_EQ(daemon.open_connections(), 0u);
+}
+
 TEST(DaemonShutdownStress, StopRacesInFlightSessions) {
   const std::size_t fds_before = count_open_fds();
   const reconcile::ItemSet host_items = make_items(150);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "util/random.hpp"
@@ -214,6 +215,41 @@ TEST(Frame, RandomSplitsAlwaysReassemble) {
     ASSERT_TRUE(got.has_value());
     expect_same(msg, *got);
   }
+}
+
+TEST(Frame, AppendingToAnUndrainedQueueReallocatesLogarithmically) {
+  // A send queue that is not drained between frames (a daemon connection's
+  // queue, a load generator's) takes frame after frame: its capacity must
+  // grow geometrically, not by one frame at a time.
+  constexpr std::size_t kFrames = 20'000;
+  const Message hello = make_msg(MessageType::kDaemonHello, 7, 0x01);
+  const Message bye = make_msg(MessageType::kDaemonBye, 5, 0x02);
+  util::Bytes queue;
+  std::size_t capacity_changes = 0;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const std::size_t before = queue.capacity();
+    encode_frame_into(queue, i % 2 == 0 ? hello : bye);
+    if (queue.capacity() != before) ++capacity_changes;
+  }
+  // Doubling from one frame to 20,000 takes about 15 steps.
+  EXPECT_LE(capacity_changes, 32u);
+  EXPECT_EQ(queue.size(), kFrames / 2 * (2 * kEnvelopeBytes + 7 + 5));
+
+  // The queue holds exactly the frames encode_frame() builds, in order.
+  util::Bytes expected;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const util::Bytes frame = encode_frame(i % 2 == 0 ? hello : bye);
+    expected.insert(expected.end(), frame.begin(), frame.end());
+  }
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), queue.begin()));
+
+  // A buffer with room takes the frame in place.
+  util::Bytes roomy;
+  roomy.reserve(1024);
+  const std::uint8_t* data = roomy.data();
+  encode_frame_into(roomy, hello);
+  EXPECT_EQ(roomy.capacity(), 1024u);
+  EXPECT_EQ(roomy.data(), data);
 }
 
 }  // namespace
