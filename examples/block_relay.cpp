@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     channel.send(net::Direction::kSenderToReceiver,
                  net::Message{net::MessageType::kGrapheneResponse, resp.serialize()});
     std::printf("protocol 2 request: filter R = %zu B (b=%llu, y*=%llu%s)\n",
-                req.filter_r.serialized_size(), static_cast<unsigned long long>(req.b),
+                req.filter.serialized_size(), static_cast<unsigned long long>(req.b),
                 static_cast<unsigned long long>(req.y_star),
                 req.reversed ? ", m~n reversed path" : "");
     std::printf("protocol 2 response: %zu missing txns (%zu B), IBLT J = %zu B\n",

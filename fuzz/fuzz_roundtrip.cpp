@@ -90,7 +90,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   req.y_star = src.below(1u << 16);
   req.fpr_r = src.unit_fpr();
   req.reversed = src.below(2) == 1;
-  req.filter_r = bloom::BloomFilter(1 + src.below(500), src.unit_fpr(), src.u64());
+  req.filter = bloom::BloomFilter(1 + src.below(500), src.unit_fpr(), src.u64());
   check_roundtrip(req);
 
   core::GrapheneResponseMsg resp;

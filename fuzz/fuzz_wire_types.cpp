@@ -6,8 +6,10 @@
 // re-serialize identically. (The input itself need not round-trip byte for
 // byte: discarded transaction padding and bit-packing slack re-serialize
 // canonically.) This is the only harness that reaches the reconcile
-// Offer/Request/Response/FetchRequest/FetchResponse and the daemon
-// Hello/Bye/Error parsers; the others get a dedicated harness as well.
+// Offer/Response/FetchResponse and the daemon Hello/Bye/Error parsers; the
+// others get a dedicated harness as well. Each type has one route: the
+// reconcile request and fetch are core::GrapheneRequestMsg and
+// core::RepairRequestMsg.
 #include <cstdlib>
 #include <iterator>
 
@@ -16,7 +18,6 @@
 #include "graphene/messages.hpp"
 #include "harness.hpp"
 #include "iblt/iblt.hpp"
-#include "iblt/strata_estimator.hpp"
 #include "reconcile/graphene_backend.hpp"
 #include "reconcile/rateless_backend.hpp"
 
@@ -45,26 +46,24 @@ void round_trip(util::ByteView data) {
 using Route = void (*)(util::ByteView);
 
 // The route byte indexes this table; tools/gen_fuzz_corpus.cpp seeds every
-// entry by position, so append new types at the end.
+// entry by position, so append new types at the end, and regenerate the
+// corpus when one goes.
 constexpr Route kRoutes[] = {
     &round_trip<bloom::BloomFilter>,        // 0
     &round_trip<iblt::Iblt>,                // 1
-    &round_trip<iblt::StrataEstimator>,     // 2
-    &round_trip<core::GrapheneBlockMsg>,    // 3
-    &round_trip<core::GrapheneRequestMsg>,  // 4
-    &round_trip<core::GrapheneResponseMsg>, // 5
-    &round_trip<core::RepairRequestMsg>,    // 6
-    &round_trip<core::RepairResponseMsg>,   // 7
-    &round_trip<reconcile::Offer>,          // 8
-    &round_trip<reconcile::Request>,        // 9
-    &round_trip<reconcile::Response>,       // 10
-    &round_trip<reconcile::FetchRequest>,   // 11
-    &round_trip<reconcile::FetchResponse>,  // 12
-    &round_trip<reconcile::RatelessChunk>,  // 13
-    &round_trip<reconcile::RatelessNeed>,   // 14
-    &round_trip<daemon::HelloMsg>,          // 15
-    &round_trip<daemon::ByeMsg>,            // 16
-    &round_trip<daemon::ErrorMsg>,          // 17
+    &round_trip<core::GrapheneBlockMsg>,    // 2
+    &round_trip<core::GrapheneRequestMsg>,  // 3
+    &round_trip<core::GrapheneResponseMsg>, // 4
+    &round_trip<core::RepairRequestMsg>,    // 5
+    &round_trip<core::RepairResponseMsg>,   // 6
+    &round_trip<reconcile::Offer>,          // 7
+    &round_trip<reconcile::Response>,       // 8
+    &round_trip<reconcile::FetchResponse>,  // 9
+    &round_trip<reconcile::RatelessChunk>,  // 10
+    &round_trip<reconcile::RatelessNeed>,   // 11
+    &round_trip<daemon::HelloMsg>,          // 12
+    &round_trip<daemon::ByeMsg>,            // 13
+    &round_trip<daemon::ErrorMsg>,          // 14
 };
 
 }  // namespace

@@ -158,8 +158,7 @@ void PeerSession::handle_message(std::uint64_t now_ns, const net::Message& msg,
     return;
   }
   try {
-    out.push_back(backend_->serve_wire(msg));
-    ++stats_.messages_out;
+    reply(backend_->serve_wire(msg), out);
   } catch (const core::ProtocolError& e) {
     fail(CloseReason::kProtocolError, ErrorCode::kProtocol, e.what(), out);
   } catch (const util::DeserializeError& e) {
@@ -205,8 +204,7 @@ void PeerSession::handle_hello(std::uint64_t now_ns, const net::Message& msg,
     backend_kind_ = cfg.reconcile_backend;
     session_start_ns_ = now_ns;
     session_messages_ = 0;
-    out.push_back(std::move(opening));
-    ++stats_.messages_out;
+    reply(std::move(opening), out);
   } catch (const core::ProtocolError& e) {
     backend_.reset();
     fail(CloseReason::kProtocolError, ErrorCode::kProtocol, e.what(), out);
@@ -230,6 +228,19 @@ void PeerSession::handle_bye(std::uint64_t now_ns, const net::Message& msg,
     // accounting can tell rotations from faults.
     reason_ = CloseReason::kLimit;
   }
+}
+
+void PeerSession::reply(net::Message msg, std::vector<net::Message>& out) {
+  if (msg.payload.size() > limits_.max_frame_payload) {
+    fail(CloseReason::kLimit, ErrorCode::kLimit,
+         "daemon: " + std::string(net::command_name(msg.type)) + " reply of " +
+             std::to_string(msg.payload.size()) + " bytes exceeds the frame cap " +
+             std::to_string(limits_.max_frame_payload),
+         out);
+    return;
+  }
+  out.push_back(std::move(msg));
+  ++stats_.messages_out;
 }
 
 void PeerSession::fail(CloseReason reason, ErrorCode code, const std::string& detail,

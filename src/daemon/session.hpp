@@ -17,10 +17,12 @@
 // drives the session to kClosed with a typed CloseReason in bounded work —
 // malformed frames and backend rejections close kProtocolError/kMalformed
 // after an error frame; policy caps (messages per session, sessions per
-// connection) close kLimit; silence closes kIdleTimeout and an over-long
-// session kSessionTimeout via check_deadlines(). A session never blocks, so
-// a connection can only hang if its owner stops calling in — and the daemon's
-// loop always does under epoll timeouts.
+// connection) close kLimit; a reply whose payload exceeds max_frame_payload
+// is never sent, and closes kLimit after an error frame instead; silence
+// closes kIdleTimeout and an over-long session kSessionTimeout via
+// check_deadlines(). A session never blocks, so a connection can only hang
+// if its owner stops calling in — and the daemon's loop always does under
+// epoll timeouts.
 //
 // Rateless sessions read a coded-symbol stream shared by a salt epoch
 // (RatelessEpochs): a daemon's sessions share one epoch state, and a
@@ -49,7 +51,8 @@ namespace graphene::daemon {
 /// Policy knobs of one daemon instance. Defaults are sized for the bench's
 /// localhost load; tests shrink them to make every limit reachable.
 struct DaemonLimits {
-  /// Hard ceiling on one frame's payload (FrameReader cap).
+  /// Hard ceiling on one frame's payload, both ways: the FrameReader's cap,
+  /// and the largest reply the session sends (a larger one closes kLimit).
   std::uint64_t max_frame_payload = util::wire::kMaxFramePayload;
   /// Messages the peer may send within one hello..bye session. The Graphene
   /// backend needs ≤ 3 (request, fetch, bye); rateless needs one per chunk,
@@ -180,6 +183,9 @@ class PeerSession {
                     std::vector<net::Message>& out);
   void handle_bye(std::uint64_t now_ns, const net::Message& msg,
                   std::vector<net::Message>& out);
+  /// Appends `msg`, unless its payload exceeds limits_.max_frame_payload,
+  /// which no frame can carry: then the session fails kLimit instead.
+  void reply(net::Message msg, std::vector<net::Message>& out);
   void fail(CloseReason reason, ErrorCode code, const std::string& detail,
             std::vector<net::Message>& out);
   void record_session_end(std::uint64_t now_ns, bool ok, std::uint32_t rounds);

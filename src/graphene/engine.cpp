@@ -92,8 +92,7 @@ GrapheneHost::Offer GrapheneHost::offer(std::uint64_t receiver_count) const {
   return out;
 }
 
-GrapheneHost::Answer GrapheneHost::serve(const RequestSizing& request,
-                                         const bloom::BloomFilter& filter_r,
+GrapheneHost::Answer GrapheneHost::serve(const GrapheneRequestMsg& request,
                                          const char* stage) const {
   // Revalidate the sizing fields even though the deserializers cap each one:
   // serve() is also reachable with an in-memory request, and b + y* sizes
@@ -125,7 +124,7 @@ GrapheneHost::Answer GrapheneHost::serve(const RequestSizing& request,
   std::vector<util::ByteView> passed;
   passed.reserve(n);
   {
-    const std::vector<std::uint8_t> hit = scan(filter_r, ids_);
+    const std::vector<std::uint8_t> hit = scan(request.filter, ids_);
     for (std::size_t i = 0; i < ids_.size(); ++i) {
       if (hit[i] != 0) {
         passed.emplace_back(ids_[i].data(), ids_[i].size());
@@ -192,7 +191,9 @@ std::vector<std::size_t> GrapheneHost::lookup(
   out.reserve(short_ids.size());
   for (const std::uint64_t s : short_ids) {
     const auto it = by_sid.find(s);
-    if (it != by_sid.end()) out.push_back(it->second);
+    if (it == by_sid.end()) continue;
+    out.push_back(it->second);
+    by_sid.erase(it);
   }
   return out;
 }
@@ -282,7 +283,7 @@ Peel GrapheneReceiver::peel(const iblt::Iblt& iblt_i) {
   return out;
 }
 
-bloom::BloomFilter GrapheneReceiver::request(std::uint64_t m) {
+GrapheneRequestMsg GrapheneReceiver::request(std::uint64_t m) {
   const std::uint64_t z = candidates_.size();
   const double f_s = bloom::expected_fpr(s_bits_, s_hashes_, n_);
   {
@@ -299,11 +300,17 @@ bloom::BloomFilter GrapheneReceiver::request(std::uint64_t m) {
     span.attr("fpr_r", params2_.fpr);
     span.attr("reversed", params2_.reversed ? 1 : 0);
   }
+  GrapheneRequestMsg req;
+  req.z = z;
+  req.b = params2_.b;
+  req.y_star = params2_.y_star;
+  req.fpr_r = params2_.fpr;
+  req.reversed = params2_.reversed;
   obs::ScopedSpan span(stages_, "rfilter_build");
-  bloom::BloomFilter filter_r = filter_of(candidates_, 1, params2_.fpr, salt_ ^ keys_.r_seed);
+  req.filter = filter_of(candidates_, 1, params2_.fpr, salt_ ^ keys_.r_seed);
   span.attr("items", z);
-  span.attr("bits", filter_r.bit_count());
-  return filter_r;
+  span.attr("bits", req.filter.bit_count());
+  return req;
 }
 
 Peel GrapheneReceiver::complete(const iblt::Iblt& iblt_j,

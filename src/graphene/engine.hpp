@@ -4,14 +4,16 @@
 // The paper applies one protocol to blocks and to mempools (§3.2.1), and so
 // does this code: block relay (Sender, ReceiveSession) and set
 // reconciliation (reconcile::GrapheneHostBackend/GrapheneClientBackend) are
-// thin callers of GrapheneHost and GrapheneReceiver. A caller keeps its
-// message structs, what a missing item carries (a full transaction or a
-// digest), and the final check that certifies a decode (the Merkle root, or
-// the count and set checksum). The engine keeps the rest:
+// thin callers of GrapheneHost and GrapheneReceiver. Both send the same
+// Protocol 2 request and short-ID fetch (GrapheneRequestMsg and
+// RepairRequestMsg below), which the engine builds and reads whole. A caller
+// keeps its offer and response structs, what a missing item carries (a full
+// transaction or a digest), and the final check that certifies a decode (the
+// Merkle root, or the count and set checksum). The engine keeps the rest:
 //
 //   GrapheneHost      S and I; a request revalidated, partitioned by R,
 //                     the m ≈ n b search with filter F, then J; short IDs
-//                     mapped back to items
+//                     mapped back to items, each once
 //   GrapheneReceiver  local ids filtered through S and indexed by short ID
 //                     (with the set of ambiguous short IDs); I′ and J′
 //                     peeled, with ping-pong rescue; each peel resolved to
@@ -68,13 +70,30 @@ enum class Resolution : std::uint8_t {
   kFailed,        ///< malformed input, an ambiguous short ID, or a stuck peel
 };
 
-/// The sizing fields a Protocol 2 request carries besides filter R.
-struct RequestSizing {
-  std::uint64_t z = 0;
+/// Protocol 2 step 2: the receiver's filter R over its candidates Z, plus
+/// what the host needs to size its answer (b, y*, and the m ≈ n reversal
+/// flag). Block relay sends it as grblkreq and set reconciliation as rcnreq;
+/// the bytes are the same. Serialized in messages.cpp.
+struct GrapheneRequestMsg {
+  std::uint64_t z = 0;  ///< |Z|
   std::uint64_t b = 0;
   std::uint64_t y_star = 0;
-  double fpr_r = 1.0;
+  double fpr_r = 1.0;  ///< FPR of filter (the host re-derives bounds from it)
   bool reversed = false;
+  bloom::BloomFilter filter;  ///< R
+
+  [[nodiscard]] util::Bytes serialize() const;
+  static GrapheneRequestMsg deserialize(util::ByteReader& reader);
+};
+
+/// The short-ID fetch round (extension, DESIGN.md §6): short IDs the
+/// receiver decoded as host-only but holds no item for. Block relay sends it
+/// as getblocktxn and set reconciliation as rcnfetch. Serialized in
+/// messages.cpp.
+struct RepairRequestMsg {
+  std::vector<std::uint64_t> short_ids;
+  [[nodiscard]] util::Bytes serialize() const;
+  static RepairRequestMsg deserialize(util::ByteReader& reader);
 };
 
 /// Host side: one set, fixed at construction. All methods are const and
@@ -102,11 +121,11 @@ class GrapheneHost {
   };
   /// Protocol 2 steps 3–4. Throws ProtocolError under `stage` (after a flight
   /// event to cfg.obs) when the sizing fields are out of range.
-  [[nodiscard]] Answer serve(const RequestSizing& request,
-                             const bloom::BloomFilter& filter_r, const char* stage) const;
+  [[nodiscard]] Answer serve(const GrapheneRequestMsg& request, const char* stage) const;
 
-  /// Indices of the ids with the given short IDs, in request order; unknown
-  /// short IDs are skipped.
+  /// Indices of the ids with the given short IDs, in request order. Each
+  /// short ID is answered once: unknown and repeated ones are skipped, so an
+  /// answer never holds more items than the set.
   [[nodiscard]] std::vector<std::size_t> lookup(
       const std::vector<std::uint64_t>& short_ids) const;
 
@@ -149,8 +168,8 @@ class GrapheneReceiver {
   Peel peel(const iblt::Iblt& iblt_i);
 
   /// Protocol 2 steps 1–2 for a receiver holding `m` ids: chooses params()
-  /// and returns filter R over Z.
-  [[nodiscard]] bloom::BloomFilter request(std::uint64_t m);
+  /// and returns the request, z = |Z| with filter R over Z.
+  [[nodiscard]] GrapheneRequestMsg request(std::uint64_t m);
 
   /// Protocol 2 step 5: prunes Z by F (m ≈ n path), adds `missing`, then
   /// peels J ⊖ J′, with ping-pong against I when J alone leaves a 2-core.

@@ -95,7 +95,7 @@ util::Bytes GrapheneRequestMsg::serialize() const {
   std::memcpy(&fpr_bits, &fpr_r, sizeof(fpr_bits));
   w.u64(fpr_bits);
   w.u8(reversed ? 1 : 0);
-  filter_r.serialize_into(w);
+  filter.serialize_into(w);
   return w.take();
 }
 
@@ -113,7 +113,7 @@ GrapheneRequestMsg GrapheneRequestMsg::deserialize(util::ByteReader& reader) {
   std::memcpy(&msg.fpr_r, &fpr_bits, sizeof(msg.fpr_r));
   msg.fpr_r = checked_fpr(msg.fpr_r, "GrapheneRequestMsg");
   msg.reversed = read_presence_flag(reader, "GrapheneRequestMsg reversed");
-  msg.filter_r = bloom::BloomFilter::deserialize(reader);
+  msg.filter = bloom::BloomFilter::deserialize(reader);
   return msg;
 }
 

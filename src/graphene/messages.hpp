@@ -1,4 +1,7 @@
-// Graphene wire messages (the public network specification, §3.1–§3.2).
+// Graphene block-relay wire messages (the public network specification,
+// §3.1–§3.2). The Protocol 2 request and the short-ID fetch are shared with
+// set reconciliation, so graphene/engine.hpp declares them; their
+// serializers live here with the rest.
 //
 // Full transactions serialize to exactly their nominal `size_bytes` on the
 // wire (id + length + synthetic body), so byte accounting for "missing
@@ -10,6 +13,7 @@
 
 #include "bloom/bloom_filter.hpp"
 #include "chain/block.hpp"
+#include "graphene/engine.hpp"
 #include "iblt/iblt.hpp"
 
 namespace graphene::core {
@@ -27,20 +31,6 @@ struct GrapheneBlockMsg {
   static GrapheneBlockMsg deserialize(util::ByteReader& reader);
 };
 
-/// Protocol 2, step 2: the receiver's filter R plus the parameters the
-/// sender needs (b, y*, z and the m≈n reversal flag).
-struct GrapheneRequestMsg {
-  std::uint64_t z = 0;
-  std::uint64_t b = 0;
-  std::uint64_t y_star = 0;
-  double fpr_r = 1.0;  ///< FPR of filter_r (the sender re-derives bounds from it)
-  bool reversed = false;
-  bloom::BloomFilter filter_r;
-
-  [[nodiscard]] util::Bytes serialize() const;
-  static GrapheneRequestMsg deserialize(util::ByteReader& reader);
-};
-
 /// Protocol 2, steps 3–4: missing transactions, IBLT J, and — in the m≈n
 /// reversal — the sender's compensating filter F.
 struct GrapheneResponseMsg {
@@ -56,14 +46,8 @@ struct GrapheneResponseMsg {
   [[nodiscard]] std::size_t missing_tx_bytes() const noexcept;
 };
 
-/// Final repair round (extension, documented in DESIGN.md §6): short IDs the
-/// receiver decoded from an IBLT but holds no transaction for.
-struct RepairRequestMsg {
-  std::vector<std::uint64_t> short_ids;
-  [[nodiscard]] util::Bytes serialize() const;
-  static RepairRequestMsg deserialize(util::ByteReader& reader);
-};
-
+/// Final repair round (extension, documented in DESIGN.md §6): the full
+/// transactions for the short IDs of a RepairRequestMsg.
 struct RepairResponseMsg {
   std::vector<chain::Transaction> txns;
   [[nodiscard]] util::Bytes serialize() const;

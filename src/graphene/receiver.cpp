@@ -136,26 +136,19 @@ GrapheneRequestMsg ReceiveSession::build_request() {
   if (!have_block_msg_) {
     raise("build_request", "no block message received");
   }
-  GrapheneRequestMsg req;
-  req.z = engine_.candidates().size();
-  req.filter_r = engine_.request(mempool_->size());
-  const Protocol2Params& params = engine_.params();
-  req.b = params.b;
-  req.y_star = params.y_star;
-  req.fpr_r = params.fpr;
-  req.reversed = params.reversed;
+  GrapheneRequestMsg req = engine_.request(mempool_->size());
   if (reg != nullptr) {
-    reg->histogram("graphene_bloom_r_bytes").observe(req.filter_r.serialized_size());
+    reg->histogram("graphene_bloom_r_bytes").observe(req.filter.serialized_size());
   }
   if (obs::FlightRecorder* fr = obs::flight(reg)) {
     obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "grreq", req,
                     {{"z", static_cast<double>(req.z)},
-                     {"b", static_cast<double>(params.b)},
-                     {"x_star", static_cast<double>(params.x_star)},
-                     {"y_star", static_cast<double>(params.y_star)},
-                     {"fpr_r", params.fpr},
-                     {"reversed", params.reversed ? 1.0 : 0.0},
-                     {"bloom_bytes", static_cast<double>(req.filter_r.serialized_size())}});
+                     {"b", static_cast<double>(req.b)},
+                     {"x_star", static_cast<double>(engine_.params().x_star)},
+                     {"y_star", static_cast<double>(req.y_star)},
+                     {"fpr_r", req.fpr_r},
+                     {"reversed", req.reversed ? 1.0 : 0.0},
+                     {"bloom_bytes", static_cast<double>(req.filter.serialized_size())}});
   }
   return req;
 }

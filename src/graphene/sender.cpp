@@ -47,12 +47,7 @@ EncodeResult Sender::encode(std::uint64_t receiver_mempool_count) const {
 GrapheneResponseMsg Sender::serve(const GrapheneRequestMsg& request) const {
   obs::Registry* reg = cfg_.obs;
   obs::ScopedSpan serve_span(reg, "p2_serve");
-  GrapheneHost::Answer answer = engine_.serve({.z = request.z,
-                                               .b = request.b,
-                                               .y_star = request.y_star,
-                                               .fpr_r = request.fpr_r,
-                                               .reversed = request.reversed},
-                                              request.filter_r, "p2_serve");
+  GrapheneHost::Answer answer = engine_.serve(request, "p2_serve");
   GrapheneResponseMsg resp;
   resp.missing.reserve(answer.missing.size());
   for (const std::size_t i : answer.missing) resp.missing.push_back(block_.transactions()[i]);

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "util/hash.hpp"
-#include "util/varint.hpp"
 
 namespace graphene::iblt {
 
@@ -47,30 +46,10 @@ std::uint64_t StrataEstimator::estimate_difference(const StrataEstimator& other)
   return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(estimate));
 }
 
-util::Bytes StrataEstimator::serialize() const {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(strata_.size()));
-  for (const Iblt& s : strata_) s.serialize_into(w);
-  return w.take();
-}
-
 std::size_t StrataEstimator::serialized_size() const noexcept {
   std::size_t total = 1;
   for (const Iblt& s : strata_) total += s.serialized_size();
   return total;
-}
-
-StrataEstimator StrataEstimator::deserialize(util::ByteReader& reader, Config config) {
-  const std::uint8_t count = reader.u8();
-  if (count == 0 || count > 64) {
-    throw util::DeserializeError("StrataEstimator: invalid stratum count");
-  }
-  StrataEstimator est(1, config);
-  est.strata_.clear();
-  for (std::uint8_t s = 0; s < count; ++s) {
-    est.strata_.push_back(Iblt::deserialize(reader));
-  }
-  return est;
 }
 
 }  // namespace graphene::iblt

@@ -42,10 +42,10 @@ class StrataEstimator {
     return static_cast<std::uint32_t>(strata_.size());
   }
 
-  /// Wire format: u8(strata) | per-stratum IBLT payloads.
-  [[nodiscard]] util::Bytes serialize() const;
+  /// Bytes the estimator takes on a wire: a one-byte stratum count plus each
+  /// stratum's IBLT. The Difference Digest baseline charges this size; no
+  /// message carries an estimator, so it has no serializer.
   [[nodiscard]] std::size_t serialized_size() const noexcept;
-  static StrataEstimator deserialize(util::ByteReader& reader, Config config = {});
 
  private:
   [[nodiscard]] std::uint32_t stratum_of(std::uint64_t key) const noexcept;

@@ -82,7 +82,7 @@ RelayOutcome relay_once(const chain::Block& block, const chain::Mempool& mempool
       if (relay.request) {
         const core::GrapheneResponseMsg& resp = *relay.response;
         out.rounds += 1;
-        out.bloom_bytes += relay.request->filter_r.serialized_size();
+        out.bloom_bytes += relay.request->filter.serialized_size();
         out.iblt_bytes += resp.iblt_j.serialized_size();
         if (resp.filter_f) out.bloom_bytes += resp.filter_f->serialized_size();
         out.missing_txn_bytes += resp.missing_tx_bytes();

@@ -1,6 +1,5 @@
 #include "reconcile/graphene_backend.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 #include "graphene/errors.hpp"
@@ -50,41 +49,6 @@ Offer Offer::deserialize(util::ByteReader& reader) {
   return o;
 }
 
-util::Bytes Request::serialize() const {
-  util::ByteWriter w;
-  util::write_varint(w, candidate_count);
-  util::write_varint(w, b);
-  util::write_varint(w, y_star);
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &fpr_r, sizeof(bits));
-  w.u64(bits);
-  w.u8(reversed ? 1 : 0);
-  filter.serialize_into(w);
-  return w.take();
-}
-
-Request Request::deserialize(util::ByteReader& reader) {
-  Request r;
-  r.candidate_count = util::read_varint_bounded(reader, util::wire::kMaxWireCollection,
-                                                "reconcile::Request candidates");
-  r.b = util::read_varint_bounded(reader, util::wire::kMaxSizingParam,
-                                  "reconcile::Request b");
-  r.y_star = util::read_varint_bounded(reader, util::wire::kMaxSizingParam,
-                                       "reconcile::Request y_star");
-  const std::uint64_t bits = reader.u64();
-  std::memcpy(&r.fpr_r, &bits, sizeof(r.fpr_r));
-  if (!(r.fpr_r > 0.0 && r.fpr_r <= 1.0)) {
-    throw util::DeserializeError("reconcile::Request: fpr not in (0, 1]");
-  }
-  const std::uint8_t reversed_flag = reader.u8();
-  if (reversed_flag > 1) {
-    throw util::DeserializeError("reconcile::Request: invalid reversed flag");
-  }
-  r.reversed = reversed_flag == 1;
-  r.filter = bloom::BloomFilter::deserialize(reader);
-  return r;
-}
-
 util::Bytes Response::serialize() const {
   util::ByteWriter w;
   util::write_varint(w, missing.size());
@@ -110,25 +74,6 @@ Response Response::deserialize(util::ByteReader& reader) {
     throw util::DeserializeError("reconcile::Response: invalid presence flag");
   }
   if (compensation_flag == 1) r.compensation = bloom::BloomFilter::deserialize(reader);
-  return r;
-}
-
-util::Bytes FetchRequest::serialize() const {
-  util::ByteWriter w;
-  util::write_varint(w, short_ids.size());
-  for (const std::uint64_t s : short_ids) w.u64(s);
-  return w.take();
-}
-
-FetchRequest FetchRequest::deserialize(util::ByteReader& reader) {
-  FetchRequest r;
-  const std::uint64_t count = util::read_varint_bounded(
-      reader, util::wire::kMaxWireCollection, "reconcile::FetchRequest count");
-  if (count > reader.remaining() / 8) {
-    throw util::DeserializeError("reconcile::FetchRequest: count exceeds buffer");
-  }
-  r.short_ids.resize(count);
-  for (auto& s : r.short_ids) s = reader.u64();
   return r;
 }
 
@@ -182,13 +127,8 @@ WireMsg GrapheneHostBackend::open(std::uint64_t client_count) {
 WireMsg GrapheneHostBackend::serve_wire(const WireMsg& request) {
   obs::FlightRecorder* fr = obs::flight(cfg_.obs);
   if (request.type == net::MessageType::kReconcileRequest) {
-    const Request req = parse_payload<Request>(request, "reconcile::Request");
-    core::GrapheneHost::Answer answer = engine_.serve({.z = req.candidate_count,
-                                                       .b = req.b,
-                                                       .y_star = req.y_star,
-                                                       .fpr_r = req.fpr_r,
-                                                       .reversed = req.reversed},
-                                                      req.filter, "reconcile_serve");
+    const auto req = parse_payload<core::GrapheneRequestMsg>(request, "GrapheneRequestMsg");
+    core::GrapheneHost::Answer answer = engine_.serve(req, "reconcile_serve");
     Response resp;
     resp.missing.reserve(answer.missing.size());
     for (const std::size_t i : answer.missing) resp.missing.push_back(engine_.ids()[i]);
@@ -203,7 +143,7 @@ WireMsg GrapheneHostBackend::serve_wire(const WireMsg& request) {
     return {net::MessageType::kReconcileResponse, resp.serialize()};
   }
   if (request.type == net::MessageType::kReconcileFetch) {
-    const FetchRequest req = parse_payload<FetchRequest>(request, "reconcile::FetchRequest");
+    const auto req = parse_payload<core::RepairRequestMsg>(request, "RepairRequestMsg");
     FetchResponse resp;
     for (const std::size_t i : engine_.lookup(req.short_ids)) {
       resp.items.push_back(engine_.ids()[i]);
@@ -271,8 +211,12 @@ Outcome GrapheneClientBackend::absorb_wire(const WireMsg& msg) {
     decode = "reconcile_p2";
   } else if (phase_ == Phase::kAwaitFetch &&
              msg.type == net::MessageType::kReconcileFetchResponse) {
-    engine_.add_fetched(
-        parse_payload<FetchResponse>(msg, "reconcile::FetchResponse").items);
+    const FetchResponse fetched = parse_payload<FetchResponse>(msg, "reconcile::FetchResponse");
+    if (fr != nullptr) {
+      obs::record_msg(*fr, obs::FlightEventKind::kMsgReceived, "fetchresp", fetched,
+                      {{"items", static_cast<double>(fetched.items.size())}});
+    }
+    engine_.add_fetched(fetched.items);
     out = certify(Outcome::Status::kFailed);
     decode = "reconcile_fetch";
   }
@@ -287,18 +231,12 @@ Outcome GrapheneClientBackend::absorb_wire(const WireMsg& msg) {
 }
 
 WireMsg GrapheneClientBackend::next_request() {
+  obs::FlightRecorder* fr = obs::flight(cfg_.obs);
   if (phase_ == Phase::kAwaitResponse) {
-    Request req;
-    req.candidate_count = engine_.candidates().size();
-    req.filter = engine_.request(items_->size());
-    const core::Protocol2Params& params = engine_.params();
-    req.b = params.b;
-    req.y_star = params.y_star;
-    req.fpr_r = params.fpr;
-    req.reversed = params.reversed;
-    if (obs::FlightRecorder* fr = obs::flight(cfg_.obs)) {
+    const core::GrapheneRequestMsg req = engine_.request(items_->size());
+    if (fr != nullptr) {
       obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "request", req,
-                      {{"z", static_cast<double>(req.candidate_count)},
+                      {{"z", static_cast<double>(req.z)},
                        {"b", static_cast<double>(req.b)},
                        {"y_star", static_cast<double>(req.y_star)},
                        {"fpr_r", req.fpr_r},
@@ -307,8 +245,11 @@ WireMsg GrapheneClientBackend::next_request() {
     return {net::MessageType::kReconcileRequest, req.serialize()};
   }
   if (phase_ == Phase::kAwaitFetch) {
-    FetchRequest req;
-    req.short_ids = engine_.unresolved();
+    const core::RepairRequestMsg req{engine_.unresolved()};
+    if (fr != nullptr) {
+      obs::record_msg(*fr, obs::FlightEventKind::kMsgSent, "fetch", req,
+                      {{"short_ids", static_cast<double>(req.short_ids.size())}});
+    }
     return {net::MessageType::kReconcileFetch, req.serialize()};
   }
   throw std::logic_error("reconcile: next_request() without a pending round");

@@ -3,18 +3,19 @@
 //
 // Both sides are thin callers of the Graphene engine (graphene/engine.hpp),
 // the same engine block relay runs. This layer keeps what is particular to
-// sets: the messages below (pinned bit-for-bit by tests/reconcile/
+// sets: the host messages below (pinned bit-for-bit by tests/reconcile/
 // test_backend.cpp golden hashes), digests as the items a response
 // carries, the count and set checksum as the final check, and the flight
 // events. A session runs through the four WireMsg methods alone, and the
 // client takes each host message only in its turn:
 //
 //   Offer          — host's digest of its set (Bloom filter S + IBLT I)
-//   Request        — client's repair request when the offer alone is not
-//                    decodable (Protocol 2 step 2 analogue)
+//   request        — client's Protocol 2 request when the offer alone is not
+//                    decodable: core::GrapheneRequestMsg, as in block relay
 //   Response       — host's missing items + correction IBLT J (+ F when m ≈ n)
-//   FetchRequest   — short IDs decoded as host-only but hidden by R's false
-//   FetchResponse    positives, resolved to digests in one final round
+//   fetch          — short IDs decoded as host-only but hidden by R's false
+//                    positives: core::RepairRequestMsg, as in block relay
+//   FetchResponse  — their digests, in one final round
 #pragma once
 
 #include <optional>
@@ -42,18 +43,10 @@ struct Offer {
   static Offer deserialize(util::ByteReader& reader);
 };
 
-/// Client-side repair request (Protocol 2 step 2 analogue).
-struct Request {
-  std::uint64_t candidate_count = 0;  ///< z
-  std::uint64_t b = 1;
-  std::uint64_t y_star = 1;
-  double fpr_r = 1.0;
-  bool reversed = false;
-  bloom::BloomFilter filter;  ///< R over the client's candidate digests
-
-  [[nodiscard]] util::Bytes serialize() const;
-  static Request deserialize(util::ByteReader& reader);
-};
+/// The client's two messages are block relay's, under their reconcile
+/// names for callers that still use them; new code names the core types.
+using Request = core::GrapheneRequestMsg;
+using FetchRequest = core::RepairRequestMsg;
 
 /// Host's answer: items the client certainly lacks plus IBLT J.
 struct Response {
@@ -65,14 +58,7 @@ struct Response {
   static Response deserialize(util::ByteReader& reader);
 };
 
-/// Final round: short IDs the client decoded as host-only but cannot map to
-/// a digest (they were hidden by R's false positives).
-struct FetchRequest {
-  std::vector<std::uint64_t> short_ids;
-  [[nodiscard]] util::Bytes serialize() const;
-  static FetchRequest deserialize(util::ByteReader& reader);
-};
-
+/// Final round: the digests of the short IDs the client fetched.
 struct FetchResponse {
   std::vector<ItemDigest> items;
   [[nodiscard]] util::Bytes serialize() const;

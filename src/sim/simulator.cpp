@@ -36,7 +36,7 @@ GrapheneRun run_impl(const Scenario& scenario, std::uint64_t salt,
   if (relay.request) {
     const core::GrapheneResponseMsg& resp = *relay.response;
     run.used_protocol2 = true;
-    run.bloom_r_bytes = relay.request->filter_r.serialized_size();
+    run.bloom_r_bytes = relay.request->filter.serialized_size();
     run.iblt_j_bytes = resp.iblt_j.serialized_size();
     if (resp.filter_f) run.bloom_f_bytes = resp.filter_f->serialized_size();
     run.missing_txn_bytes += resp.missing_tx_bytes();

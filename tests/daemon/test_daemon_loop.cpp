@@ -135,6 +135,37 @@ TEST(RelayDaemon, GarbageGetsTypedErrorFrameThenClose) {
             1u);
 }
 
+TEST(RelayDaemon, ReplyOverTheFrameCapClosesTypedWithoutThrowing) {
+  // A rateless hello claiming 2^40 items asks for a 2.7 MB first chunk,
+  // which no frame under a 1 MiB cap can carry. The loop must not throw
+  // while framing it: the peer gets a kLimit error frame instead.
+  DaemonOptions opts = small_opts();
+  opts.limits.max_frame_payload = 1 << 20;
+  RelayDaemon daemon(make_items(50), opts);
+  ScriptedPeer peer;
+  peer.adopt_into(daemon);
+  drive(daemon, 2);
+
+  HelloMsg hello;
+  hello.backend = 1;
+  hello.item_count = util::wire::kMaxDaemonItemCount;
+  peer.send_message({net::MessageType::kDaemonHello, hello.serialize()});
+  EXPECT_NO_THROW(drive(daemon, 4));
+
+  net::FrameReader reader;
+  reader.absorb(peer.recv_available());
+  const std::optional<net::Message> msg = reader.next();
+  ASSERT_TRUE(msg.has_value());
+  ASSERT_EQ(msg->type, net::MessageType::kDaemonError);
+  util::ByteReader payload(msg->payload);
+  EXPECT_EQ(ErrorMsg::deserialize(payload).code, ErrorCode::kLimit);
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_TRUE(peer.saw_eof());
+  EXPECT_EQ(daemon.open_connections(), 0u);
+  EXPECT_EQ(daemon.stats().closed_by_reason[static_cast<std::size_t>(CloseReason::kLimit)],
+            1u);
+}
+
 TEST(RelayDaemon, IdleTimeoutClosesOnFakeClock) {
   obs::ScopedFakeClock clock(1'000'000);
   DaemonOptions opts;

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "graphene/engine.hpp"
 #include "harness.hpp"
 #include "net/frame.hpp"
 #include "reconcile/graphene_backend.hpp"
@@ -279,6 +280,105 @@ TEST(PeerSession, SessionMessageCapCloses) {
   EXPECT_EQ(rig.session.reason(), CloseReason::kLimit);
   ASSERT_NE(rig.client.daemon_error(), nullptr);
   EXPECT_EQ(rig.client.daemon_error()->code, ErrorCode::kLimit);
+}
+
+/// Opens a session on `session` with a hello for `backend` claiming
+/// `item_count` items; returns whether the session stayed open and its replies.
+bool open_session(PeerSession& session, std::uint8_t backend, std::uint64_t item_count,
+                  std::vector<net::Message>& out) {
+  HelloMsg hello;
+  hello.backend = backend;
+  hello.item_count = item_count;
+  return session.on_bytes(
+      kNow, net::encode_frame({net::MessageType::kDaemonHello, hello.serialize()}), out);
+}
+
+/// The short ID under which a Graphene session's `offer` keys `item`
+/// (docs/PROTOCOL.md: SipHash keyed by {salt, salt ^ 0x6a09e667f3bcc908}).
+std::uint64_t set_short_id(const net::Message& offer, const reconcile::ItemDigest& item) {
+  EXPECT_EQ(offer.type, net::MessageType::kReconcileOffer);
+  util::ByteReader reader{util::ByteView(offer.payload)};
+  const std::uint64_t salt = reconcile::Offer::deserialize(reader).salt;
+  return core::short_id_of(item, salt, core::EngineKeys{.sid_key = 0x6a09e667f3bcc908ULL},
+                           core::ProtocolConfig{});
+}
+
+/// Checks that `out` is exactly one kLimit error frame.
+void expect_limit_error(const std::vector<net::Message>& out) {
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_EQ(out[0].type, net::MessageType::kDaemonError);
+  util::ByteReader reader{util::ByteView(out[0].payload)};
+  EXPECT_EQ(ErrorMsg::deserialize(reader).code, ErrorCode::kLimit);
+}
+
+/// A Graphene fetch that names one host item's short ID `repeats` times,
+/// under `limits`: the host answers the short ID once, so the reply is one
+/// digest and within the frame cap, and the session stays open.
+void expect_repeated_fetch_answered_once(const DaemonLimits& limits, std::size_t repeats) {
+  SessionRig rig(core::ReconcileBackend::kGraphene, limits);
+  std::vector<net::Message> out;
+  ASSERT_TRUE(open_session(rig.session, /*backend=*/0, /*item_count=*/0, out));
+  ASSERT_EQ(out.size(), 1u);
+  const reconcile::ItemDigest item = *rig.host_items.begin();
+  core::RepairRequestMsg fetch;
+  fetch.short_ids.assign(repeats, set_short_id(out[0], item));
+  const net::Message msg{net::MessageType::kReconcileFetch, fetch.serialize()};
+  ASSERT_LE(msg.payload.size(), limits.max_frame_payload);
+  out.clear();
+  EXPECT_TRUE(rig.session.on_bytes(kNow, net::encode_frame(msg), out));
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_EQ(out[0].type, net::MessageType::kReconcileFetchResponse);
+  EXPECT_LE(out[0].payload.size(), limits.max_frame_payload);
+  util::ByteReader reader{util::ByteView(out[0].payload)};
+  EXPECT_EQ(reconcile::FetchResponse::deserialize(reader).items,
+            std::vector<reconcile::ItemDigest>{item});
+}
+
+TEST(PeerSession, FetchRepeatingOneShortIdIsAnsweredOnceAtDefaultLimits) {
+  // A 17,600,005-byte fetch. Answered once per repeat, it would draw a
+  // 70,400,005-byte reply, past the 64 MiB frame cap.
+  expect_repeated_fetch_answered_once(DaemonLimits{}, 2'200'000);
+}
+
+TEST(PeerSession, FetchRepeatingOneShortIdIsAnsweredOnceUnderAOneMebibyteCap) {
+  // A 320,003-byte fetch. Answered once per repeat, it would draw a
+  // 1,280,005-byte reply.
+  DaemonLimits limits;
+  limits.max_frame_payload = 1 << 20;
+  expect_repeated_fetch_answered_once(limits, 40'000);
+}
+
+TEST(PeerSession, RatelessOpeningOverTheFrameCapEndsTheSession) {
+  // A hello claiming 2^40 items asks for a maximal first chunk: 65,536
+  // symbols, about 2.7 MB. Under a 1 MiB cap it is not sent; the session
+  // ends kLimit with an error frame instead.
+  DaemonLimits limits;
+  limits.max_frame_payload = 1 << 20;
+  SessionRig rig(core::ReconcileBackend::kRatelessIblt, limits);
+  std::vector<net::Message> out;
+  EXPECT_FALSE(open_session(rig.session, /*backend=*/1, util::wire::kMaxDaemonItemCount, out));
+  EXPECT_EQ(rig.session.reason(), CloseReason::kLimit);
+  expect_limit_error(out);
+}
+
+TEST(PeerSession, GrapheneReplyOverTheFrameCapEndsTheSession) {
+  // A fetch of every host item, each named once, draws 32 bytes a short ID:
+  // 3,841 bytes for 120 items, past a 2 KiB cap.
+  DaemonLimits limits;
+  limits.max_frame_payload = 2048;
+  SessionRig rig(core::ReconcileBackend::kGraphene, limits);
+  std::vector<net::Message> out;
+  ASSERT_TRUE(open_session(rig.session, /*backend=*/0, /*item_count=*/0, out));
+  ASSERT_EQ(out.size(), 1u);
+  core::RepairRequestMsg fetch;
+  for (const reconcile::ItemDigest& item : rig.host_items) {
+    fetch.short_ids.push_back(set_short_id(out[0], item));
+  }
+  out.clear();
+  EXPECT_FALSE(rig.session.on_bytes(
+      kNow, net::encode_frame({net::MessageType::kReconcileFetch, fetch.serialize()}), out));
+  EXPECT_EQ(rig.session.reason(), CloseReason::kLimit);
+  expect_limit_error(out);
 }
 
 TEST(PeerSession, ConnSessionCapRotates) {

@@ -227,7 +227,7 @@ TEST(FaultInjection, SenderRejectsOversizedJointSizing) {
   req.b = util::wire::kMaxSizingParam;
   req.y_star = util::wire::kMaxSizingParam;
   req.fpr_r = 0.1;
-  req.filter_r = bloom::BloomFilter(10, 0.1, 1);
+  req.filter = bloom::BloomFilter(10, 0.1, 1);
   EXPECT_THROW(sender.serve(req), core::ProtocolError);
 }
 

@@ -198,7 +198,7 @@ TEST(Forensics, ForcedUndersizedIbltFailureReplaysExactly) {
   req.b = 1;
   req.y_star = 1;
   req.fpr_r = 1.0;
-  req.filter_r = bloom::BloomFilter();  // degenerate: everything "passes R"
+  req.filter = bloom::BloomFilter();  // degenerate: everything "passes R"
   out = session.complete(sender.serve(req));
   ASSERT_EQ(out.status, ReceiveStatus::kFailed);
 
@@ -316,7 +316,7 @@ TEST(Forensics, SenderRejectionIsRecorded) {
   GrapheneRequestMsg req;
   req.z = 100;
   req.fpr_r = 0.1;
-  req.filter_r = bloom::BloomFilter(100, 0.1, 2);
+  req.filter = bloom::BloomFilter(100, 0.1, 2);
   req.b = 1;
   req.y_star = util::wire::kMaxSizingParam + 1;
   EXPECT_THROW((void)sender.serve(req), ProtocolError);

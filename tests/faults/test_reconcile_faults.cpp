@@ -147,15 +147,15 @@ TEST(ReconcileFaults, CleanLinkReconcilesExactly) {
   GRAPHENE_EXPECT_GATE(r);
 }
 
-TEST(ReconcileFaults, HostRejectsOversizedRequestSizing) {
+TEST(ReconcileFaults, HostRejectsOversizedSizingFields) {
   // Regression guard for the serve() revalidation: a request whose
   // fields pass the individual wire caps but whose b + y* would allocate an
   // IBLT beyond kMaxIbltCells must throw a typed error, not allocate.
   util::Rng rng(91);
   const ItemSet items = random_set(rng, 20);
   const auto host = make_host_backend(items, 5, {});
-  Request req;
-  req.candidate_count = 10;
+  core::GrapheneRequestMsg req;
+  req.z = 10;
   req.b = util::wire::kMaxSizingParam;
   req.y_star = util::wire::kMaxSizingParam;
   req.fpr_r = 0.1;
@@ -164,8 +164,8 @@ TEST(ReconcileFaults, HostRejectsOversizedRequestSizing) {
                core::ProtocolError);
 
   // An fpr outside (0, 1] never reaches serve(): the parser refuses it.
-  Request nan_req;
-  nan_req.candidate_count = 10;
+  core::GrapheneRequestMsg nan_req;
+  nan_req.z = 10;
   nan_req.b = 1;
   nan_req.y_star = 1;
   nan_req.fpr_r = 0.0;
@@ -173,6 +173,26 @@ TEST(ReconcileFaults, HostRejectsOversizedRequestSizing) {
   EXPECT_THROW(
       (void)host->serve_wire({net::MessageType::kReconcileRequest, nan_req.serialize()}),
       util::DeserializeError);
+}
+
+TEST(ReconcileFaults, FetchServesEachShortIdOnce) {
+  // A fetch that repeats a short ID buys its digest once, not 32 bytes per
+  // 8-byte repeat: a reply never holds more than the host's set.
+  util::Rng rng(92);
+  const ItemSet items = random_set(rng, 20);
+  const auto host = make_host_backend(items, 5, {});
+  const WireMsg opening = host->open(0);
+  util::ByteReader reader{util::ByteView(opening.payload)};
+  const std::uint64_t salt = Offer::deserialize(reader).salt;
+  const ItemDigest& item = *items.begin();
+  core::RepairRequestMsg fetch;
+  fetch.short_ids.assign(
+      1000, core::short_id_of(item, salt, core::EngineKeys{.sid_key = 0x6a09e667f3bcc908ULL},
+                              core::ProtocolConfig{}));
+  const WireMsg reply =
+      host->serve_wire({net::MessageType::kReconcileFetch, fetch.serialize()});
+  util::ByteReader reply_reader{util::ByteView(reply.payload)};
+  EXPECT_EQ(FetchResponse::deserialize(reply_reader).items, std::vector<ItemDigest>{item});
 }
 
 }  // namespace

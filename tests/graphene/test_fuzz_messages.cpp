@@ -71,7 +71,7 @@ TEST(MessageFuzz, RequestMsgTruncationsAndCorruptions) {
   req.b = 5;
   req.y_star = 9;
   req.fpr_r = 0.03;
-  req.filter_r = bloom::BloomFilter(100, 0.03, rng.next());
+  req.filter = bloom::BloomFilter(100, 0.03, rng.next());
   const util::Bytes wire = req.serialize();
   check_all_truncations<GrapheneRequestMsg>(wire);
   check_random_corruptions<GrapheneRequestMsg>(wire, 5);

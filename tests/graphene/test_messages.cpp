@@ -73,7 +73,7 @@ TEST(GrapheneRequestMsg, RoundTripIncludingFpr) {
   req.y_star = 23;
   req.fpr_r = 0.0375;
   req.reversed = true;
-  req.filter_r = bloom::BloomFilter(10, 0.1, 3);
+  req.filter = bloom::BloomFilter(10, 0.1, 3);
 
   const util::Bytes wire = req.serialize();
   util::ByteReader r{util::ByteView(wire)};
@@ -144,7 +144,7 @@ TEST(RepairMsgs, RoundTrip) {
 
 TEST(Messages, TruncatedBufferThrows) {
   GrapheneRequestMsg req;
-  req.filter_r = bloom::BloomFilter(10, 0.1, 3);
+  req.filter = bloom::BloomFilter(10, 0.1, 3);
   util::Bytes wire = req.serialize();
   wire.resize(wire.size() - 1);
   util::ByteReader r{util::ByteView(wire)};

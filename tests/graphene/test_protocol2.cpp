@@ -110,7 +110,7 @@ TEST(Protocol2, RequestParamsMatchOptimizer) {
   const Protocol2Params& p = receiver.request_params();
   EXPECT_EQ(req.b, p.b);
   EXPECT_EQ(req.y_star, p.y_star);
-  EXPECT_EQ(req.filter_r.serialized_size(), p.bloom_bytes);
+  EXPECT_EQ(req.filter.serialized_size(), p.bloom_bytes);
 }
 
 TEST(Protocol2, PingPongEngagesOnUndersizedJ) {

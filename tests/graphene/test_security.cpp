@@ -37,6 +37,28 @@ TEST(Security, MalformedIbltInBlockMessageIsRejectedNotLooped) {
   EXPECT_NE(out.status, ReceiveStatus::kDecoded);
 }
 
+TEST(Security, RepairServesEachShortIdOnce) {
+  // A getblocktxn that repeats short IDs buys each transaction once, not once
+  // per 8-byte repeat: a reply never holds more than the block.
+  util::Rng rng(3);
+  chain::ScenarioSpec spec;
+  spec.block_txns = 50;
+  spec.extra_txns = 10;
+  const chain::Scenario s = chain::make_scenario(spec, rng);
+  const Sender sender(s.block, 11);
+  const chain::Transaction& first = s.block.transactions()[0];
+  const chain::Transaction& second = s.block.transactions()[1];
+  const std::uint64_t a = derive_short_id(first.id, sender.salt(), {});
+  const std::uint64_t b = derive_short_id(second.id, sender.salt(), {});
+  RepairRequestMsg req;
+  req.short_ids = {a, b, a, b};
+  req.short_ids.insert(req.short_ids.end(), 1000, a);
+  const RepairResponseMsg resp = sender.serve_repair(req);
+  ASSERT_EQ(resp.txns.size(), 2u);
+  EXPECT_EQ(resp.txns[0].id, first.id);
+  EXPECT_EQ(resp.txns[1].id, second.id);
+}
+
 TEST(Security, KeyedShortIdsDefeatPrecomputedCollisions) {
   // Two transactions crafted to share truncated 8-byte IDs: with keyed
   // (SipHash) short IDs their IBLT keys differ for almost every salt.

@@ -71,17 +71,16 @@ TEST(StrataEstimator, MismatchedConfigThrows) {
   EXPECT_THROW((void)a.estimate_difference(b), std::invalid_argument);
 }
 
-TEST(StrataEstimator, SerializeRoundTrip) {
+TEST(StrataEstimator, SerializedSizeIsOneBytePlusEachStratum) {
+  // The size bench_difference_digest charges: a stratum-count byte plus one
+  // IBLT per stratum, whatever the estimator holds.
   util::Rng rng(3);
   StrataEstimator a(1000);
+  ASSERT_EQ(a.strata_count(), 11u);  // ceil(log2 1000) + 1
+  const std::size_t expected = 1 + 11 * Iblt::serialized_size_for(StrataConfig{}.strata_cells);
+  EXPECT_EQ(a.serialized_size(), expected);
   for (const std::uint64_t k : random_keys(200, rng)) a.insert(k);
-  const util::Bytes wire = a.serialize();
-  EXPECT_EQ(wire.size(), a.serialized_size());
-  util::ByteReader r{util::ByteView(wire)};
-  const StrataEstimator b = StrataEstimator::deserialize(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(b.strata_count(), a.strata_count());
-  EXPECT_LE(a.estimate_difference(b), 1u);  // identical content
+  EXPECT_EQ(a.serialized_size(), expected);
 }
 
 TEST(StrataEstimator, StrataCountScalesWithUniverse) {

@@ -17,7 +17,6 @@
 #include "chain/transaction.hpp"
 #include "graphene/messages.hpp"
 #include "iblt/iblt.hpp"
-#include "iblt/strata_estimator.hpp"
 #include "reconcile/graphene_backend.hpp"
 #include "reconcile/rateless_backend.hpp"
 #include "reconcile/set_reconciler.hpp"
@@ -77,11 +76,6 @@ std::vector<WireCase> make_cases() {
     for (int i = 0; i < 12; ++i) t.insert(rng.next());
     cases.push_back({"Iblt", t.serialize(), parser<iblt::Iblt>()});
   }
-  {
-    iblt::StrataEstimator est(/*universe_hint=*/1u << 10);
-    for (int i = 0; i < 100; ++i) est.insert(rng.next());
-    cases.push_back({"StrataEstimator", est.serialize(), parser<iblt::StrataEstimator>()});
-  }
 
   {
     core::GrapheneBlockMsg msg;
@@ -103,7 +97,7 @@ std::vector<WireCase> make_cases() {
     msg.y_star = 9;
     msg.fpr_r = 0.04;
     msg.reversed = true;
-    msg.filter_r = bloom::BloomFilter(70, 0.04, rng.next());
+    msg.filter = bloom::BloomFilter(70, 0.04, rng.next());
     cases.push_back({"GrapheneRequestMsg", msg.serialize(), parser<core::GrapheneRequestMsg>()});
   }
   {
@@ -134,26 +128,11 @@ std::vector<WireCase> make_cases() {
     cases.push_back({"reconcile::Offer", msg.serialize(), parser<reconcile::Offer>()});
   }
   {
-    reconcile::Request msg;
-    msg.candidate_count = 30;
-    msg.b = 4;
-    msg.y_star = 6;
-    msg.fpr_r = 0.08;
-    msg.filter = bloom::BloomFilter(30, 0.08, rng.next());
-    cases.push_back({"reconcile::Request", msg.serialize(), parser<reconcile::Request>()});
-  }
-  {
     reconcile::Response msg;
     msg.missing = {digest32(), digest32()};
     msg.correction = iblt::Iblt(iblt::IbltParams{4, 12}, rng.next());
     msg.compensation = bloom::BloomFilter(20, 0.1, rng.next());
     cases.push_back({"reconcile::Response", msg.serialize(), parser<reconcile::Response>()});
-  }
-  {
-    reconcile::FetchRequest msg;
-    for (int i = 0; i < 5; ++i) msg.short_ids.push_back(rng.next());
-    cases.push_back({"reconcile::FetchRequest", msg.serialize(),
-                     parser<reconcile::FetchRequest>()});
   }
   {
     reconcile::FetchResponse msg;

@@ -279,7 +279,7 @@ TEST(WireRegression, SenderRejectsOversizedRequestParameters) {
   core::GrapheneRequestMsg req;
   req.z = 100;
   req.fpr_r = 0.1;
-  req.filter_r = bloom::BloomFilter(100, 0.1, 2);
+  req.filter = bloom::BloomFilter(100, 0.1, 2);
   req.b = std::numeric_limits<std::uint64_t>::max() - 5;  // b + y* wraps
   req.y_star = 10;
   EXPECT_THROW((void)sender.serve(req), core::ProtocolError);

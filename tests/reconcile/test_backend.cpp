@@ -566,7 +566,8 @@ TEST(BackendWire, FlightRecorderLogsEachMessageAndDecode) {
     const WireMsg req = client->next_request();
     const WireMsg resp = host->serve_wire(req);
     ASSERT_EQ(client->absorb_wire(resp).status, Outcome::Status::kNeedsFetch);
-    const WireMsg fresp = host->serve_wire(client->next_request());
+    const WireMsg freq = client->next_request();
+    const WireMsg fresp = host->serve_wire(freq);
     ASSERT_EQ(client->absorb_wire(fresp).status, Outcome::Status::kComplete);
 
     std::vector<util::Bytes> wires;
@@ -574,9 +575,20 @@ TEST(BackendWire, FlightRecorderLogsEachMessageAndDecode) {
               (std::vector<std::string>{
                   "msg_sent offer", "msg_received offer", "decode reconcile_p1 1",
                   "msg_sent request", "msg_sent response", "msg_received response",
-                  "decode reconcile_p2 2", "msg_sent fetchresp", "decode reconcile_fetch 0"}));
+                  "decode reconcile_p2 2", "msg_sent fetch", "msg_sent fetchresp",
+                  "msg_received fetchresp", "decode reconcile_fetch 0"}));
     EXPECT_EQ(wires, (std::vector<util::Bytes>{offer.payload, offer.payload, req.payload,
-                                               resp.payload, resp.payload, fresp.payload}));
+                                               resp.payload, resp.payload, freq.payload,
+                                               fresp.payload, fresp.payload}));
+    // The fetch round's two events count what they carry: one digest for
+    // each short ID fetched.
+    util::ByteReader freq_reader{util::ByteView(freq.payload)};
+    const auto fetched =
+        static_cast<double>(core::RepairRequestMsg::deserialize(freq_reader).short_ids.size());
+    ASSERT_GT(fetched, 0.0);
+    const std::vector<obs::FlightEvent> events = reg.recorder().events();
+    EXPECT_EQ(events[7].attr("short_ids"), fetched);
+    EXPECT_EQ(events[9].attr("items"), fetched);
   }
   // Rateless: chunk, need, chunk; then a message of the wrong backend.
   {

@@ -116,14 +116,14 @@ TEST(SetReconciler, WireRoundTripOfAllMessages) {
   Outcome out = client->absorb_wire(offer);
   if (out.status == Outcome::Status::kNeedsRequest) {
     const WireMsg req = client->next_request();
-    expect_round_trip<Request>(req);
+    expect_round_trip<core::GrapheneRequestMsg>(req);
     const WireMsg resp = host->serve_wire(req);
     expect_round_trip<Response>(resp);
     out = client->absorb_wire(resp);
   }
   if (out.status == Outcome::Status::kNeedsFetch) {
     const WireMsg freq = client->next_request();
-    expect_round_trip<FetchRequest>(freq);
+    expect_round_trip<core::RepairRequestMsg>(freq);
     const WireMsg fresp = host->serve_wire(freq);
     expect_round_trip<FetchResponse>(fresp);
     out = client->absorb_wire(fresp);
