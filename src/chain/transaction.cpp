@@ -2,13 +2,6 @@
 
 namespace graphene::chain {
 
-Transaction make_transaction(util::ByteView payload) {
-  Transaction tx;
-  tx.id = util::sha256d(payload);
-  tx.size_bytes = static_cast<std::uint32_t>(payload.size());
-  return tx;
-}
-
 Transaction make_random_transaction(util::Rng& rng) {
   Transaction tx;
   for (std::size_t i = 0; i < tx.id.size(); i += 8) {

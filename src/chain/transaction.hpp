@@ -34,9 +34,6 @@ struct Transaction {
   }
 };
 
-/// Creates a transaction whose ID is the double-SHA256 of `payload`.
-[[nodiscard]] Transaction make_transaction(util::ByteView payload);
-
 /// Creates a transaction with a uniformly random ID — statistically
 /// equivalent to hashing a unique payload but ~50× faster; Monte Carlo
 /// simulation uses this path.

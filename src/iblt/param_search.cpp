@@ -1,21 +1,23 @@
 #include "iblt/param_search.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "iblt/hypergraph.hpp"
 #include "util/hash.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace graphene::iblt {
 
 namespace {
 
+/// Upper bracket for the binary search, as a multiple of j (cmax in Alg. 1).
+constexpr std::uint64_t kCmaxFactor = 20;
+/// z for the Wilson interval (1.96 ≈ 95%).
+constexpr double kWilsonZ = 1.96;
+
 /// Seed for trial batch `index` of the sampling run rooted at `root`.
-/// Batches are keyed by their position in the fixed schedule — never by
-/// which thread ran them — which is what makes the parallel path
-/// bit-identical to the serial one.
+/// Batches are keyed by their position in the fixed schedule, so a run's
+/// trials depend only on its root.
 std::uint64_t batch_seed(std::uint64_t root, std::uint64_t index) {
   return util::mix64(root ^ util::mix64(index + 0x6a09e667f3bcc909ULL));
 }
@@ -28,45 +30,27 @@ struct RateDecision {
 
 /// Adaptive decode-rate test: does configuration (j, k, c) meet rate p?
 ///
-/// The schedule is ceil(max_trials / batch) batches, each seeded from
-/// (root, batch index). Batches are dispatched in waves sized to the pool;
-/// after each wave the results are scanned IN SCHEDULE ORDER, updating the
-/// Wilson interval batch by batch and stopping at the first separating
-/// decision — exactly the sequence the serial loop would produce. Extra
-/// batches in the decided wave are speculative waste, never a different
-/// answer. Falls back to an uncertified point-estimate call at the cap
-/// (Alg. 1's L-band exit).
+/// Runs up to ceil(max_trials / batch) batches, each seeded from (root,
+/// batch index), and updates the Wilson interval after every batch,
+/// stopping at the first one that separates it from p. Falls back to an
+/// uncertified point-estimate call at the cap (Alg. 1's L-band exit).
 RateDecision meets_rate(std::uint64_t j, std::uint32_t k, std::uint64_t c, double p,
                         std::uint64_t root, const SearchOptions& opts) {
   const std::uint64_t batch = std::max<std::uint64_t>(opts.batch, 1);
   const std::uint64_t total_batches =
       std::max<std::uint64_t>((opts.max_trials + batch - 1) / batch, 1);
-  const std::uint64_t wave =
-      opts.pool != nullptr
-          ? std::max<std::uint64_t>(2 * opts.pool->size(), 1)
-          : 1;
 
-  std::vector<std::uint32_t> wave_ok(wave);
   std::uint64_t successes = 0;
   std::uint64_t trials = 0;
-  for (std::uint64_t next = 0; next < total_batches;) {
-    const std::uint64_t n = std::min(wave, total_batches - next);
-    util::parallel_for(opts.pool, n, [&](std::uint64_t i) {
-      util::Rng rng(batch_seed(root, next + i));
-      std::uint32_t ok = 0;
-      for (std::uint64_t t = 0; t < batch; ++t) {
-        ok += hypergraph_decodes(j, k, c, rng) ? 1u : 0u;
-      }
-      wave_ok[i] = ok;
-    });
-    for (std::uint64_t i = 0; i < n; ++i) {
-      successes += wave_ok[i];
-      trials += batch;
-      const util::Interval ci = util::wilson_interval(successes, trials, opts.z);
-      if (ci.lo() >= p) return {true, true};
-      if (ci.hi() <= p) return {false, true};
+  for (std::uint64_t b = 0; b < total_batches; ++b) {
+    util::Rng rng(batch_seed(root, b));
+    for (std::uint64_t t = 0; t < batch; ++t) {
+      successes += hypergraph_decodes(j, k, c, rng) ? 1u : 0u;
     }
-    next += n;
+    trials += batch;
+    const util::Interval ci = util::wilson_interval(successes, trials, kWilsonZ);
+    if (ci.lo() >= p) return {true, true};
+    if (ci.hi() <= p) return {false, true};
   }
   const double rate = static_cast<double>(successes) / static_cast<double>(trials);
   return {rate >= p, false};
@@ -82,9 +66,8 @@ CellSearchResult search_cells(std::uint64_t j, std::uint32_t k, double p,
                               util::Rng& rng, const SearchOptions& opts) {
   if (j == 0) return {k, true};  // One empty partition row; decodes trivially.
 
-  // One draw per search, consumed identically for every worker count; each
-  // candidate c derives its own root so revisiting a size (across searches
-  // with the same seed) replays the same trials.
+  // One draw per search; each candidate c derives its own root so revisiting
+  // a size (across searches with the same seed) replays the same trials.
   const std::uint64_t root = rng.next();
   bool certified = true;
   const auto test = [&](std::uint64_t c) {
@@ -96,7 +79,7 @@ CellSearchResult search_cells(std::uint64_t j, std::uint32_t k, double p,
 
   // Search in units of k cells so every candidate stays a legal table size.
   std::uint64_t lo = 1;
-  std::uint64_t hi = round_up_multiple(std::max<std::uint64_t>(j * opts.cmax_factor, k), k) / k;
+  std::uint64_t hi = round_up_multiple(std::max<std::uint64_t>(j * kCmaxFactor, k), k) / k;
   if (!test(hi * k)) return {std::nullopt, certified};
 
   while (lo < hi) {
@@ -123,31 +106,25 @@ SearchResult search_params(std::uint64_t j, double p, util::Rng& rng,
     }
   }
   if (best.params.cells != 0) {
-    best.decode_rate =
-        measure_decode_rate(j, best.params.k, best.params.cells, 2000, rng, opts.pool);
+    best.decode_rate = measure_decode_rate(j, best.params.k, best.params.cells, 2000, rng);
   }
   return best;
 }
 
 double measure_decode_rate(std::uint64_t j, std::uint32_t k, std::uint64_t c,
-                           std::uint64_t trials, util::Rng& rng,
-                           util::ThreadPool* pool) {
+                           std::uint64_t trials, util::Rng& rng) {
   if (trials == 0) return 0.0;
   const std::uint64_t root = rng.next();
   constexpr std::uint64_t kChunk = 256;
   const std::uint64_t chunks = (trials + kChunk - 1) / kChunk;
-  std::vector<std::uint64_t> ok(chunks, 0);
-  util::parallel_for(pool, chunks, [&](std::uint64_t i) {
+  std::uint64_t successes = 0;
+  for (std::uint64_t i = 0; i < chunks; ++i) {
     util::Rng chunk_rng(batch_seed(root, i));
     const std::uint64_t n = std::min(kChunk, trials - i * kChunk);
-    std::uint64_t s = 0;
     for (std::uint64_t t = 0; t < n; ++t) {
-      s += hypergraph_decodes(j, k, c, chunk_rng) ? 1u : 0u;
+      successes += hypergraph_decodes(j, k, c, chunk_rng) ? 1u : 0u;
     }
-    ok[i] = s;
-  });
-  std::uint64_t successes = 0;
-  for (const std::uint64_t s : ok) successes += s;
+  }
   return static_cast<double>(successes) / static_cast<double>(trials);
 }
 

@@ -66,13 +66,6 @@ class FaultyChannel {
   std::vector<util::Bytes> transmit(net::Direction dir, net::MessageType type,
                                     util::Bytes payload) EXCLUDES(mu_);
 
-  /// Serializes `msg` and transmits it.
-  template <typename Msg>
-  std::vector<util::Bytes> transmit_msg(net::Direction dir, net::MessageType type,
-                                        const Msg& msg) {
-    return transmit(dir, type, msg.serialize());
-  }
-
   /// Delivers any still-held (reordered) messages for `dir` — the "link went
   /// quiet" flush that keeps a session from waiting forever on a message the
   /// schedule held back.

@@ -9,7 +9,7 @@
 // inside wait() happens in a system header, where the analysis is silent,
 // and the capability is correctly held again when wait() returns.
 //
-// Idiom (see docs/CONCURRENCY.md):
+// Idiom (see docs/STATIC_ANALYSIS.md):
 //
 //   util::Mutex mu_;
 //   std::deque<Task> queue_ GUARDED_BY(mu_);

@@ -1,12 +1,13 @@
 // Portable Clang Thread Safety Analysis annotations.
 //
-// The concurrent core (util::ThreadPool, iblt::ParamCache, obs::Registry /
-// TraceSink / FlightRecorder, testkit::FaultyChannel) documents its lock
-// discipline with these macros; clang's -Wthread-safety then proves at
-// compile time that every access to a GUARDED_BY member happens with the
-// named capability held. GCC and MSVC see empty macros, so the annotations
-// cost nothing outside the clang CI legs (which build with
-// -Wthread-safety -Werror — see docs/STATIC_ANALYSIS.md).
+// The concurrent core (iblt::ParamCache, obs::Registry / TraceSink /
+// FlightRecorder, daemon::RelayDaemon's intake queue,
+// testkit::FaultyChannel) documents its lock discipline with these macros;
+// clang's -Wthread-safety then proves at compile time that every access to
+// a GUARDED_BY member happens with the named capability held. GCC and MSVC
+// see empty macros, so the annotations cost nothing outside the clang CI
+// legs (which build with -Wthread-safety -Werror — see
+// docs/STATIC_ANALYSIS.md).
 //
 // The macro set mirrors the standard names from the clang documentation
 // (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html). Annotate with the

@@ -9,13 +9,6 @@
 namespace graphene::chain {
 namespace {
 
-TEST(Transaction, PayloadHashIsDoubleSha256) {
-  const util::Bytes payload = {1, 2, 3};
-  const Transaction tx = make_transaction(util::ByteView(payload));
-  EXPECT_EQ(tx.id, util::sha256d(util::ByteView(payload)));
-  EXPECT_EQ(tx.size_bytes, 3u);
-}
-
 TEST(Transaction, RandomTransactionsHaveDistinctIds) {
   util::Rng rng(1);
   std::set<TxId> ids;

@@ -1,16 +1,16 @@
 // Session-based receive API: Receiver::session() minting, independence of
-// concurrent sessions, and the shared pool + parameter cache wiring through
+// concurrent sessions, and the shared parameter cache wiring through
 // ProtocolConfig.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "graphene/receiver.hpp"
 #include "graphene/sender.hpp"
 #include "iblt/param_cache.hpp"
 #include "sim/scenario.hpp"
-#include "util/thread_pool.hpp"
 
 namespace graphene::core {
 namespace {
@@ -70,11 +70,10 @@ TEST(ReceiveSessionApi, SessionsFromOneReceiverAreIndependent) {
 
 TEST(ReceiveSessionApi, ConcurrentSessionsAcrossPoolThreads) {
   // TSan target: one Sender and one Receiver driven against many peers at
-  // once from a ThreadPool's workers. encode() is const with no mutable
-  // state and every relay gets its own session, so this must be race-free,
-  // with the shared ParamCache plumbed through the config as in production.
+  // once from several threads. encode() is const with no mutable state and
+  // every relay gets its own session, so this must be race-free, with the
+  // shared ParamCache plumbed through the config as in production.
   const chain::Scenario s = desync_scenario(3);
-  util::ThreadPool pool(4);
   iblt::ParamCache cache;
   ProtocolConfig cfg;
   cfg.param_cache = &cache;
@@ -83,15 +82,23 @@ TEST(ReceiveSessionApi, ConcurrentSessionsAcrossPoolThreads) {
   Receiver receiver(s.receiver_mempool, cfg);
 
   constexpr std::uint64_t kPeers = 16;
+  constexpr std::uint64_t kThreads = 4;
   std::atomic<std::uint64_t> decoded{0};
-  util::parallel_for(&pool, kPeers, [&](std::uint64_t peer) {
-    // Each peer claims a different mempool size, so encodes differ too.
-    ReceiveSession session = receiver.session();
-    const ReceiveOutcome out = relay_block(sender, session, s.m + peer).outcome;
-    if (out.status == ReceiveStatus::kDecoded) {
-      decoded.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t peer = t; peer < kPeers; peer += kThreads) {
+        // Each peer claims a different mempool size, so encodes differ too.
+        ReceiveSession session = receiver.session();
+        const ReceiveOutcome out = relay_block(sender, session, s.m + peer).outcome;
+        if (out.status == ReceiveStatus::kDecoded) {
+          decoded.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
   // Individual relays may hit the ~1/fail_denom IBLT failure; all failing
   // would mean shared state corruption, not bad luck.
   EXPECT_GE(decoded.load(), kPeers - 2);

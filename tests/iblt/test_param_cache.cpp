@@ -3,10 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <thread>
+#include <vector>
 
 #include "iblt/param_table.hpp"
 #include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace graphene::iblt {
 namespace {
@@ -88,16 +89,23 @@ TEST(ParamCache, ConcurrentHitMissInsertIsRaceFree) {
   const char* stress = std::getenv("GRAPHENE_STRESS");
   const std::uint64_t rounds = (stress != nullptr && *stress == '1') ? 20000 : 2000;
   ParamCache cache;
-  util::ThreadPool pool(8);
-  util::parallel_for(&pool, rounds, [&](std::uint64_t i) {
-    const std::uint64_t j = 1 + (i % 97);
-    const std::uint32_t denom = kFailDenoms[i % 3];
-    const IbltParams p = cache.params(j, denom);
-    const IbltParams direct = lookup_params(j, denom);
-    ASSERT_EQ(p.k, direct.k);
-    ASSERT_EQ(p.cells, direct.cells);
-    ASSERT_EQ(cache.bytes(j, denom), iblt_bytes(j, denom));
-  });
+  constexpr std::uint64_t kThreads = 8;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t i = t; i < rounds; i += kThreads) {
+        const std::uint64_t j = 1 + (i % 97);
+        const std::uint32_t denom = kFailDenoms[i % 3];
+        const IbltParams p = cache.params(j, denom);
+        const IbltParams direct = lookup_params(j, denom);
+        ASSERT_EQ(p.k, direct.k);
+        ASSERT_EQ(p.cells, direct.cells);
+        ASSERT_EQ(cache.bytes(j, denom), iblt_bytes(j, denom));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
   EXPECT_EQ(cache.entries(), 97u * 3u);
   EXPECT_EQ(cache.hits() + cache.misses(), 2 * rounds);
 }
